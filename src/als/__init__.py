@@ -19,7 +19,6 @@ from .gstate import (
 )
 from .modes import (
     ModeIndex,
-    SymmetryConfig,
     alpha_to_beta,
     beta_to_alpha,
     euler_angles,
@@ -37,7 +36,6 @@ from .operators import (
     eigen_residual,
     expectation,
     rotate,
-    schwinger_apply,
     spin_axis,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "PolyDiffOperator",
     "ModeIndex",
     "OperatorKind",
-    "SymmetryConfig",
     "alpha_to_beta",
     "apply",
     "beta_to_alpha",
@@ -65,7 +62,6 @@ __all__ = [
     "linear_combine",
     "mode_from_twisted",
     "rotate",
-    "schwinger_apply",
     "schwinger_state",
     "spin_axis",
     "wigner_decompose",

@@ -43,6 +43,11 @@ class ResolutionError(Exception):
     """The discrete path is too coarse for a meaningful phase product."""
 
 
+def wrap_phase(x: float) -> float:
+    """x modulo 2 pi, in (-pi, pi]."""
+    return math.pi - (math.pi - x) % (2.0 * math.pi)
+
+
 def sphere_point(phi: float, alpha: float) -> np.ndarray:
     """Unit sphere point of the parameter pair; same formula as spin_axis."""
     return spin_axis(phi, alpha)

@@ -19,17 +19,15 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 
 import click
 import numpy as np
 
 from . import verify as verify_mod
-from .berry import ResolutionError, berry_phase, latitude_loop, polar_loop, solid_angle
+from .berry import ResolutionError, berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import GaussianPolyState, density_grid, inner_product, linear_combine
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, hlg_state, mode_from_twisted
-from .observables import energy, mean_lz, mean_r2
-from .operators import OperatorKind, expectation
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, hlg_state, mode_from_twisted, schwinger_state
+from .observables import energy, mean_lz, mean_r2, measure
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 
 
@@ -37,36 +35,26 @@ class IOFailure(click.ClickException):
     exit_code = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the commands.
+class _FiniteFloat(click.ParamType):
+    """A finite float above ``bound``, or also at it when ``closed``."""
 
-    ``tolerances`` maps suite names to overrides (empty = per-identity
-    defaults); ``max_order`` may not exceed the construction cap.
-    """
+    name = "float"
 
-    max_order: int = 10
-    order_cap: int = ORDER_CAP
-    tolerances: dict = field(default_factory=dict)
-    extent: float = 5.0
-    points: int = 512
-    out_dir: str = "."
-    omega: float = 1.0
-    rho_h: float = 1.0
+    def __init__(self, bound: float, closed: bool):
+        self.bound = bound
+        self.closed = closed
 
-    def __post_init__(self):
-        if self.max_order > self.order_cap:
-            raise click.UsageError(
-                f"max order {self.max_order} exceeds the construction cap {self.order_cap}"
-            )
-        if any(t < 0 for t in self.tolerances.values()):
-            raise click.UsageError("tolerances must be >= 0")
-        if self.extent <= 0:
-            raise click.UsageError("--extent must be positive")
-        if self.points < 2:
-            raise click.UsageError("--points must be at least 2")
-        if self.omega <= 0 or self.rho_h <= 0:
-            raise click.UsageError("--omega and --rho-h must be positive")
+    def convert(self, value, param, ctx):
+        x = click.FLOAT.convert(value, param, ctx)
+        above = x >= self.bound if self.closed else x > self.bound
+        if not (math.isfinite(x) and above):
+            op = ">=" if self.closed else ">"
+            self.fail(f"{value!r} is not a finite number {op} {self.bound:g}", param, ctx)
+        return x
+
+
+_POSITIVE = _FiniteFloat(0.0, closed=False)
+_NON_NEGATIVE = _FiniteFloat(0.0, closed=True)
 
 
 _ANGLE_RE = re.compile(
@@ -76,20 +64,22 @@ _ANGLE_RE = re.compile(
 
 
 def parse_angle(text: str) -> float:
-    """Radians from a float literal or a pi fraction like '3pi/16'."""
+    """Finite radians from a float literal or a pi fraction like '3pi/16'."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    match = _ANGLE_RE.match(text)
-    if not match:
-        raise click.UsageError(
-            f"cannot parse angle {text!r}: use radians or a pi fraction like pi/8"
-        )
-    value = math.pi * float(match.group("coef") or 1.0)
-    if match.group("den"):
-        value /= float(match.group("den"))
-    return -value if match.group("sign") == "-" else value
+        match = _ANGLE_RE.match(text)
+        den = float(match.group("den") or 1.0) if match else 0.0
+        if not den:
+            raise click.UsageError(
+                f"cannot parse angle {text!r}: use radians or a pi fraction like pi/8"
+            )
+        value = math.pi * float(match.group("coef") or 1.0) / den
+        if match.group("sign") == "-":
+            value = -value
+    if not math.isfinite(value):
+        raise click.UsageError(f"angle {text!r} is not finite")
+    return value
 
 
 def _resolve_sign(charge: str) -> int:
@@ -141,11 +131,10 @@ def fold_alpha(alpha: float, n: int, m: int) -> tuple[float, int, int, bool]:
     return min(max(a, 0.0), 0.5 * math.pi), n, m, folded
 
 
-def _check_order(mode: ModeIndex, max_order: int) -> None:
-    if mode.n + mode.m > max_order:
+def _check_order(mode: ModeIndex) -> None:
+    if mode.n + mode.m > ORDER_CAP:
         raise click.UsageError(
-            f"mode order n+m = {mode.n + mode.m} exceeds the configured cap "
-            f"{max_order}; raise --order-cap if this is intentional"
+            f"mode order n+m = {mode.n + mode.m} exceeds the cap {ORDER_CAP}"
         )
 
 
@@ -278,13 +267,12 @@ def add_options(options):
 @click.option("--beta", type=float, default=None, help="Field ellipticity in [0, 1].")
 @click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
 @click.option("--phi", type=str, default="0", help="Rotation angle of the mode axes.")
-@click.option("--extent", type=float, default=5.0, help="Grid half-width in units of rho_h.")
-@click.option("--points", type=int, default=512, help="Grid points per axis.")
-@click.option("--order-cap", type=int, default=ORDER_CAP)
-@click.option("--omega", type=float, default=1.0)
-@click.option("--rho-h", type=float, default=1.0)
+@click.option("--extent", type=_POSITIVE, default=5.0, help="Grid half-width in units of rho_h.")
+@click.option("--points", type=click.IntRange(min=2), default=512, help="Grid points per axis.")
+@click.option("--omega", type=_POSITIVE, default=1.0)
+@click.option("--rho-h", type=_POSITIVE, default=1.0)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="CSV output path; a .json sidecar is written next to it.")
-def density(n, m, nr, l, alpha, beta, charge, phi, extent, points, order_cap, omega, rho_h, out):
+def density(n, m, nr, l, alpha, beta, charge, phi, extent, points, omega, rho_h, out):
     """Export a probability density grid with a JSON sidecar."""
     sign_e = _resolve_sign(charge)
     mode = _resolve_mode(n, m, nr, l)
@@ -292,15 +280,9 @@ def density(n, m, nr, l, alpha, beta, charge, phi, extent, points, order_cap, om
     phi_val = parse_angle(phi)
     a, nn, mm, folded = fold_alpha(alpha_in, mode.n, mode.m)
     used = ModeIndex(nn, mm)
-    cfg = RunConfig(
-        max_order=used.n + used.m, order_cap=order_cap,
-        extent=extent, points=points, omega=omega, rho_h=rho_h,
-    )
-    _check_order(used, cfg.order_cap)
+    _check_order(used)
 
-    from .modes import schwinger_state
-
-    state = schwinger_state(used.n, used.m, a, phi_val, order_cap=cfg.order_cap)
+    state = schwinger_state(used.n, used.m, a, phi_val)
     grid = density_grid(state, -extent, extent, -extent, extent, points, points)
     norm = _norm_check(grid, extent)
     pattern = classify_pattern(grid, extent)
@@ -342,26 +324,20 @@ def _sidecar_path(out: str) -> str:
 @add_options(_mode_options)
 @click.option("--alpha-min", type=str, default="0")
 @click.option("--alpha-max", type=str, default="pi/4")
-@click.option("--steps", type=int, default=16, help="Number of alpha rows.")
+@click.option("--steps", type=click.IntRange(min=1), default=16, help="Number of alpha rows.")
 @click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
-@click.option("--order-cap", type=int, default=ORDER_CAP)
-@click.option("--omega", type=float, default=1.0)
-@click.option("--rho-h", type=float, default=1.0)
+@click.option("--omega", type=_POSITIVE, default=1.0)
+@click.option("--rho-h", type=_POSITIVE, default=1.0)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def table(n, m, nr, l, alpha_min, alpha_max, steps, charge, order_cap, omega, rho_h, out):
+def table(n, m, nr, l, alpha_min, alpha_max, steps, charge, omega, rho_h, out):
     """Observable table over an alpha sweep: closed forms, exact values, deltas."""
     sign_e = _resolve_sign(charge)
     mode = _resolve_mode(n, m, nr, l)
-    _check_order(mode, order_cap)
+    _check_order(mode)
     a0, a1 = parse_angle(alpha_min), parse_angle(alpha_max)
-    if steps < 1:
-        raise click.UsageError("--steps must be >= 1")
     if not (0.0 <= a0 <= a1 <= 0.5 * math.pi + 1e-12):
         raise click.UsageError("sweep bounds must satisfy 0 <= alpha-min <= alpha-max <= pi/2")
 
-    from .gstate import PolyDiffOperator, apply as gapply
-
-    r2_op = PolyDiffOperator({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
     header = [
         "alpha_rad",
         "energy_closed_omega", "energy_exact_omega", "energy_delta",
@@ -369,15 +345,14 @@ def table(n, m, nr, l, alpha_min, alpha_max, steps, charge, order_cap, omega, rh
         "lz_closed_hbar", "lz_exact_hbar", "lz_delta",
     ]
     rows = []
-    for a in np.linspace(a0, a1, steps):
-        state = hlg_state(mode.n, mode.m, float(a), order_cap=order_cap)
+    for a in map(float, np.linspace(a0, a1, steps)):
+        e_x, r_x, lz_x = measure(hlg_state(mode.n, mode.m, a), a, sign_e)
+        e_x *= omega
+        r_x *= rho_h**2
         e_c = energy(mode.n_r, mode.l, sign_e, omega)
-        e_x = expectation(state, OperatorKind.h_perp(float(a), sign_e)).real * omega
         r_c = mean_r2(mode.n_r, mode.l, rho_h)
-        r_x = inner_product(state, gapply(r2_op, state)).real * rho_h**2
-        lz_c = mean_lz(mode.l, float(a))
-        lz_x = expectation(state, OperatorKind.lz()).real
-        rows.append([float(a), e_c, e_x, e_x - e_c, r_c, r_x, r_x - r_c, lz_c, lz_x, lz_x - lz_c])
+        lz_c = mean_lz(mode.l, a)
+        rows.append([a, e_c, e_x, e_x - e_c, r_c, r_x, r_x - r_c, lz_c, lz_x, lz_x - lz_c])
     try:
         write_table_csv(out, header, rows)
     except OSError as exc:
@@ -387,18 +362,14 @@ def table(n, m, nr, l, alpha_min, alpha_max, steps, charge, order_cap, omega, rh
 
 @main.command()
 @click.option("--suites", type=str, default=",".join(verify_mod.SUITES), help="Comma-separated suite names.")
-@click.option("--max-order", type=int, default=10)
-@click.option("--tol", type=float, default=None, help="Override every identity tolerance.")
+@click.option("--max-order", type=click.IntRange(0, ORDER_CAP), default=10)
+@click.option("--tol", type=_NON_NEGATIVE, default=None, help="Override every identity tolerance.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="JSON report path.")
 def verify(suites, max_order, tol, out):
     """Run identity suites; exit 0 only if every residual is in tolerance."""
     names = [s.strip() for s in suites.split(",") if s.strip()]
-    cfg = RunConfig(
-        max_order=max_order,
-        tolerances={} if tol is None else {name: tol for name in names},
-    )
     try:
-        report = verify_mod.run(names, max_order=cfg.max_order, tol=tol)
+        report = verify_mod.run(names, max_order=max_order, tol=tol)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     for r in report["results"]:
@@ -424,12 +395,11 @@ def verify(suites, max_order, tol, out):
 @click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
 @click.option("--phi0", type=str, default="0", help="Meridian of the polar loop.")
 @click.option("--segments", type=int, default=2000)
-@click.option("--order-cap", type=int, default=ORDER_CAP)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def berry(n, m, nr, l, family, alpha, beta, charge, phi0, segments, order_cap, out):
+def berry(n, m, nr, l, family, alpha, beta, charge, phi0, segments, out):
     """Geometric phase of a mode around a closed loop on the mode sphere."""
     mode = _resolve_mode(n, m, nr, l)
-    _check_order(mode, order_cap)
+    _check_order(mode)
     try:
         if family == "latitude":
             if alpha is None and beta is None:
@@ -459,7 +429,7 @@ def berry(n, m, nr, l, family, alpha, beta, charge, phi0, segments, order_cap, o
         "solid_angle": omega_loop,
         "berry_phase": phase,
         "expected_phase": expected,
-        "deviation": abs(phase - expected),
+        "deviation": abs(wrap_phase(phase - expected)),
     }
     click.echo(
         f"solid angle {fmt(omega_loop)}, phase {fmt(phase)}, "
@@ -480,35 +450,30 @@ def berry(n, m, nr, l, family, alpha, beta, charge, phi0, segments, order_cap, o
 @click.option("--beta", type=float, default=None)
 @click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
 @click.option("--t", type=float, default=0.0, help="Evolution time in units of 1/omega.")
-@click.option("--max-order", type=int, default=10, help="Basis cut: include all n+m <= max-order.")
-@click.option("--extent", type=float, default=5.0)
-@click.option("--points", type=int, default=256)
-@click.option("--order-cap", type=int, default=ORDER_CAP)
-@click.option("--omega", type=float, default=1.0)
-@click.option("--rho-h", type=float, default=1.0)
+@click.option("--max-order", type=click.IntRange(0, ORDER_CAP), default=10, help="Basis cut: include all n+m <= max-order.")
+@click.option("--extent", type=_POSITIVE, default=5.0)
+@click.option("--points", type=click.IntRange(min=2), default=256)
+@click.option("--omega", type=_POSITIVE, default=1.0)
+@click.option("--rho-h", type=_POSITIVE, default=1.0)
 @click.option("--out-prefix", type=str, required=True, help="Writes <prefix>_coefficients.csv, <prefix>_density.csv, <prefix>.json.")
-def decompose(nr, l, alpha, beta, charge, t, max_order, extent, points, order_cap, omega, rho_h, out_prefix):
+def decompose(nr, l, alpha, beta, charge, t, max_order, extent, points, omega, rho_h, out_prefix):
     """Expand a twisted mode over the asymmetric basis and evolve the phases."""
     sign_e = _resolve_sign(charge)
-    mode_in = mode_from_twisted(nr, l)
-    cfg = RunConfig(
-        max_order=max_order, order_cap=order_cap,
-        extent=extent, points=points, omega=omega, rho_h=rho_h,
-    )
-    _check_order(mode_in, cfg.order_cap)
+    mode_in = _resolve_mode(None, None, nr, l)
+    _check_order(mode_in)
     alpha_in = _resolve_alpha(alpha, beta, sign_e)
     # folding only moves the analysis angle; the basis runs over all modes
     # anyway, so the index relabeling is absorbed by the coefficient table
     a, _, _, _ = fold_alpha(alpha_in, mode_in.n, mode_in.m)
 
-    lg = hlg_state(mode_in.n, mode_in.m, 0.25 * math.pi, order_cap=order_cap)
+    lg = hlg_state(mode_in.n, mode_in.m, 0.25 * math.pi)
     coeff_rows = []
     states, amps = [], []
     sum_abs2 = 0.0
     for total in range(max_order + 1):
         for n_i in range(total + 1):
             m_i = total - n_i
-            basis = hlg_state(n_i, m_i, a, order_cap=order_cap)
+            basis = hlg_state(n_i, m_i, a)
             c = inner_product(basis, lg)
             mode_i = ModeIndex(n_i, m_i)
             eps_i = energy(mode_i.n_r, mode_i.l, sign_e, omega)

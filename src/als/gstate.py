@@ -59,15 +59,6 @@ class GaussianPolyState:
         self.terms = clean
         self.envelope = (ax, ay)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self) -> int:
-        """Total polynomial degree; -1 for the zero state."""
-        return max((p + q for p, q in self.terms), default=-1)
-
     def _require_same_envelope(self, other: "GaussianPolyState") -> None:
         if self.envelope != other.envelope:
             raise ValueError(
@@ -116,10 +107,6 @@ class PolyDiffOperator:
     @classmethod
     def identity(cls) -> "PolyDiffOperator":
         return cls({(0, 0, 0, 0): 1.0})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def max_coeff(self) -> float:
         """Largest coefficient magnitude; 0 for the zero operator."""
@@ -199,10 +186,6 @@ def inner_product(a: GaussianPolyState, b: GaussianPolyState) -> complex:
                 continue
             total += cc * cb * _moment_1d(p + r, ax) * _moment_1d(q + s, ay)
     return total
-
-
-def norm(s: GaussianPolyState) -> float:
-    return math.sqrt(max(inner_product(s, s).real, 0.0))
 
 
 def _diff_x(poly: dict[Monomial, complex], ax: float) -> dict[Monomial, complex]:

@@ -51,8 +51,8 @@ from math import comb, factorial
 from . import specfun
 from .gstate import GaussianPolyState, linear_combine
 
-#: Default limit on n + m; double precision degrades in the coefficient
-#: sums well above this, so raising it is at the caller's risk.
+#: Limit on n + m; double precision degrades in the coefficient sums
+#: well above this.
 ORDER_CAP = 20
 
 
@@ -130,37 +130,6 @@ def _check_sign(sign_e: int) -> None:
         raise ValueError(f"sign_e must be -1 or +1, got {sign_e}")
 
 
-@dataclass(frozen=True)
-class SymmetryConfig:
-    """Charge sign, symmetry angles and physical scales of a setup.
-
-    ``omega`` (rotation frequency) and ``rho_h`` (transverse radius) are
-    bookkeeping for unit conversion at the boundary; all internal algebra
-    runs with both equal to 1.
-    """
-
-    sign_e: int
-    alpha: float
-    phi: float = 0.0
-    omega: float = 1.0
-    rho_h: float = 1.0
-
-    def __post_init__(self):
-        _check_sign(self.sign_e)
-        if not 0.0 <= self.alpha <= 0.5 * math.pi + 1e-12:
-            raise ValueError(
-                f"alpha must lie in [0, pi/2], got {self.alpha}; reduce "
-                "out-of-range values with the alpha -> alpha +- pi/2 "
-                "relabeling symmetry first"
-            )
-        if self.omega <= 0 or self.rho_h <= 0:
-            raise ValueError("omega and rho_h must be positive")
-
-    @property
-    def beta(self) -> float:
-        return alpha_to_beta(self.alpha, self.sign_e)
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 0.5 * math.pi + 1e-12:
         raise ValueError(
@@ -202,7 +171,6 @@ def hlg_state(
     m: int,
     alpha: float,
     *,
-    order_cap: int = ORDER_CAP,
     normalized: bool = True,
 ) -> GaussianPolyState:
     """Mode state psi_{n,m}(alpha) as an exact term map.
@@ -213,11 +181,8 @@ def hlg_state(
     """
     if n < 0 or m < 0:
         raise ValueError(f"mode indices must be >= 0, got ({n}, {m})")
-    if n + m > order_cap:
-        raise ValueError(
-            f"mode order n+m = {n + m} exceeds the cap {order_cap}; "
-            "pass order_cap explicitly to override"
-        )
+    if n + m > ORDER_CAP:
+        raise ValueError(f"mode order n+m = {n + m} exceeds the cap {ORDER_CAP}")
     _check_alpha(alpha)
     coeffs = hlg_coefficients(n, m, alpha)
     terms: dict[tuple[int, int], complex] = {}
@@ -259,14 +224,7 @@ def euler_angles(phi: float, alpha: float) -> tuple[float, float, float]:
     return A, B, C
 
 
-def schwinger_state(
-    n: int,
-    m: int,
-    alpha: float,
-    phi: float,
-    *,
-    order_cap: int = ORDER_CAP,
-) -> GaussianPolyState:
+def schwinger_state(n: int, m: int, alpha: float, phi: float) -> GaussianPolyState:
     """Mode rotated by phi in the transverse plane:
 
     psi_{n,m}(x cos(phi) + y sin(phi), -x sin(phi) + y cos(phi); alpha).
@@ -275,7 +233,7 @@ def schwinger_state(
     """
     from .operators import rotate
 
-    return rotate(hlg_state(n, m, alpha, order_cap=order_cap), phi)
+    return rotate(hlg_state(n, m, alpha), phi)
 
 
 def _check_jm(j: float, m_l: float) -> tuple[int, int]:

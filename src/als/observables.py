@@ -1,8 +1,9 @@
 """Closed-form observables of the asymmetric modes, with built-in checks.
 
-Every closed form here is certified: ``report`` recomputes each quantity
-from exact inner products on the constructed state and refuses to return
-silently inconsistent numbers.
+Every closed form here is certified: ``measure`` is the one exact
+inner-product evaluation of energy, <r^2> and <Lz> (used by ``report``,
+``als table`` and ``als verify``), and ``report`` refuses to return a
+closed form that disagrees with it.
 
 In twisted labels (n_r, l):
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gstate import PolyDiffOperator, apply, inner_product
+from .gstate import GaussianPolyState, PolyDiffOperator, apply, inner_product
 from .modes import ModeIndex, hlg_state
 from .operators import OperatorKind, eigen_residual, expectation
 
@@ -75,7 +76,20 @@ class ObservableReport:
             raise ValueError("|<Lz>| cannot exceed |l|")
 
 
-_R2_OP = PolyDiffOperator({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
+#: Multiplication by r^2 = x^2 + y^2.
+R2_OP = PolyDiffOperator({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
+
+
+def measure(state: GaussianPolyState, alpha: float, sign_e: int) -> tuple[float, float, float]:
+    """Exact (energy, <r^2>, <Lz>) of a state in units of omega, rho_h^2, hbar.
+
+    Energy and <Lz> are normalised expectations; <r^2> is <s|r^2|s>
+    without dividing by <s|s>, so it is meant for unit-norm states.
+    """
+    e = expectation(state, OperatorKind.h_perp(alpha, sign_e)).real
+    r2 = inner_product(state, apply(R2_OP, state)).real
+    lz = expectation(state, OperatorKind.lz()).real
+    return e, r2, lz
 
 
 def report(
@@ -90,18 +104,16 @@ def report(
     n_r, l = mode.to_twisted()
     state = hlg_state(n, m, alpha)
 
+    e_meas, r2_meas, lz_meas = measure(state, alpha, sign_e)
     e_closed = energy(n_r, l, sign_e)
-    e_meas = expectation(state, OperatorKind.h_perp(alpha, sign_e)).real
     if abs(e_closed - e_meas) > tol:
         raise IntegrityError("energy", e_closed, e_meas, tol)
 
     r2_closed = mean_r2(n_r, l)
-    r2_meas = inner_product(state, apply(_R2_OP, state)).real
     if abs(r2_closed - r2_meas) > tol:
         raise IntegrityError("r2", r2_closed, r2_meas, tol)
 
     lz_closed = mean_lz(l, alpha)
-    lz_meas = expectation(state, OperatorKind.lz()).real
     if abs(lz_closed - lz_meas) > tol:
         raise IntegrityError("lz", lz_closed, lz_meas, tol)
 

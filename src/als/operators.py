@@ -270,10 +270,3 @@ def schwinger_operator(phi: float, alpha: float, sign_e: int) -> PolyDiffOperato
     n1, n2, n3 = spin_axis(phi, alpha)
     coupling = n1 * _h1() + n2 * _h2() + n3 * _h3()
     return _hs() + (-sign_e) * coupling
-
-
-def schwinger_apply(
-    s: GaussianPolyState, phi: float, alpha: float, sign_e: int
-) -> GaussianPolyState:
-    """Action of the general rotated Hamiltonian on a state."""
-    return apply(schwinger_operator(phi, alpha, sign_e), s)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import berry as berry_mod
 from . import fields as fields_mod
-from .gstate import PolyDiffOperator, apply, compose, inner_product, op_commutator
+from .gstate import PolyDiffOperator, compose, inner_product, op_commutator
 from .modes import (
     ModeIndex,
     beta_to_alpha,
@@ -35,20 +35,19 @@ from .modes import (
     wigner_decompose,
     wigner_reconstruct,
 )
-from .observables import energy, mean_lz, mean_r2
+from .observables import energy, mean_lz, mean_r2, measure
 from .operators import (
     OperatorKind,
     build,
     dilate,
     eigen_residual,
     expectation,
+    pseudo_spin,
     schwinger_operator,
 )
 from .specfun import wigner_small_d
 
 SUITES = ("algebra", "spectra", "observables", "fields", "wigner", "berry")
-
-_R2_OP = PolyDiffOperator({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def suite_algebra(max_order: int, tol: float | None = None) -> list[IdentityResu
     out: list[IdentityResult] = []
     h = {i: build(k) for i, k in ((1, OperatorKind.h1()), (2, OperatorKind.h2()), (3, OperatorKind.h3()))}
     hs = build(OperatorKind.hs())
-    spin = {i: 0.5 * h[i] for i in h}
+    spin = {i: pseudo_spin(i) for i in h}
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -214,11 +213,9 @@ def suite_observables(max_order: int, tol: float | None = None) -> list[Identity
     for mode in modes:
         for alpha in alphas:
             s = hlg_state(mode.n, mode.m, float(alpha))
-            lz = expectation(s, OperatorKind.lz()).real
+            e, r2, lz = measure(s, float(alpha), -1)
             worst_lz = max(worst_lz, abs(lz - mean_lz(mode.l, float(alpha))))
-            r2 = inner_product(s, apply(_R2_OP, s)).real
             worst_r2 = max(worst_r2, abs(r2 - mean_r2(mode.n_r, mode.l)))
-            e = expectation(s, OperatorKind.h_perp(float(alpha), -1)).real
             worst_e = max(worst_e, abs(e - energy(mode.n_r, mode.l, -1)))
         hg = hlg_state(mode.n, mode.m, 0.0)
         j = mode.j

@@ -40,6 +40,13 @@ class TestParseAngle:
         with pytest.raises(click.UsageError):
             parse_angle("three halves")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "pi/0"])
+    def test_rejects_non_finite(self, text):
+        import click
+
+        with pytest.raises(click.UsageError):
+            parse_angle(text)
+
 
 class TestFoldAlpha:
     def test_in_range_untouched(self):
@@ -278,6 +285,20 @@ class TestBerryCommand:
         result = runner.invoke(main, ["berry", "--nr", "0", "--l", "1", "--segments", "2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("l", [10, -5])
+    def test_deviation_is_taken_modulo_2pi(self, l, tmp_path):
+        # |l/2| * Omega exceeds pi here, so the raw difference is near 2 pi
+        out = tmp_path / "berry.json"
+        result = runner.invoke(
+            main,
+            ["berry", "--nr", "0", f"--l={l}", "--alpha", "pi/8",
+             "--segments", "200", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert abs(report["berry_phase"] - report["expected_phase"]) > 6.0
+        assert report["deviation"] <= 1e-3
+
 
 class TestDecomposeCommand:
     def test_eigenbasis_input_is_stationary(self, tmp_path):
@@ -325,6 +346,31 @@ class TestDecomposeCommand:
         sidecar = json.loads((tmp_path / "dec.json").read_text())
         assert sidecar["truncation_warning"]
         assert sidecar["sum_abs2"] < 1.0 - 1e-6
+
+
+_BAD_INPUTS = [
+    ["density", "--nr", "0", "--l", "1", "--alpha", "nan"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--phi", "nan"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--omega", "nan"],
+    ["density", "--nr", "0", "--l", "21", "--alpha", "0"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--order-cap", "30"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--points", "1"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--extent", "nan"],
+    ["decompose", "--nr", "-1", "--l", "1", "--alpha", "0"],
+    ["table", "--nr", "0", "--l", "1", "--omega", "-1"],
+    ["table", "--nr", "0", "--l", "1", "--rho-h", "0"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "-1"],
+    ["verify", "--max-order", "21"],
+]
+
+
+@pytest.mark.parametrize("args", _BAD_INPUTS, ids=lambda a: " ".join(a))
+def test_bad_input_is_usage_error(args, tmp_path):
+    out = ["--out-prefix", str(tmp_path / "x")] if args[0] == "decompose" else ["--out", str(tmp_path / "x.csv")]
+    result = runner.invoke(main, args + out)
+    assert result.exit_code == 2, result.output
+    assert not list(tmp_path.iterdir())  # rejected before anything is written
 
 
 class TestSchemas:

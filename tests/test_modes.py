@@ -10,7 +10,6 @@ import pytest
 from als.gstate import evaluate, inner_product
 from als.modes import (
     ModeIndex,
-    SymmetryConfig,
     alpha_to_beta,
     beta_to_alpha,
     euler_angles,
@@ -108,12 +107,6 @@ class TestSymmetryMaps:
         with pytest.raises(ValueError):
             beta_to_alpha(0.5, 2)
 
-    def test_config_invariant(self):
-        cfg = SymmetryConfig(sign_e=-1, alpha=0.3)
-        assert cfg.beta == pytest.approx(math.sin(0.3) ** 2, abs=1e-15)
-        with pytest.raises(ValueError):
-            SymmetryConfig(sign_e=-1, alpha=2.0)
-
 
 class TestModeConstruction:
     def test_ground_state_alpha_independent(self):
@@ -179,8 +172,6 @@ class TestModeConstruction:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             hlg_state(15, 6, 0.3)
-        s = hlg_state(15, 6, 0.3, order_cap=24)
-        assert inner_product(s, s).real == pytest.approx(1.0, rel=1e-9)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from als.operators import (
     expectation,
     pseudo_spin,
     rotate,
-    schwinger_apply,
     schwinger_operator,
     spin_axis,
 )
@@ -256,7 +255,7 @@ class TestSchwingerApply:
     def test_reduces_to_unrotated_family(self):
         for alpha in (0.2, math.pi / 8):
             s = random_state()
-            lhs = schwinger_apply(s, 0.0, alpha, -1)
+            lhs = apply(schwinger_operator(0.0, alpha, -1), s)
             rhs = apply(build(OperatorKind.h_perp(alpha, -1)), s)
             keys = set(lhs.terms) | set(rhs.terms)
             assert max(abs(lhs.terms.get(k, 0j) - rhs.terms.get(k, 0j)) for k in keys) <= 1e-13
@@ -269,7 +268,7 @@ class TestSchwingerApply:
                 s = schwinger_state(n, m, alpha, phi)
                 n_r, l = min(n, m), n - m
                 lam = 2 * n_r + abs(l) + l + 1  # electron branch
-                out = schwinger_apply(s, phi, alpha, -1)
+                out = apply(schwinger_operator(phi, alpha, -1), s)
                 r = out - complex(lam) * s
                 res = math.sqrt(max(inner_product(r, r).real, 0.0))
                 assert res <= 1e-9
