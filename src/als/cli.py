@@ -49,10 +49,12 @@ class _FiniteFloat(click.ParamType):
         above = x >= self.bound if self.closed else x > self.bound
         if not (math.isfinite(x) and above):
             op = ">=" if self.closed else ">"
-            self.fail(f"{value!r} is not a finite number {op} {self.bound:g}", param, ctx)
+            limit = f" {op} {self.bound:g}" if math.isfinite(self.bound) else ""
+            self.fail(f"{value!r} is not a finite number{limit}", param, ctx)
         return x
 
 
+_FINITE = _FiniteFloat(-math.inf, closed=False)
 _POSITIVE = _FiniteFloat(0.0, closed=False)
 _NON_NEGATIVE = _FiniteFloat(0.0, closed=True)
 
@@ -232,6 +234,11 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
     }
 
 
+# A norm (grid sum or basis weight) further than this below 1 is flagged
+# as truncated.
+_TRUNCATION_TOL = 1e-6
+
+
 def _norm_check(grid: np.ndarray, extent: float) -> float:
     ny, nx = grid.shape
     cell = (2 * extent / nx) * (2 * extent / ny)
@@ -285,6 +292,7 @@ def density(n, m, nr, l, alpha, beta, charge, phi, extent, points, omega, rho_h,
     state = schwinger_state(used.n, used.m, a, phi_val)
     grid = density_grid(state, -extent, extent, -extent, extent, points, points)
     norm = _norm_check(grid, extent)
+    truncated = norm < 1.0 - _TRUNCATION_TOL
     pattern = classify_pattern(grid, extent)
 
     sidecar = {
@@ -300,6 +308,7 @@ def density(n, m, nr, l, alpha, beta, charge, phi, extent, points, omega, rho_h,
             "ny": points,
         },
         "norm_check": norm,
+        "truncation_warning": truncated,
         "units": {"omega": omega, "rho_h": rho_h},
         "pattern": pattern,
     }
@@ -313,7 +322,8 @@ def density(n, m, nr, l, alpha, beta, charge, phi, extent, points, omega, rho_h,
         write_json(_sidecar_path(out), sidecar, "density_sidecar")
     except OSError as exc:
         raise IOFailure(f"cannot write output: {exc}")
-    click.echo(f"wrote {out} (norm check {norm:.9f}, pattern {pattern['classification']})")
+    note = " (truncated)" if truncated else ""
+    click.echo(f"wrote {out} (norm check {norm:.9f}, pattern {pattern['classification']}){note}")
 
 
 def _sidecar_path(out: str) -> str:
@@ -449,7 +459,7 @@ def berry(n, m, nr, l, family, alpha, beta, charge, phi0, segments, out):
 @click.option("--alpha", type=str, default=None, help="Symmetry angle of the analysis basis.")
 @click.option("--beta", type=float, default=None)
 @click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
-@click.option("--t", type=float, default=0.0, help="Evolution time in units of 1/omega.")
+@click.option("--t", type=_FINITE, default=0.0, help="Evolution time in units of 1/omega.")
 @click.option("--max-order", type=click.IntRange(0, ORDER_CAP), default=10, help="Basis cut: include all n+m <= max-order.")
 @click.option("--extent", type=_POSITIVE, default=5.0)
 @click.option("--points", type=click.IntRange(min=2), default=256)
@@ -490,7 +500,7 @@ def decompose(nr, l, alpha, beta, charge, t, max_order, extent, points, omega, r
     rebuilt = linear_combine(amps, states) if states else GaussianPolyState({})
     grid = density_grid(rebuilt, -extent, extent, -extent, extent, points, points)
     norm = _norm_check(grid, extent)
-    truncated = sum_abs2 < 1.0 - 1e-6
+    truncated = sum_abs2 < 1.0 - _TRUNCATION_TOL
 
     sidecar = {
         "input_mode": {"n_r": nr, "l": l, "n": mode_in.n, "m": mode_in.m},

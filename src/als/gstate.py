@@ -270,19 +270,17 @@ def evaluate(s: GaussianPolyState, x: float, y: float) -> complex:
     return total * math.exp(-ax * x * x - ay * y * y)
 
 
-def evaluate_grid(s: GaussianPolyState, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Vectorized ``evaluate`` over coordinate arrays of equal shape."""
-    ax, ay = s.envelope
-    total = np.zeros(np.broadcast(X, Y).shape, dtype=complex)
-    xp_cache: dict[int, np.ndarray] = {}
-    yq_cache: dict[int, np.ndarray] = {}
-    for (p, q), c in s.terms.items():
-        if p not in xp_cache:
-            xp_cache[p] = X**p
-        if q not in yq_cache:
-            yq_cache[q] = Y**q
-        total += c * xp_cache[p] * yq_cache[q]
-    return total * np.exp(-ax * X * X - ay * Y * Y)
+def _axis_table(u: np.ndarray, a: float, kmax: int) -> np.ndarray:
+    """T[i, k] = exp(-a u_i^2) u_i^k for k = 0..kmax.
+
+    Built by multiplying up from the Gaussian column, so a point whose
+    Gaussian underflows gives a row of zeros instead of inf * 0 = NaN.
+    """
+    table = np.empty((u.size, kmax + 1))
+    table[:, 0] = np.exp(-a * u * u)
+    for k in range(1, kmax + 1):
+        table[:, k] = table[:, k - 1] * u
+    return table
 
 
 def density_grid(
@@ -294,7 +292,12 @@ def density_grid(
     nx: int,
     ny: int,
 ) -> np.ndarray:
-    """|psi|^2 sampled at cell centers; shape (ny, nx), row j at y_j."""
+    """|psi|^2 sampled at cell centers; shape (ny, nx), row j at y_j.
+
+    The state is separable term by term, so with C[p, q] the monomial
+    coefficients and T the per-axis tables of ``_axis_table``,
+    psi = Ty (Tx C)^T.
+    """
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("grid ranges must have positive extent")
     if nx < 2 or ny < 2:
@@ -303,6 +306,11 @@ def density_grid(
     dy = (ymax - ymin) / ny
     xc = xmin + dx * (np.arange(nx) + 0.5)
     yc = ymin + dy * (np.arange(ny) + 0.5)
-    X, Y = np.meshgrid(xc, yc)
-    vals = evaluate_grid(s, X, Y)
-    return (vals.real**2 + vals.imag**2).astype(float)
+    pmax = max((p for p, _ in s.terms), default=0)
+    qmax = max((q for _, q in s.terms), default=0)
+    coeffs = np.zeros((pmax + 1, qmax + 1), dtype=complex)
+    for (p, q), c in s.terms.items():
+        coeffs[p, q] = c
+    ax, ay = s.envelope
+    vals = _axis_table(yc, ay, qmax) @ (_axis_table(xc, ax, pmax) @ coeffs).T
+    return vals.real**2 + vals.imag**2

@@ -44,14 +44,18 @@ def write_grid_csv(
     y_min: float,
     y_max: float,
 ) -> None:
-    """Grid CSV: comment row with the grid spec, then ny rows of nx values."""
+    """Grid CSV: comment row with the grid spec, then ny rows of nx values.
+
+    Each row goes through one ``%``-template; ``'%.17g' % x`` and ``fmt(x)``
+    use the same float formatter, so the bytes are those of ``fmt``.
+    """
     ny, nx = grid.shape
+    row_fmt = ",".join(["%.17g"] * nx) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             "# " + ",".join([fmt(x_min), fmt(x_max), fmt(y_min), fmt(y_max), str(nx), str(ny)]) + "\n"
         )
-        for row in grid:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(row_fmt % tuple(row.tolist()) for row in grid)
 
 
 def write_table_csv(path, header: list[str], rows: list[list]) -> None:

@@ -153,6 +153,36 @@ class TestDensityCommand:
         a = (tmp_path / "a.csv").read_bytes()
         assert b"\r" not in a  # LF endings only
 
+    @pytest.mark.parametrize("nr, l, truncated", [(5, 8, True), (0, 1, False)])
+    def test_truncation_warning(self, nr, l, truncated, tmp_path):
+        # (5, 8) keeps norm_check 0.999986 inside the default extent 5
+        out = tmp_path / "d.csv"
+        result = runner.invoke(
+            main,
+            ["density", "--nr", str(nr), "--l", str(l), "--alpha", "pi/4",
+             "--points", "256", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        sidecar = json.loads((tmp_path / "d.json").read_text())
+        validate(sidecar, "density_sidecar")
+        assert sidecar["truncation_warning"] is truncated
+        assert ("(truncated)" in result.output) is truncated
+
+    def test_huge_extent_gives_finite_grid(self, tmp_path):
+        # x^20 overflows at |x| = 1e20; the Gaussian underflows first
+        out = tmp_path / "far.csv"
+        result = runner.invoke(
+            main,
+            ["density", "--nr", "10", "--l", "0", "--alpha", "0",
+             "--extent", "1e20", "--points", "8", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        _, grid = read_grid(out)
+        assert np.all(np.isfinite(grid))
+        sidecar = json.loads((tmp_path / "far.json").read_text())
+        assert math.isfinite(sidecar["norm_check"])
+        assert sidecar["truncation_warning"] is True
+
 
 class TestTableCommand:
     def test_observable_columns(self, tmp_path):
@@ -357,6 +387,8 @@ _BAD_INPUTS = [
     ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--points", "1"],
     ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--extent", "nan"],
     ["decompose", "--nr", "-1", "--l", "1", "--alpha", "0"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--t", "nan", "--max-order", "2"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--t", "inf", "--max-order", "2"],
     ["table", "--nr", "0", "--l", "1", "--omega", "-1"],
     ["table", "--nr", "0", "--l", "1", "--rho-h", "0"],
     ["verify", "--tol", "nan"],

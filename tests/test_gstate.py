@@ -17,7 +17,7 @@ from als.gstate import (
     linear_combine,
     op_commutator,
 )
-from als.modes import hlg_state
+from als.modes import hlg_state, schwinger_state
 from als.operators import OperatorKind, build
 
 rng = np.random.default_rng(202)
@@ -250,6 +250,29 @@ class TestDensityGrid:
         grid = density_grid(s, -4, 4, -4, 4, 101, 101)
         assert np.all(grid[:, 50] <= 1e-30)  # center column sits on x = 0
         assert grid[:, 49] == pytest.approx(grid[:, 51], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            schwinger_state(4, 1, 0.3, 0.7),
+            GaussianPolyState({(3, 0): 0.5, (1, 2): -1j, (0, 4): 0.25 + 0.5j}, envelope=(2.0, 0.5)),
+        ],
+        ids=["rotated", "anisotropic"],
+    )
+    def test_matches_pointwise_evaluate(self, s):
+        # non-square and off-centre, so a swapped axis or envelope shows
+        grid = density_grid(s, -3, 4, -2, 5, 37, 23)
+        assert grid.shape == (23, 37)
+        xc = -3 + (7 / 37) * (np.arange(37) + 0.5)
+        yc = -2 + (7 / 23) * (np.arange(23) + 0.5)
+        ref = np.array([[abs(evaluate(s, x, y)) ** 2 for x in xc] for y in yc])
+        assert np.abs(grid - ref).max() <= 1e-12 * ref.max()
+
+    def test_underflowed_envelope_gives_zeros(self):
+        # x^20 overflows at |x| = 1e20 while the Gaussian underflows to 0
+        s = GaussianPolyState({(20, 0): 1.0, (0, 20): 1.0})
+        grid = density_grid(s, -1e20, 1e20, -1e20, 1e20, 8, 8)
+        assert np.all(grid == 0.0)
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
