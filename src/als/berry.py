@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gstate import inner_product
-from .modes import schwinger_state
-from .operators import spin_axis
+from .modes import hlg_state
+from .operators import rotate, spin_axis
 
 #: Consecutive-vertex overlaps below this magnitude abort the phase product.
 MIN_OVERLAP = 1e-6
@@ -78,8 +78,10 @@ class SpherePath:
                 )
 
     def points(self) -> np.ndarray:
-        """Sphere points of all vertices, shape (len, 3)."""
-        return np.array([sphere_point(p, a) for p, a in self.vertices])
+        """Sphere points of all vertices, shape (len, 3); spin_axis's formula."""
+        phi, alpha = np.array(self.vertices).T
+        c2a = np.cos(2 * alpha)
+        return np.stack((np.cos(2 * phi) * c2a, np.sin(2 * phi) * c2a, np.sin(2 * alpha)), axis=1)
 
     def reversed(self) -> "SpherePath":
         return SpherePath(tuple(reversed(self.vertices)), self.closed)
@@ -113,29 +115,35 @@ def polar_loop(phi0: float, segments: int) -> SpherePath:
     return SpherePath(tuple((float(p), float(a)) for p, a in up + back))
 
 
-def _triangle_solid_angle(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> float:
-    """Signed solid angle of a spherical triangle (van Oosterom-Strackee)."""
-    num = float(np.dot(v1, np.cross(v2, v3)))
-    den = 1.0 + float(np.dot(v1, v2)) + float(np.dot(v2, v3)) + float(np.dot(v3, v1))
-    return 2.0 * math.atan2(num, den)
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row of u with the same row of v.
+
+    A stack of 1 x 3 by 3 x 1 products goes through the BLAS dot that
+    np.dot uses for a single pair, so each value is that of np.dot.
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def solid_angle(path: SpherePath) -> float:
     """Signed solid angle enclosed by a closed path, in (-4 pi, 4 pi).
 
-    Positive for counterclockwise traversal seen from the +z pole.
+    Positive for counterclockwise traversal seen from the +z pole.  Each
+    edge contributes the signed solid angle of the spherical triangle
+    (pole, v_k, v_k+1) by the van Oosterom-Strackee formula, summed in
+    vertex order.
     """
     if not path.closed:
         raise ValueError("solid angle is defined for closed paths only")
     pts = path.points()[:-1]
-    distinct = {tuple(np.round(p, 9)) for p in pts}
-    if len(distinct) < 3:
+    if len(set(map(tuple, np.round(pts, 9).tolist()))) < 3:
         raise ValueError("need at least 3 distinct vertices on the sphere")
-    pole = np.array([0.0, 0.0, 1.0])
+    nxt = np.roll(pts, -1, axis=0)
+    pole = np.broadcast_to([0.0, 0.0, 1.0], pts.shape)
+    num = _row_dots(pole, np.cross(pts, nxt))
+    den = 1.0 + _row_dots(pole, pts) + _row_dots(pts, nxt) + _row_dots(nxt, pole)
     total = 0.0
-    npts = len(pts)
-    for k in range(npts):
-        total += _triangle_solid_angle(pole, pts[k], pts[(k + 1) % npts])
+    for y, x in zip(num.tolist(), den.tolist()):
+        total += 2.0 * math.atan2(y, x)
     if not -4.0 * math.pi < total < 4.0 * math.pi:
         raise ValueError(f"winding out of supported range: {total}")
     return total
@@ -152,7 +160,10 @@ def berry_phase(path: SpherePath, n: int, m: int) -> float:
     verts = path.vertices[:-1]
     if len(verts) < 3:
         raise ValueError("need at least 3 path vertices")
-    states = [schwinger_state(n, m, a, p) for p, a in verts]
+    # One mode per distinct alpha, rotated to each vertex's phi: the
+    # schwinger_state of every vertex without rebuilding the mode.
+    modes = {a: hlg_state(n, m, a) for a in {a for _, a in verts}}
+    states = [rotate(modes[a], p) for p, a in verts]
     product = 1.0 + 0j
     for k in range(len(states)):
         z = inner_product(states[k], states[(k + 1) % len(states)])

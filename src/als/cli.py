@@ -148,8 +148,16 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
     (nodal lines crossing it); the annular-mean profile is scanned for
     radial nodes.  Striped patterns show >= 2 angular node runs, rings
     show none and stay azimuthally flat, a center-peaked structure with
-    no angular nodes is a spot.
+    no angular nodes is a spot.  A grid that holds no density at all (the
+    mode lies between the cell centers or underflows) is empty.
     """
+    if grid.max() == 0:
+        return {
+            "classification": "empty",
+            "angular_node_count": 0,
+            "radial_node_count": 0,
+            "center_density": 0.0,
+        }
     ny, nx = grid.shape
     cell = 2 * extent / nx
     xc = -extent + cell * (np.arange(nx) + 0.5)

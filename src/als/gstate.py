@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -170,22 +171,45 @@ def gaussian_moment(p: int, q: int) -> float:
     return _moment_1d(p, 2.0) * _moment_1d(q, 2.0)
 
 
+@lru_cache(maxsize=None)
+def _moment_table(kmax: int, a: float) -> np.ndarray:
+    """Read-only array of _moment_1d(k, a) for k = 0..kmax (odd k give 0)."""
+    table = np.array([_moment_1d(k, a) for k in range(kmax + 1)])
+    table.flags.writeable = False
+    return table
+
+
+def _packed(s: GaussianPolyState):
+    """Powers p, q and coefficient parts re, im of a term map, in its order."""
+    n = len(s.terms)
+    keys = np.fromiter(chain.from_iterable(s.terms), np.intp, 2 * n).reshape(n, 2)
+    coeffs = np.fromiter(s.terms.values(), complex, n)
+    return keys[:, 0], keys[:, 1], coeffs.real, coeffs.imag
+
+
 def inner_product(a: GaussianPolyState, b: GaussianPolyState) -> complex:
     """<a|b>, conjugate-linear in the first argument.
 
     Envelopes may differ; the product of the two Gaussians supplies the
-    integration weight.
+    integration weight.  Each term pair contributes
+    conj(ca) cb M(p + r, ax) M(q + s, ay), formed with the float operations
+    of Python's complex arithmetic and summed sequentially in row-major
+    term order, so the result is that of the plain double loop bit for
+    bit.  Odd moments are 0 and add nothing to the sum.
     """
-    ax = a.envelope[0] + b.envelope[0]
-    ay = a.envelope[1] + b.envelope[1]
-    total = 0j
-    for (p, q), ca in a.terms.items():
-        cc = ca.conjugate()
-        for (r, s), cb in b.terms.items():
-            if (p + r) % 2 or (q + s) % 2:
-                continue
-            total += cc * cb * _moment_1d(p + r, ax) * _moment_1d(q + s, ay)
-    return total
+    if not a.terms or not b.terms:
+        return 0j
+    pa, qa, ar, ai = _packed(a)
+    pb, qb, br, bi = _packed(b)
+    px = pa[:, None] + pb
+    qy = qa[:, None] + qb
+    mx = _moment_table(int(px.max()), a.envelope[0] + b.envelope[0])[px]
+    my = _moment_table(int(qy.max()), a.envelope[1] + b.envelope[1])[qy]
+    re = ((ar[:, None] * br + ai[:, None] * bi) * mx) * my
+    im = ((ar[:, None] * bi - ai[:, None] * br) * mx) * my
+    # cumsum adds in order, unlike sum or dot; adding to 0.0 gives the
+    # loop's +0.0 when every term is a zero.
+    return complex(0.0 + np.cumsum(re)[-1], 0.0 + np.cumsum(im)[-1])
 
 
 def _diff_x(poly: dict[Monomial, complex], ax: float) -> dict[Monomial, complex]:

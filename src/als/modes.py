@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 from . import specfun
@@ -160,10 +161,11 @@ def hlg_norm_squared(n: int, m: int) -> float:
     return math.pi * 2.0 ** (n + m - 1) * factorial(n) * factorial(m)
 
 
-def _hermite_scaled(order: int) -> list[float]:
+@lru_cache(maxsize=None)
+def _hermite_scaled(order: int) -> tuple[float, ...]:
     """Coefficients of H_order(sqrt2 u) in powers of u."""
     base = specfun.hermite(order).coeffs
-    return [c * 2.0 ** (0.5 * p) for p, c in enumerate(base)]
+    return tuple(c * 2.0 ** (0.5 * p) for p, c in enumerate(base))
 
 
 def hlg_state(

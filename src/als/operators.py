@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -196,29 +197,53 @@ def pseudo_spin(i: int) -> PolyDiffOperator:
     raise ValueError(f"component index must be 1, 2 or 3, got {i}")
 
 
+@lru_cache(maxsize=None)
+def _rotation_weights(d: int) -> np.ndarray:
+    """Signed double binomials W_d of the degree-d rotation, read-only.
+
+    Shape (d + 1, (d + 1)**2): row e, read as a (d + 1) x (d + 1) matrix,
+    is the coefficient of cos^e(phi) sin^(d-e)(phi) in the map from the
+    coefficient of x^(d-q) y^q (column q) to that of x^(d-r) y^r (row r).
+    """
+    w = np.zeros((d + 1, d + 1, d + 1))
+    for q in range(d + 1):
+        p = d - q
+        for i in range(p + 1):
+            for jj in range(q + 1):
+                # x^p y^q -> (c x + s y)^p (-s x + c y)^q, double binomial
+                w[i + jj, p - i + jj, q] += (
+                    math.comb(p, i) * math.comb(q, jj) * (-1) ** (q - jj)
+                )
+    w = w.reshape(d + 1, -1)
+    w.flags.writeable = False
+    return w
+
+
 def rotate(s: GaussianPolyState, phi: float) -> GaussianPolyState:
     """Clockwise coordinate rotation by phi:
 
     psi(x, y) -> psi(x cos(phi) + y sin(phi), -x sin(phi) + y cos(phi)).
 
-    Exactly norm preserving; requires the isotropic envelope.
+    Exactly norm preserving; requires the isotropic envelope.  Each
+    homogeneous degree d maps as one (d + 1)-vector by the matrix
+    sum_e W_d[e] cos^e(phi) sin^(d-e)(phi), which is the identity at
+    phi = 0.
     """
     if s.envelope[0] != s.envelope[1]:
         raise ValueError("rotation requires an isotropic envelope")
     c, si = math.cos(phi), math.sin(phi)
-    out: dict[tuple[int, int], complex] = {}
+    by_degree: dict[int, dict[int, complex]] = {}
     for (p, q), coeff in s.terms.items():
-        # (c x + si y)^p (-si x + c y)^q expanded by double binomial
-        for i in range(p + 1):
-            fx = math.comb(p, i) * c**i * si ** (p - i)
-            if fx == 0.0:
-                continue
-            for jj in range(q + 1):
-                f = fx * math.comb(q, jj) * c**jj * (-si) ** (q - jj)
-                if f == 0.0:
-                    continue
-                key = (i + q - jj, p - i + jj)
-                out[key] = out.get(key, 0j) + coeff * f
+        by_degree.setdefault(p + q, {})[q] = coeff
+    e = np.arange(max(by_degree, default=0) + 1)
+    cos_e, sin_e = c**e, si**e
+    out: dict[tuple[int, int], complex] = {}
+    for d, column in by_degree.items():
+        v = np.zeros(d + 1, dtype=complex)
+        v[list(column)] = list(column.values())
+        mat = (cos_e[: d + 1] * sin_e[d::-1]) @ _rotation_weights(d)
+        u = mat.reshape(d + 1, d + 1) @ v
+        out.update(zip(((d - r, r) for r in range(d + 1)), u.tolist()))
     return GaussianPolyState(out, s.envelope)
 
 

@@ -86,6 +86,26 @@ class TestSolidAngle:
         om = solid_angle(polar_loop(0.4, 400))
         assert abs(om) == pytest.approx(math.pi, abs=1e-9)
 
+    def test_matches_per_triangle_sum(self):
+        # the edge-by-edge van Oosterom-Strackee sum, bit for bit; on the
+        # first two loops a plain row-wise dot product changes the last bit
+        pole = np.array([0.0, 0.0, 1.0])
+        loops = (latitude_loop(0.17, 7), latitude_loop(0.06, 64),
+                 latitude_loop(1.2, 500).reversed(), polar_loop(-0.8, 41))
+        for loop in loops:
+            pts = loop.points()[:-1]
+            total = 0.0
+            for v2, v3 in zip(pts, np.roll(pts, -1, axis=0)):
+                num = float(np.dot(pole, np.cross(v2, v3)))
+                den = 1.0 + float(np.dot(pole, v2)) + float(np.dot(v2, v3)) + float(np.dot(v3, pole))
+                total += 2.0 * math.atan2(num, den)
+            assert solid_angle(loop) == total
+
+    def test_points_match_sphere_point(self):
+        loop = polar_loop(0.4, 30)
+        expected = np.array([sphere_point(p, a) for p, a in loop.vertices])
+        assert np.array_equal(loop.points(), expected)
+
     def test_degenerate_path_rejected(self):
         with pytest.raises(ValueError):
             solid_angle(SpherePath(((0.0, 0.1), (0.0, 0.1), (0.0, 0.1))))
@@ -146,6 +166,16 @@ class TestBerryPhase:
         redecorated = [ph * s for ph, s in zip(phases, states)]
         assert abs(product_phase(redecorated) - base) <= 1e-10
         assert abs(base - berry_phase(loop, 3, 0)) <= 1e-12
+
+    def test_polar_loop_matches_per_vertex_states(self):
+        # the ascending meridian gives every vertex its own alpha
+        loop = polar_loop(0.3, 60)
+        verts = loop.vertices[:-1]
+        states = [schwinger_state(2, 1, a, p) for p, a in verts]
+        prod = 1 + 0j
+        for k in range(len(states)):
+            prod *= inner_product(states[k], states[(k + 1) % len(states)])
+        assert abs(berry_phase(loop, 2, 1) + cmath.phase(prod)) <= 1e-12
 
     def test_open_path_rejected(self):
         p = SpherePath(((0.0, 0.1), (0.5, 0.1)), closed=False)

@@ -183,6 +183,26 @@ class TestDensityCommand:
         assert math.isfinite(sidecar["norm_check"])
         assert sidecar["truncation_warning"] is True
 
+    def test_all_zero_grid_is_classified_empty(self, tmp_path):
+        # every cell center lies where the mode has underflowed
+        out = tmp_path / "far.csv"
+        result = runner.invoke(
+            main,
+            ["density", "--nr", "10", "--l", "0", "--alpha", "0",
+             "--extent", "1e20", "--points", "8", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        _, grid = read_grid(out)
+        assert not grid.any()
+        sidecar = json.loads((tmp_path / "far.json").read_text())
+        validate(sidecar, "density_sidecar")
+        assert sidecar["pattern"] == {
+            "classification": "empty",
+            "angular_node_count": 0,
+            "radial_node_count": 0,
+            "center_density": 0.0,
+        }
+
 
 class TestTableCommand:
     def test_observable_columns(self, tmp_path):

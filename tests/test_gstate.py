@@ -8,6 +8,7 @@ import pytest
 from als.gstate import (
     GaussianPolyState,
     PolyDiffOperator,
+    _moment_1d,
     apply,
     compose,
     density_grid,
@@ -18,7 +19,7 @@ from als.gstate import (
     op_commutator,
 )
 from als.modes import hlg_state, schwinger_state
-from als.operators import OperatorKind, build
+from als.operators import OperatorKind, build, dilate
 
 rng = np.random.default_rng(202)
 
@@ -121,6 +122,55 @@ class TestInnerProduct:
         lhs = inner_product(z * a, b)
         rhs = z.conjugate() * inner_product(a, b)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def loop_inner_product(a, b):
+    """The plain double loop over term pairs: the oracle for inner_product."""
+    ax = a.envelope[0] + b.envelope[0]
+    ay = a.envelope[1] + b.envelope[1]
+    total = 0j
+    for (p, q), ca in a.terms.items():
+        cc = ca.conjugate()
+        for (r, s), cb in b.terms.items():
+            if (p + r) % 2 or (q + s) % 2:
+                continue
+            total += cc * cb * _moment_1d(p + r, ax) * _moment_1d(q + s, ay)
+    return total
+
+
+class TestInnerProductOracle:
+    """The array kernel gives the double loop's result bit for bit."""
+
+    def test_random_mixed_parity_states(self):
+        for n_terms, max_pow in [(1, 3), (6, 5), (20, 9), (40, 12)]:
+            for _ in range(5):
+                a = random_state(n_terms, max_pow)
+                b = random_state(n_terms, max_pow)
+                assert inner_product(a, b) == loop_inner_product(a, b)
+                assert inner_product(a, a) == loop_inner_product(a, a)
+
+    def test_anisotropic_and_mixed_envelopes(self):
+        a = random_state(12, 7, envelope=(2.0, 0.5))
+        b = random_state(12, 7, envelope=(2.0, 0.5))
+        assert inner_product(a, b) == loop_inner_product(a, b)
+        s = hlg_state(4, 3, 0.4)
+        d = dilate(s, 1.3, 0.6)
+        assert d.envelope != s.envelope
+        assert inner_product(s, d) == loop_inner_product(s, d)
+        assert inner_product(d, a) == loop_inner_product(d, a)
+
+    def test_empty_state(self):
+        empty = GaussianPolyState({})
+        s = random_state()
+        for a, b in [(empty, s), (s, empty), (empty, empty)]:
+            assert inner_product(a, b) == loop_inner_product(a, b) == 0j
+
+    def test_mode_against_its_hamiltonian_image(self):
+        s = hlg_state(9, 1, 0.3)
+        hs = apply(build(OperatorKind.h_perp(0.3)), s)
+        assert inner_product(s, hs) == loop_inner_product(s, hs)
+        assert inner_product(hs, s) == loop_inner_product(hs, s)
+        assert inner_product(hs, hs) == loop_inner_product(hs, hs)
 
 
 class TestApply:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +139,96 @@ class TestRotate:
         s = dilate(random_state(), 1.0, 2.0)
         with pytest.raises(ValueError):
             rotate(s, 0.3)
+
+
+def loop_rotate(s, phi):
+    """Term-by-term double binomial expansion: the oracle for rotate."""
+    from als.gstate import GaussianPolyState
+
+    c, si = math.cos(phi), math.sin(phi)
+    out = {}
+    for (p, q), coeff in s.terms.items():
+        for i in range(p + 1):
+            fx = math.comb(p, i) * c**i * si ** (p - i)
+            if fx == 0.0:
+                continue
+            for jj in range(q + 1):
+                f = fx * math.comb(q, jj) * c**jj * (-si) ** (q - jj)
+                if f == 0.0:
+                    continue
+                key = (i + q - jj, p - i + jj)
+                out[key] = out.get(key, 0j) + coeff * f
+    return GaussianPolyState(out, s.envelope)
+
+
+def coeff_diff(a, b):
+    keys = set(a.terms) | set(b.terms)
+    return max((abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) for k in keys), default=0.0)
+
+
+def graded_state(order):
+    """Random state with x^order and about 60% of the other monomials of
+    each degree <= order."""
+    from als.gstate import GaussianPolyState
+
+    terms = {(order, 0): complex(rng.normal(), rng.normal())}
+    for d in range(order + 1):
+        for q in range(d + 1):
+            if rng.random() < 0.6:
+                terms[(d - q, q)] = complex(rng.normal(), rng.normal())
+    return GaussianPolyState(terms)
+
+
+class TestRotateOracle:
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 8, 11, 14, 17, 20])
+    def test_matches_term_loop(self, order):
+        for _ in range(3):
+            s = graded_state(order)
+            phi = float(rng.uniform(-math.pi, math.pi))
+            expected = loop_rotate(s, phi)
+            scale = max(abs(c) for c in expected.terms.values())
+            assert coeff_diff(rotate(s, phi), expected) <= 1e-14 * scale
+
+    def test_rotated_mode_matches_exact_expansion(self):
+        # The term loop's own rounding error on this mode reaches 2.4e-14
+        # of the largest coefficient at some angles (the matrix form stays
+        # below 4e-15), so the reference is the same expansion in exact
+        # rationals of the float cos(phi), sin(phi) and coefficients.
+        s = hlg_state(9, 11, 0.3)
+        for phi in rng.uniform(-math.pi, math.pi, size=3):
+            c, si = Fraction(math.cos(phi)), Fraction(math.sin(phi))
+            ref = {}
+            for (p, q), coeff in s.terms.items():
+                re, im = Fraction(coeff.real), Fraction(coeff.imag)
+                for i in range(p + 1):
+                    for jj in range(q + 1):
+                        f = math.comb(p, i) * math.comb(q, jj) * c ** (i + jj)
+                        f *= si ** (p - i) * (-si) ** (q - jj)
+                        key = (i + q - jj, p - i + jj)
+                        r0, i0 = ref.get(key, (0, 0))
+                        ref[key] = (r0 + re * f, i0 + im * f)
+            ref = {k: complex(float(r), float(i)) for k, (r, i) in ref.items()}
+            out = rotate(s, float(phi))
+            scale = max(abs(v) for v in ref.values())
+            assert set(out.terms) <= set(ref)
+            assert max(abs(v - out.terms.get(k, 0j)) for k, v in ref.items()) <= 1e-14 * scale
+
+    def test_zero_angle_is_identity(self):
+        for s in (graded_state(12), hlg_state(10, 0, math.pi / 8)):
+            assert rotate(s, 0.0).terms == s.terms
+
+    def test_composition(self):
+        s = graded_state(10)
+        a, b = 0.7, -1.9
+        lhs = rotate(rotate(s, a), b)
+        rhs = rotate(s, a + b)
+        scale = max(abs(c) for c in rhs.terms.values())
+        assert coeff_diff(lhs, rhs) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3])
+    def test_anisotropic_envelope_raises(self, phi):
+        with pytest.raises(ValueError):
+            rotate(dilate(hlg_state(4, 2, 0.3), 1.2, 0.8), phi)
 
 
 class TestDilate:
