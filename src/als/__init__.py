@@ -16,6 +16,7 @@ from .gstate import (
     gaussian_moment,
     inner_product,
     linear_combine,
+    op_commutator,
 )
 from .modes import (
     ModeIndex,
@@ -23,18 +24,22 @@ from .modes import (
     beta_to_alpha,
     euler_angles,
     hlg_state,
-    mode_from_twisted,
     schwinger_state,
     wigner_decompose,
     wigner_reconstruct,
 )
 from .operators import (
-    OperatorKind,
-    build,
-    commutator,
+    casimir,
     dilate,
     eigen_residual,
     expectation,
+    h1,
+    h2,
+    h3,
+    h_as,
+    h_perp,
+    h_phys,
+    hs,
     rotate,
     spin_axis,
 )
@@ -43,12 +48,10 @@ __all__ = [
     "GaussianPolyState",
     "PolyDiffOperator",
     "ModeIndex",
-    "OperatorKind",
     "alpha_to_beta",
     "apply",
     "beta_to_alpha",
-    "build",
-    "commutator",
+    "casimir",
     "compose",
     "density_grid",
     "dilate",
@@ -57,10 +60,17 @@ __all__ = [
     "evaluate",
     "expectation",
     "gaussian_moment",
+    "h1",
+    "h2",
+    "h3",
+    "h_as",
+    "h_perp",
+    "h_phys",
     "hlg_state",
+    "hs",
     "inner_product",
     "linear_combine",
-    "mode_from_twisted",
+    "op_commutator",
     "rotate",
     "schwinger_state",
     "spin_axis",

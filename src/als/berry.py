@@ -48,11 +48,6 @@ def wrap_phase(x: float) -> float:
     return math.pi - (math.pi - x) % (2.0 * math.pi)
 
 
-def sphere_point(phi: float, alpha: float) -> np.ndarray:
-    """Unit sphere point of the parameter pair; same formula as spin_axis."""
-    return spin_axis(phi, alpha)
-
-
 @dataclass(frozen=True)
 class SpherePath:
     """Ordered (phi, alpha) vertices; closed paths repeat the first vertex.
@@ -70,8 +65,8 @@ class SpherePath:
         if len(verts) < 2:
             raise ValueError("a path needs at least two vertices")
         if self.closed:
-            first = sphere_point(*verts[0])
-            last = sphere_point(*verts[-1])
+            first = spin_axis(*verts[0])
+            last = spin_axis(*verts[-1])
             if np.linalg.norm(first - last) > _CLOSE_TOL:
                 raise ValueError(
                     "closed path must end on its first vertex in sphere coordinates"

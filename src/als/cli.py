@@ -23,10 +23,11 @@ import sys
 import click
 import numpy as np
 
+from . import __version__
 from . import verify as verify_mod
 from .berry import ResolutionError, berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import GaussianPolyState, density_grid, inner_product, linear_combine
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, hlg_state, mode_from_twisted, schwinger_state
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, hlg_state, schwinger_state
 from .observables import energy, mean_lz, mean_r2, measure
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 
@@ -101,7 +102,7 @@ def _resolve_mode(n, m, nr, l) -> ModeIndex:
         if twisted:
             if nr is None or l is None:
                 raise click.UsageError("--nr and --l must be given together")
-            return mode_from_twisted(nr, l)
+            return ModeIndex.from_twisted(nr, l)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     raise click.UsageError("a mode is required: --n/--m or --nr/--l")
@@ -254,7 +255,7 @@ def _norm_check(grid: np.ndarray, extent: float) -> float:
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="als")
+@click.version_option(version=__version__, prog_name="als")
 def main():
     """Asymmetric Landau states: densities, observables, exact checks."""
 

@@ -51,6 +51,7 @@ from math import comb, factorial
 
 from . import specfun
 from .gstate import GaussianPolyState, linear_combine
+from .operators import check_sign
 
 #: Limit on n + m; double precision degrades in the coefficient sums
 #: well above this.
@@ -93,6 +94,7 @@ class ModeIndex:
 
     @classmethod
     def from_twisted(cls, n_r: int, l: int) -> "ModeIndex":
+        """Cartesian (n, m) for twisted labels (n_r, l)."""
         if n_r < 0:
             raise ValueError(f"radial quantum number must be >= 0, got {n_r}")
         if l >= 0:
@@ -100,14 +102,9 @@ class ModeIndex:
         return cls(n_r, n_r - l)
 
 
-def mode_from_twisted(n_r: int, l: int) -> ModeIndex:
-    """Cartesian (n, m) for twisted labels (n_r, l)."""
-    return ModeIndex.from_twisted(n_r, l)
-
-
 def alpha_to_beta(alpha: float, sign_e: int) -> float:
     """Field ellipticity beta for state parameter alpha and charge sign."""
-    _check_sign(sign_e)
+    check_sign(sign_e)
     a_tilde = 0.25 * math.pi + sign_e * (0.25 * math.pi - alpha)
     return math.sin(a_tilde) ** 2
 
@@ -119,16 +116,11 @@ def beta_to_alpha(beta: float, sign_e: int) -> float:
     charge ``beta = sin^2(alpha)``, for positive charge
     ``beta = cos^2(alpha)``.
     """
-    _check_sign(sign_e)
+    check_sign(sign_e)
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     root = math.sqrt(beta)
     return math.asin(root) if sign_e < 0 else math.acos(root)
-
-
-def _check_sign(sign_e: int) -> None:
-    if sign_e not in (-1, 1):
-        raise ValueError(f"sign_e must be -1 or +1, got {sign_e}")
 
 
 def _check_alpha(alpha: float) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .gstate import GaussianPolyState, PolyDiffOperator, apply, inner_product
 from .modes import ModeIndex, hlg_state
-from .operators import OperatorKind, eigen_residual, expectation
+from .operators import casimir, check_sign, eigen_residual, expectation, h3, h_as, h_perp
 
 
 class IntegrityError(Exception):
@@ -40,8 +40,7 @@ def energy(n_r: int, l: int, sign_e: int, omega: float = 1.0) -> float:
     """Transverse level energy, degenerate in l for each charge sign."""
     if n_r < 0:
         raise ValueError(f"radial quantum number must be >= 0, got {n_r}")
-    if sign_e not in (-1, 1):
-        raise ValueError(f"sign_e must be -1 or +1, got {sign_e}")
+    check_sign(sign_e)
     return omega * (2 * n_r + abs(l) - sign_e * l + 1)
 
 
@@ -86,9 +85,9 @@ def measure(state: GaussianPolyState, alpha: float, sign_e: int) -> tuple[float,
     Energy and <Lz> are normalised expectations; <r^2> is <s|r^2|s>
     without dividing by <s|s>, so it is meant for unit-norm states.
     """
-    e = expectation(state, OperatorKind.h_perp(alpha, sign_e)).real
+    e = expectation(state, h_perp(alpha, sign_e)).real
     r2 = inner_product(state, apply(R2_OP, state)).real
-    lz = expectation(state, OperatorKind.lz()).real
+    lz = expectation(state, h3()).real
     return e, r2, lz
 
 
@@ -118,12 +117,12 @@ def report(
         raise IntegrityError("lz", lz_closed, lz_meas, tol)
 
     j = mode.j
-    cas_meas = expectation(state, OperatorKind.casimir()).real
+    cas_meas = expectation(state, casimir()).real
     if abs(j * (j + 1) - cas_meas) > tol:
         raise IntegrityError("casimir_j", j * (j + 1), cas_meas, tol)
 
     m_l = mode.m_l
-    res = eigen_residual(state, OperatorKind.h_as(alpha, sign_e), -sign_e * l)
+    res = eigen_residual(state, h_as(alpha, sign_e), -sign_e * l)
     if res > tol:
         raise IntegrityError("m_l", -sign_e * l, res, tol)
 

@@ -37,7 +37,6 @@ Its eigenstates are the modes psi(alpha(beta)) dilated by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,152 +47,83 @@ from .gstate import (
     apply,
     compose,
     inner_product,
-    op_commutator,
 )
 
-_TAGS_PLAIN = ("Hs", "H1", "H2", "H3", "Lz", "Casimir")
+def check_sign(sign_e: int) -> None:
+    """Reject a charge sign other than -1 (electron) or +1 (positron)."""
+    if sign_e not in (-1, 1):
+        raise ValueError(f"sign_e must be -1 or +1, got {sign_e}")
 
 
-@dataclass(frozen=True)
-class OperatorKind:
-    """Tagged description of one operator of the family.
-
-    ``alpha`` is required by Has/Hperp, ``beta`` and ``sign_e`` by Hphys
-    (and sign_e by Hperp); no other tag takes parameters.
-    """
-
-    tag: str
-    alpha: float | None = None
-    beta: float | None = None
-    sign_e: int | None = None
-
-    def __post_init__(self):
-        needs_alpha = self.tag in ("Has", "Hperp")
-        needs_sign = self.tag in ("Has", "Hperp", "Hphys")
-        needs_beta = self.tag == "Hphys"
-        if self.tag not in _TAGS_PLAIN and not (needs_alpha or needs_beta):
-            raise ValueError(f"unknown operator tag {self.tag!r}")
-        if needs_alpha != (self.alpha is not None):
-            raise ValueError(f"tag {self.tag!r}: alpha {'required' if needs_alpha else 'not accepted'}")
-        if needs_beta != (self.beta is not None):
-            raise ValueError(f"tag {self.tag!r}: beta {'required' if needs_beta else 'not accepted'}")
-        if needs_sign != (self.sign_e is not None):
-            raise ValueError(f"tag {self.tag!r}: sign_e {'required' if needs_sign else 'not accepted'}")
-        if self.sign_e is not None and self.sign_e not in (-1, 1):
-            raise ValueError(f"sign_e must be -1 or +1, got {self.sign_e}")
-
-    @classmethod
-    def hs(cls):
-        return cls("Hs")
-
-    @classmethod
-    def h1(cls):
-        return cls("H1")
-
-    @classmethod
-    def h2(cls):
-        return cls("H2")
-
-    @classmethod
-    def h3(cls):
-        return cls("H3")
-
-    @classmethod
-    def lz(cls):
-        return cls("Lz")
-
-    @classmethod
-    def casimir(cls):
-        return cls("Casimir")
-
-    @classmethod
-    def h_as(cls, alpha: float, sign_e: int = -1):
-        return cls("Has", alpha=alpha, sign_e=sign_e)
-
-    @classmethod
-    def h_perp(cls, alpha: float, sign_e: int = -1):
-        return cls("Hperp", alpha=alpha, sign_e=sign_e)
-
-    @classmethod
-    def h_phys(cls, beta: float, sign_e: int = -1):
-        return cls("Hphys", beta=beta, sign_e=sign_e)
-
-
-def _hs() -> PolyDiffOperator:
+def hs() -> PolyDiffOperator:
+    """Isotropic oscillator Hs."""
     return PolyDiffOperator(
         {(0, 0, 2, 0): -0.25, (0, 0, 0, 2): -0.25, (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0}
     )
 
 
-def _h1() -> PolyDiffOperator:
+def h1() -> PolyDiffOperator:
+    """Astigmatic difference H1."""
     return PolyDiffOperator(
         {(0, 0, 2, 0): -0.25, (0, 0, 0, 2): 0.25, (2, 0, 0, 0): 1.0, (0, 2, 0, 0): -1.0}
     )
 
 
-def _h2() -> PolyDiffOperator:
+def h2() -> PolyDiffOperator:
+    """Diagonal astigmatism H2."""
     return PolyDiffOperator({(0, 0, 1, 1): -0.5, (1, 1, 0, 0): 2.0})
 
 
-def _h3() -> PolyDiffOperator:
+def h3() -> PolyDiffOperator:
+    """H3, which is also the angular momentum Lz in these units."""
     return PolyDiffOperator({(1, 0, 0, 1): -1j, (0, 1, 1, 0): 1j})
 
 
-def build(kind: OperatorKind) -> PolyDiffOperator:
-    """Concrete differential operator for a tagged kind (units of omega)."""
-    tag = kind.tag
-    if tag == "Hs":
-        return _hs()
-    if tag == "H1":
-        return _h1()
-    if tag == "H2":
-        return _h2()
-    if tag in ("H3", "Lz"):
-        return _h3()
-    if tag == "Casimir":
-        h1, h2, h3 = _h1(), _h2(), _h3()
-        return 0.25 * (compose(h1, h1) + compose(h2, h2) + compose(h3, h3))
-    if tag == "Has":
-        c, s = math.cos(2 * kind.alpha), math.sin(2 * kind.alpha)
-        return (-kind.sign_e) * (c * _h1() + s * _h3())
-    if tag == "Hperp":
-        return _hs() + build(OperatorKind.h_as(kind.alpha, kind.sign_e))
-    if tag == "Hphys":
-        beta, sign = kind.beta, kind.sign_e
-        if not 0.0 < beta < 1.0:
-            raise ValueError(
-                f"Hphys needs beta strictly inside (0, 1), got {beta}: the "
-                "symmetrizing dilation degenerates at the endpoints"
-            )
-        terms = {
-            (0, 0, 2, 0): -0.25,
-            (0, 0, 0, 2): -0.25,
-            (0, 1, 1, 0): sign * 2j * (-beta),
-            (1, 0, 0, 1): sign * 2j * (1.0 - beta),
-            (0, 2, 0, 0): 4.0 * beta**2,
-            (2, 0, 0, 0): 4.0 * (1.0 - beta) ** 2,
-        }
-        return PolyDiffOperator(terms)
-    raise ValueError(f"unknown operator tag {tag!r}")
+def casimir() -> PolyDiffOperator:
+    """Casimir (H1^2 + H2^2 + H3^2)/4, normal ordered."""
+    a, b, c = h1(), h2(), h3()
+    return 0.25 * (compose(a, a) + compose(b, b) + compose(c, c))
 
 
-def _as_operator(kind) -> PolyDiffOperator:
-    return kind if isinstance(kind, PolyDiffOperator) else build(kind)
+def h_as(alpha: float, sign_e: int = -1) -> PolyDiffOperator:
+    """Asymmetric part -sign_e [cos(2 alpha) H1 + sin(2 alpha) H3]."""
+    check_sign(sign_e)
+    c, s = math.cos(2 * alpha), math.sin(2 * alpha)
+    return (-sign_e) * (c * h1() + s * h3())
 
 
-def commutator(kind_i, kind_j) -> PolyDiffOperator:
-    """[D_i, D_j] for tagged kinds or concrete operators, normal ordered."""
-    return op_commutator(_as_operator(kind_i), _as_operator(kind_j))
+def h_perp(alpha: float, sign_e: int = -1) -> PolyDiffOperator:
+    """Transverse Hamiltonian Hs + Has(alpha)."""
+    return hs() + h_as(alpha, sign_e)
+
+
+def h_phys(beta: float, sign_e: int = -1) -> PolyDiffOperator:
+    """Transverse Hamiltonian written with the field ellipticity beta."""
+    check_sign(sign_e)
+    if not 0.0 < beta < 1.0:
+        raise ValueError(
+            f"Hphys needs beta strictly inside (0, 1), got {beta}: the "
+            "symmetrizing dilation degenerates at the endpoints"
+        )
+    terms = {
+        (0, 0, 2, 0): -0.25,
+        (0, 0, 0, 2): -0.25,
+        (0, 1, 1, 0): sign_e * 2j * (-beta),
+        (1, 0, 0, 1): sign_e * 2j * (1.0 - beta),
+        (0, 2, 0, 0): 4.0 * beta**2,
+        (2, 0, 0, 0): 4.0 * (1.0 - beta) ** 2,
+    }
+    return PolyDiffOperator(terms)
 
 
 def pseudo_spin(i: int) -> PolyDiffOperator:
     """Pseudo-angular-momentum component L_i = H_i / 2, i in {1, 2, 3}."""
     if i == 1:
-        return 0.5 * _h1()
+        return 0.5 * h1()
     if i == 2:
-        return 0.5 * _h2()
+        return 0.5 * h2()
     if i == 3:
-        return 0.5 * _h3()
+        return 0.5 * h3()
     raise ValueError(f"component index must be 1, 2 or 3, got {i}")
 
 
@@ -263,20 +193,20 @@ def dilate(s: GaussianPolyState, lx: float, ly: float) -> GaussianPolyState:
     return GaussianPolyState(terms, (ax * lx * lx, ay * ly * ly))
 
 
-def expectation(s: GaussianPolyState, kind) -> complex:
-    """<s| D |s> / <s|s> for a tagged kind or concrete operator."""
+def expectation(s: GaussianPolyState, D: PolyDiffOperator) -> complex:
+    """<s| D |s> / <s|s>."""
     nrm = inner_product(s, s).real
     if nrm <= 0.0:
         raise ValueError("expectation of a zero-norm state is undefined")
-    return inner_product(s, apply(_as_operator(kind), s)) / nrm
+    return inner_product(s, apply(D, s)) / nrm
 
 
-def eigen_residual(s: GaussianPolyState, kind, lam: complex) -> float:
+def eigen_residual(s: GaussianPolyState, D: PolyDiffOperator, lam: complex) -> float:
     """||D s - lam s|| / ||s||."""
     nrm2 = inner_product(s, s).real
     if nrm2 <= 0.0:
         raise ValueError("eigen residual of a zero-norm state is undefined")
-    r = apply(_as_operator(kind), s) - complex(lam) * s
+    r = apply(D, s) - complex(lam) * s
     return math.sqrt(max(inner_product(r, r).real, 0.0) / nrm2)
 
 
@@ -290,8 +220,7 @@ def spin_axis(phi: float, alpha: float) -> np.ndarray:
 
 def schwinger_operator(phi: float, alpha: float, sign_e: int) -> PolyDiffOperator:
     """General rotated Hamiltonian Hs - sign_e * 2 * n(phi, alpha) . L."""
-    if sign_e not in (-1, 1):
-        raise ValueError(f"sign_e must be -1 or +1, got {sign_e}")
+    check_sign(sign_e)
     n1, n2, n3 = spin_axis(phi, alpha)
-    coupling = n1 * _h1() + n2 * _h2() + n3 * _h3()
-    return _hs() + (-sign_e) * coupling
+    coupling = n1 * h1() + n2 * h2() + n3 * h3()
+    return hs() + (-sign_e) * coupling

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -37,11 +37,17 @@ from .modes import (
 )
 from .observables import energy, mean_lz, mean_r2, measure
 from .operators import (
-    OperatorKind,
-    build,
+    casimir,
     dilate,
     eigen_residual,
     expectation,
+    h1,
+    h2,
+    h3,
+    h_as,
+    h_perp,
+    h_phys,
+    hs,
     pseudo_spin,
     schwinger_operator,
 )
@@ -80,11 +86,11 @@ def _modes_up_to(max_order: int) -> list[ModeIndex]:
     ]
 
 
-def suite_algebra(max_order: int, tol: float | None = None) -> list[IdentityResult]:
-    t = 1e-12 if tol is None else tol
+def suite_algebra(max_order: int) -> list[IdentityResult]:
+    t = 1e-12
     out: list[IdentityResult] = []
-    h = {i: build(k) for i, k in ((1, OperatorKind.h1()), (2, OperatorKind.h2()), (3, OperatorKind.h3()))}
-    hs = build(OperatorKind.hs())
+    h = {1: h1(), 2: h2(), 3: h3()}
+    iso = hs()
     spin = {i: pseudo_spin(i) for i in h}
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
     for i in (1, 2, 3):
@@ -97,7 +103,7 @@ def suite_algebra(max_order: int, tol: float | None = None) -> list[IdentityResu
                 diff = lhs - (1j * math.copysign(1, k)) * spin[abs(k)]
             out.append(IdentityResult("algebra", f"[L{i},L{j}] = i eps L_k", diff.max_coeff(), t))
     for i in (1, 2, 3):
-        out.append(IdentityResult("algebra", f"[Hs,H{i}] = 0", op_commutator(hs, h[i]).max_coeff(), t))
+        out.append(IdentityResult("algebra", f"[Hs,H{i}] = 0", op_commutator(iso, h[i]).max_coeff(), t))
     # sign-explicit commutator triple in the order the derivation fixes them
     for name, lhs, rhs in (
         ("[H1,H3] = -2i H2", op_commutator(h[1], h[3]), -2j * h[2]),
@@ -105,19 +111,19 @@ def suite_algebra(max_order: int, tol: float | None = None) -> list[IdentityResu
         ("[H2,H1] = -2i H3", op_commutator(h[2], h[1]), -2j * h[3]),
     ):
         out.append(IdentityResult("algebra", name, (lhs - rhs).max_coeff(), t))
-    cas = build(OperatorKind.casimir())
+    cas = casimir()
     ident = PolyDiffOperator.identity()
     out.append(
         IdentityResult(
             "algebra",
             "Casimir = Hs^2/4 - 1/4",
-            (cas - (0.25 * compose(hs, hs) - 0.25 * ident)).max_coeff(),
+            (cas - (0.25 * compose(iso, iso) - 0.25 * ident)).max_coeff(),
             t,
         )
     )
     for alpha in (0.0, math.pi / 8, math.pi / 4):
-        hp = build(OperatorKind.h_perp(alpha, -1))
-        ha = build(OperatorKind.h_as(alpha, -1))
+        hp = h_perp(alpha, -1)
+        ha = h_as(alpha, -1)
         out.append(
             IdentityResult(
                 "algebra", f"[Hperp,Has] = 0 at alpha={alpha:.4f}",
@@ -139,31 +145,32 @@ def suite_algebra(max_order: int, tol: float | None = None) -> list[IdentityResu
     return out
 
 
-def suite_spectra(max_order: int, tol: float | None = None) -> list[IdentityResult]:
-    t = 1e-10 if tol is None else tol
-    t_dilate = 1e-9 if tol is None else tol
+def suite_spectra(max_order: int) -> list[IdentityResult]:
+    t = 1e-10
     out: list[IdentityResult] = []
     modes = _modes_up_to(max_order)
-    alphas = np.linspace(0.0, math.pi / 2, 9)
+    alphas = [float(a) for a in np.linspace(0.0, math.pi / 2, 9)]
+    ops = [(h_perp(a, -1), h_perp(a, +1), h_as(a, -1)) for a in alphas]
 
     worst = {(-1): 0.0, (+1): 0.0}
     worst_as = 0.0
     for mode in modes:
-        for alpha in alphas:
-            s = hlg_state(mode.n, mode.m, float(alpha))
-            worst[-1] = max(worst[-1], eigen_residual(s, OperatorKind.h_perp(float(alpha), -1), 2 * mode.n + 1))
-            worst[+1] = max(worst[+1], eigen_residual(s, OperatorKind.h_perp(float(alpha), +1), 2 * mode.m + 1))
-            worst_as = max(worst_as, eigen_residual(s, OperatorKind.h_as(float(alpha), -1), mode.l))
+        for alpha, (electron, positron, asym) in zip(alphas, ops):
+            s = hlg_state(mode.n, mode.m, alpha)
+            worst[-1] = max(worst[-1], eigen_residual(s, electron, 2 * mode.n + 1))
+            worst[+1] = max(worst[+1], eigen_residual(s, positron, 2 * mode.m + 1))
+            worst_as = max(worst_as, eigen_residual(s, asym, mode.l))
     out.append(IdentityResult("spectra", "Hperp eigenvalue 2(n+1/2), electron", worst[-1], t))
     out.append(IdentityResult("spectra", "Hperp eigenvalue 2(m+1/2), positron", worst[+1], t))
     out.append(IdentityResult("spectra", "Has eigenvalue -sign_e l", worst_as, t))
 
+    cas = casimir()
     worst_cas = 0.0
     worst_norm = 0.0
     for mode in modes:
         hg = hlg_state(mode.n, mode.m, 0.0)
         lam = 0.25 * ((mode.n + mode.m + 1) ** 2 - 1)
-        worst_cas = max(worst_cas, eigen_residual(hg, OperatorKind.casimir(), lam))
+        worst_cas = max(worst_cas, eigen_residual(hg, cas, lam))
         un = hlg_state(mode.n, mode.m, math.pi / 8, normalized=False)
         ref = hlg_norm_squared(mode.n, mode.m)
         worst_norm = max(worst_norm, abs(inner_product(un, un).real / ref - 1.0))
@@ -195,19 +202,21 @@ def suite_spectra(max_order: int, tol: float | None = None) -> list[IdentityResu
         for sign in (-1, 1):
             alpha = beta_to_alpha(beta, sign)
             lx, ly = math.sqrt(2 * (1 - beta)), math.sqrt(2 * beta)
+            hphys = h_phys(beta, sign)
             for mode in _modes_up_to(min(max_order, 6)):
                 s = dilate(hlg_state(mode.n, mode.m, alpha), lx, ly)
                 lam = 2 * mode.n + 1 if sign < 0 else 2 * mode.m + 1
-                worst_dil = max(worst_dil, eigen_residual(s, OperatorKind.h_phys(beta, sign), lam))
-    out.append(IdentityResult("spectra", "ellipticity form on dilated modes", worst_dil, t_dilate))
+                worst_dil = max(worst_dil, eigen_residual(s, hphys, lam))
+    out.append(IdentityResult("spectra", "ellipticity form on dilated modes", worst_dil, 1e-9))
     return out
 
 
-def suite_observables(max_order: int, tol: float | None = None) -> list[IdentityResult]:
-    t = 1e-10 if tol is None else tol
+def suite_observables(max_order: int) -> list[IdentityResult]:
+    t = 1e-10
     out: list[IdentityResult] = []
     modes = _modes_up_to(max_order)
     alphas = np.linspace(0.0, math.pi / 2, 9)
+    cas = casimir()
 
     worst_lz = worst_r2 = worst_e = worst_cas = 0.0
     for mode in modes:
@@ -219,7 +228,7 @@ def suite_observables(max_order: int, tol: float | None = None) -> list[Identity
             worst_e = max(worst_e, abs(e - energy(mode.n_r, mode.l, -1)))
         hg = hlg_state(mode.n, mode.m, 0.0)
         j = mode.j
-        worst_cas = max(worst_cas, abs(expectation(hg, OperatorKind.casimir()).real - j * (j + 1)))
+        worst_cas = max(worst_cas, abs(expectation(hg, cas).real - j * (j + 1)))
     out.append(IdentityResult("observables", "<Lz> = l sin(2 alpha)", worst_lz, t))
     out.append(IdentityResult("observables", "<r^2> = (2 n_r + |l| + 1)/2, alpha independent", worst_r2, t))
     out.append(IdentityResult("observables", "<Hperp> matches the closed-form energy", worst_e, t))
@@ -234,13 +243,13 @@ def suite_observables(max_order: int, tol: float | None = None) -> list[Identity
     return out
 
 
-def suite_fields(max_order: int, tol: float | None = None) -> list[IdentityResult]:
+def suite_fields(max_order: int) -> list[IdentityResult]:
     out: list[IdentityResult] = []
     rng = np.random.default_rng(19)
     h = 1e-5
     eps = 0.1
-    t_fd = (1e-6 / eps) if tol is None else tol
-    t_exact = 1e-9 if tol is None else tol
+    t_fd = 1e-6 / eps
+    t_exact = 1e-9
 
     def div_b(model, x, y, z):
         d = 0.0
@@ -309,9 +318,9 @@ def suite_fields(max_order: int, tol: float | None = None) -> list[IdentityResul
     return out
 
 
-def suite_wigner(max_order: int, tol: float | None = None) -> list[IdentityResult]:
-    t = 1e-10 if tol is None else tol
-    t_unit = 1e-12 if tol is None else tol
+def suite_wigner(max_order: int) -> list[IdentityResult]:
+    t = 1e-10
+    t_unit = 1e-12
     out: list[IdentityResult] = []
     rng = np.random.default_rng(23)
     from .gstate import evaluate
@@ -345,7 +354,7 @@ def suite_wigner(max_order: int, tol: float | None = None) -> list[IdentityResul
         w2 = complex(-math.cos(phi) * math.sin(alpha), math.sin(phi) * math.cos(alpha))
         worst = max(worst, abs(cmath.exp(-1j * (A + C) / 2) * math.cos(B / 2) - w1))
         worst = max(worst, abs(cmath.exp(1j * (A - C) / 2) * math.sin(B / 2) - w2))
-    out.append(IdentityResult("wigner", "Euler angles solve their defining equations", worst, 1e-12 if tol is None else tol))
+    out.append(IdentityResult("wigner", "Euler angles solve their defining equations", worst, 1e-12))
 
     worst = 0.0
     for twice_j in range(1, 9):
@@ -359,16 +368,16 @@ def suite_wigner(max_order: int, tol: float | None = None) -> list[IdentityResul
     return out
 
 
-def suite_berry(max_order: int, tol: float | None = None) -> list[IdentityResult]:
+def suite_berry(max_order: int) -> list[IdentityResult]:
     out: list[IdentityResult] = []
-    t_phase = 1e-3 if tol is None else tol
-    t_zero = 1e-8 if tol is None else tol
-    t_gauge = 1e-10 if tol is None else tol
+    t_phase = 1e-3
+    t_zero = 1e-8
+    t_gauge = 1e-10
 
     cap = 2 * math.pi * (1 - math.cos(math.pi / 4))
     loop = berry_mod.latitude_loop(math.pi / 8, 2000)
     omega = berry_mod.solid_angle(loop)
-    out.append(IdentityResult("berry", "latitude solid angle matches the cap formula", abs(omega - cap), 1e-4 if tol is None else tol))
+    out.append(IdentityResult("berry", "latitude solid angle matches the cap formula", abs(omega - cap), 1e-4))
     phase = berry_mod.berry_phase(loop, 3, 0)
     out.append(IdentityResult("berry", "l=3 latitude phase = -(3/2) Omega", abs(phase + 1.5 * cap), t_phase))
 
@@ -384,7 +393,7 @@ def suite_berry(max_order: int, tol: float | None = None) -> list[IdentityResult
 
     fwd = berry_mod.latitude_loop(math.pi / 8, 400)
     rev = fwd.reversed()
-    out.append(IdentityResult("berry", "reversal flips the solid angle", abs(berry_mod.solid_angle(fwd) + berry_mod.solid_angle(rev)), 1e-10 if tol is None else tol))
+    out.append(IdentityResult("berry", "reversal flips the solid angle", abs(berry_mod.solid_angle(fwd) + berry_mod.solid_angle(rev)), 1e-10))
     out.append(IdentityResult("berry", "reversal flips the phase", abs(berry_mod.berry_phase(fwd, 3, 0) + berry_mod.berry_phase(rev, 3, 0)), t_gauge))
 
     pol = berry_mod.polar_loop(0.3, 200)
@@ -407,8 +416,14 @@ _SUITE_FUNCS = {
 def run(
     suites=None, max_order: int = 10, tol: float | None = None
 ) -> dict:
-    """Run the requested suites and return the JSON-ready report."""
-    names = list(suites) if suites else list(SUITES)
+    """Run the requested suites and return the JSON-ready report.
+
+    ``suites=None`` runs every suite; an empty selection is an error.  A
+    given ``tol`` replaces the tolerance of every identity.
+    """
+    names = list(SUITES) if suites is None else list(suites)
+    if not names:
+        raise ValueError(f"no suite selected; choose from {', '.join(SUITES)}")
     for name in names:
         if name not in _SUITE_FUNCS:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
@@ -416,7 +431,9 @@ def run(
         raise ValueError("max_order must be >= 0")
     results: list[IdentityResult] = []
     for name in names:
-        results.extend(_SUITE_FUNCS[name](max_order, tol))
+        results.extend(_SUITE_FUNCS[name](max_order))
+    if tol is not None:
+        results = [replace(r, tolerance=tol) for r in results]
     passed = sum(1 for r in results if r.passed)
     report = {
         "suites": names,

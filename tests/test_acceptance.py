@@ -25,12 +25,22 @@ from als.modes import (
     beta_to_alpha,
     euler_angles,
     hlg_state,
-    mode_from_twisted,
     schwinger_state,
     wigner_decompose,
     wigner_reconstruct,
 )
-from als.operators import OperatorKind, build, dilate, eigen_residual, expectation, pseudo_spin
+from als.operators import (
+    casimir,
+    dilate,
+    eigen_residual,
+    expectation,
+    h3,
+    h_as,
+    h_perp,
+    h_phys,
+    hs,
+    pseudo_spin,
+)
 from als.cli import classify_pattern
 
 rng = np.random.default_rng(909)
@@ -61,19 +71,19 @@ def test_criterion_1_operator_algebra():
             else:
                 rhs = -1j * spin[eps[(j, i)]]
             worst = max(worst, (lhs - rhs).max_coeff())
-    hs = build(OperatorKind.hs())
+    iso = hs()
     for i in (1, 2, 3):
-        worst = max(worst, op_commutator(hs, 2.0 * spin[i]).max_coeff())
+        worst = max(worst, op_commutator(iso, 2.0 * spin[i]).max_coeff())
     ok = worst <= 1e-12
     report_line(1, ok, f"SO(3) algebra + isotropic commutation, max residual {worst:.3e} (tol 1e-12)")
     assert ok
 
 
 def test_criterion_2_casimir():
-    cas = build(OperatorKind.casimir())
-    hs = build(OperatorKind.hs())
+    cas = casimir()
+    iso = hs()
     ident = PolyDiffOperator.identity()
-    op_res = (cas - (0.25 * compose(hs, hs) - 0.25 * ident)).max_coeff()
+    op_res = (cas - (0.25 * compose(iso, iso) - 0.25 * ident)).max_coeff()
     eig_res = 0.0
     for mode in all_modes(10):
         s = hlg_state(mode.n, mode.m, 0.0)
@@ -89,8 +99,8 @@ def test_criterion_3_transverse_spectra():
     for mode in all_modes(10):
         for alpha in ALPHA_GRID:
             s = hlg_state(mode.n, mode.m, float(alpha))
-            worst = max(worst, eigen_residual(s, OperatorKind.h_perp(float(alpha), -1), 2 * mode.n + 1))
-            worst = max(worst, eigen_residual(s, OperatorKind.h_perp(float(alpha), +1), 2 * mode.m + 1))
+            worst = max(worst, eigen_residual(s, h_perp(float(alpha), -1), 2 * mode.n + 1))
+            worst = max(worst, eigen_residual(s, h_perp(float(alpha), +1), 2 * mode.m + 1))
     ok = worst <= 1e-10
     report_line(3, ok, f"transverse spectrum both charge signs, max residual {worst:.3e} (tol 1e-10)")
     assert ok
@@ -103,12 +113,12 @@ def test_criterion_4_second_invariant():
             s = hlg_state(mode.n, mode.m, float(alpha))
             for sign in (-1, 1):
                 lam = -sign * mode.l
-                worst_eig = max(worst_eig, eigen_residual(s, OperatorKind.h_as(float(alpha), sign), lam))
+                worst_eig = max(worst_eig, eigen_residual(s, h_as(float(alpha), sign), lam))
     worst_comm = 0.0
     for alpha in ALPHA_GRID:
         c = op_commutator(
-            build(OperatorKind.h_perp(float(alpha), -1)),
-            build(OperatorKind.h_as(float(alpha), -1)),
+            h_perp(float(alpha), -1),
+            h_as(float(alpha), -1),
         )
         worst_comm = max(worst_comm, c.max_coeff())
     ok = worst_eig <= 1e-10 and worst_comm <= 1e-12
@@ -121,7 +131,7 @@ def test_criterion_5_observables():
     for mode in all_modes(10):
         for alpha in ALPHA_GRID:
             s = hlg_state(mode.n, mode.m, float(alpha))
-            lz = expectation(s, OperatorKind.lz()).real
+            lz = expectation(s, h3()).real
             worst = max(worst, abs(lz - mode.l * math.sin(2 * float(alpha))))
             r2 = inner_product(s, apply(R2_OP, s)).real
             worst = max(worst, abs(r2 - 0.5 * (2 * mode.n_r + abs(mode.l) + 1)))
@@ -171,11 +181,11 @@ def test_criterion_8_unitary_equivalence():
         for sign in (-1, 1):
             alpha = beta_to_alpha(beta, sign)
             lx, ly = math.sqrt(2 * (1 - beta)), math.sqrt(2 * beta)
-            kind = OperatorKind.h_phys(beta, sign)
+            hphys = h_phys(beta, sign)
             for mode in all_modes(6):
                 s = dilate(hlg_state(mode.n, mode.m, alpha), lx, ly)
                 lam = 2 * mode.n + 1 if sign < 0 else 2 * mode.m + 1
-                worst = max(worst, eigen_residual(s, kind, lam))
+                worst = max(worst, eigen_residual(s, hphys, lam))
     ok = worst <= 1e-9
     report_line(8, ok, f"ellipticity-form equivalence on dilated modes, max residual {worst:.3e} (tol 1e-9)")
     assert ok
@@ -250,7 +260,7 @@ def test_criterion_11_density_panels():
     problems = []
     classes = {}
     for n_r, l in ((0, 3), (2, 2)):
-        mode = mode_from_twisted(n_r, l)
+        mode = ModeIndex.from_twisted(n_r, l)
         for alpha in alphas:
             g = density_grid(hlg_state(mode.n, mode.m, alpha), -extent, extent, -extent, extent, points, points)
             if not np.all(g >= 0):

@@ -13,7 +13,6 @@ from als.berry import (
     latitude_loop,
     polar_loop,
     solid_angle,
-    sphere_point,
 )
 from als.gstate import inner_product
 from als.modes import schwinger_state
@@ -27,19 +26,12 @@ CAP_PI8 = 2 * math.pi * (1 - math.cos(math.pi / 4))  # = 1.84030236902122
 class TestSpherePoint:
     def test_north_pole(self):
         for phi in rng.uniform(0, 2 * math.pi, size=5):
-            assert sphere_point(float(phi), math.pi / 4) == pytest.approx(
+            assert spin_axis(float(phi), math.pi / 4) == pytest.approx(
                 [0, 0, 1], abs=1e-14
             )
 
     def test_equatorial_reference(self):
-        assert sphere_point(0.0, 0.0) == pytest.approx([1, 0, 0], abs=1e-15)
-
-    def test_agrees_with_spin_axis(self):
-        for _ in range(20):
-            phi, alpha = rng.uniform(-3, 3, size=2)
-            assert np.max(
-                np.abs(sphere_point(float(phi), float(alpha)) - spin_axis(float(phi), float(alpha)))
-            ) <= 1e-15
+        assert spin_axis(0.0, 0.0) == pytest.approx([1, 0, 0], abs=1e-15)
 
 
 class TestSpherePathValidation:
@@ -103,7 +95,7 @@ class TestSolidAngle:
 
     def test_points_match_sphere_point(self):
         loop = polar_loop(0.4, 30)
-        expected = np.array([sphere_point(p, a) for p, a in loop.vertices])
+        expected = np.array([spin_axis(p, a) for p, a in loop.vertices])
         assert np.array_equal(loop.points(), expected)
 
     def test_degenerate_path_rejected(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import als
 from als.cli import fold_alpha, main, parse_angle
 from als.output import load_schema, validate
 
@@ -279,6 +280,17 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suites", "nonsense"])
         assert result.exit_code == 2
 
+    def test_tol_overrides_every_tolerance(self, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["verify", "--suites", "berry", "--tol", "1e-3", "--out", str(out)]
+        )
+        assert result.exit_code in (0, 1), result.output
+        report = json.loads(out.read_text())
+        assert report["tolerance_override"] == 1e-3
+        assert report["results"]
+        assert all(r["tolerance"] == 1e-3 for r in report["results"])
+
     def test_all_suites_report_serializes(self, tmp_path):
         # exercises every suite's residual types through the JSON writer
         out = tmp_path / "full.json"
@@ -414,6 +426,7 @@ _BAD_INPUTS = [
     ["verify", "--tol", "nan"],
     ["verify", "--tol", "-1"],
     ["verify", "--max-order", "21"],
+    ["verify", "--suites", ","],
 ]
 
 
@@ -423,6 +436,12 @@ def test_bad_input_is_usage_error(args, tmp_path):
     result = runner.invoke(main, args + out)
     assert result.exit_code == 2, result.output
     assert not list(tmp_path.iterdir())  # rejected before anything is written
+
+
+def test_version_matches_package():
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.output == f"als, version {als.__version__}\n"
 
 
 class TestSchemas:

@@ -19,7 +19,7 @@ from als.gstate import (
     op_commutator,
 )
 from als.modes import hlg_state, schwinger_state
-from als.operators import OperatorKind, build, dilate
+from als.operators import dilate, h1, h2, h3, h_perp, hs
 
 rng = np.random.default_rng(202)
 
@@ -167,10 +167,10 @@ class TestInnerProductOracle:
 
     def test_mode_against_its_hamiltonian_image(self):
         s = hlg_state(9, 1, 0.3)
-        hs = apply(build(OperatorKind.h_perp(0.3)), s)
-        assert inner_product(s, hs) == loop_inner_product(s, hs)
-        assert inner_product(hs, s) == loop_inner_product(hs, s)
-        assert inner_product(hs, hs) == loop_inner_product(hs, hs)
+        hps = apply(h_perp(0.3), s)
+        assert inner_product(s, hps) == loop_inner_product(s, hps)
+        assert inner_product(hps, s) == loop_inner_product(hps, s)
+        assert inner_product(hps, hps) == loop_inner_product(hps, hps)
 
 
 class TestApply:
@@ -179,14 +179,13 @@ class TestApply:
         assert out.terms == {(1, 0): pytest.approx(-2.0)}
 
     def test_isotropic_oscillator_ground_level(self):
-        hs = build(OperatorKind.hs())
-        out = apply(hs, GROUND)
+        out = apply(hs(), GROUND)
         assert term_map_diff(out, 1.0 * GROUND) <= 1e-15
 
     def test_angular_momentum_on_twisted_state(self):
         # l = 2 twisted state is an eigenstate of H3 with eigenvalue 2
         lg = hlg_state(2, 0, math.pi / 4)
-        out = apply(build(OperatorKind.h3()), lg)
+        out = apply(h3(), lg)
         assert term_map_diff(out, 2.0 * lg) <= 1e-14
 
     def test_linearity(self):
@@ -198,11 +197,10 @@ class TestApply:
         assert term_map_diff(lhs, rhs) <= 1e-12
 
     def test_hermiticity_of_hamiltonians(self):
-        kinds = [OperatorKind.hs(), OperatorKind.h1(), OperatorKind.h2(), OperatorKind.h3()]
+        ops = [hs(), h1(), h2(), h3()]
         for _ in range(5):
             a, b = random_state(), random_state()
-            for kind in kinds:
-                D = build(kind)
+            for D in ops:
                 lhs = inner_product(a, apply(D, b))
                 rhs = inner_product(b, apply(D, a)).conjugate()
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -214,10 +212,10 @@ class TestCompose:
         assert result.terms == {(0, 0, 0, 0): pytest.approx(1.0)}
 
     def test_fixed_sign_commutator_triple(self):
-        h1, h2, h3 = (build(OperatorKind(t)) for t in ("H1", "H2", "H3"))
-        assert (op_commutator(h1, h3) - (-2j) * h2).max_coeff() == 0.0
-        assert (op_commutator(h3, h2) - (-2j) * h1).max_coeff() == 0.0
-        assert (op_commutator(h2, h1) - (-2j) * h3).max_coeff() == 0.0
+        a, b, c = h1(), h2(), h3()
+        assert (op_commutator(a, c) - (-2j) * b).max_coeff() == 0.0
+        assert (op_commutator(c, b) - (-2j) * a).max_coeff() == 0.0
+        assert (op_commutator(b, a) - (-2j) * c).max_coeff() == 0.0
 
     def test_associativity(self):
         for _ in range(5):

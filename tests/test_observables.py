@@ -8,7 +8,7 @@ import pytest
 from als.gstate import PolyDiffOperator, apply, inner_product
 from als.modes import ModeIndex, hlg_state
 from als.observables import IntegrityError, ObservableReport, energy, mean_lz, mean_r2, report
-from als.operators import OperatorKind, expectation
+from als.operators import expectation, h3, h_perp
 
 rng = np.random.default_rng(505)
 
@@ -27,9 +27,9 @@ class TestEnergy:
         from als.operators import eigen_residual
 
         s = hlg_state(3, 0, 0.37)
-        assert eigen_residual(s, OperatorKind.h_perp(0.37, -1), 7.0) <= 1e-10
+        assert eigen_residual(s, h_perp(0.37, -1), 7.0) <= 1e-10
         s = hlg_state(3, 1, 0.9)  # n_r=1, l=2
-        assert eigen_residual(s, OperatorKind.h_perp(0.9, +1), 3.0) <= 1e-10
+        assert eigen_residual(s, h_perp(0.9, +1), 3.0) <= 1e-10
 
     def test_degeneracy_structure(self):
         # electron branch depends on n only; positron branch on m only
@@ -84,13 +84,13 @@ class TestMeanLz:
         ref = 3 * math.sqrt(2) / 2
         assert mean_lz(3, math.pi / 8) == pytest.approx(ref, abs=1e-12)
         s = hlg_state(3, 0, math.pi / 8)
-        assert expectation(s, OperatorKind.lz()).real == pytest.approx(ref, abs=1e-11)
+        assert expectation(s, h3()).real == pytest.approx(ref, abs=1e-11)
 
     def test_both_index_orderings(self):
         for n, m in [(3, 1), (1, 3)]:
             for alpha in rng.uniform(0, math.pi / 2, size=5):
                 s = hlg_state(n, m, float(alpha))
-                assert expectation(s, OperatorKind.lz()).real == pytest.approx(
+                assert expectation(s, h3()).real == pytest.approx(
                     (n - m) * math.sin(2 * float(alpha)), abs=1e-11
                 )
 

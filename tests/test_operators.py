@@ -10,12 +10,17 @@ import pytest
 from als.gstate import PolyDiffOperator, apply, inner_product, op_commutator
 from als.modes import beta_to_alpha, hlg_state, schwinger_state
 from als.operators import (
-    OperatorKind,
-    build,
-    commutator,
+    casimir,
     dilate,
     eigen_residual,
     expectation,
+    h1,
+    h2,
+    h3,
+    h_as,
+    h_perp,
+    h_phys,
+    hs,
     pseudo_spin,
     rotate,
     schwinger_operator,
@@ -38,41 +43,61 @@ def random_state(n_terms=5):
 class TestBuild:
     def test_symmetric_gauge_limit(self):
         # beta = 1/2 collapses to isotropic oscillator + angular momentum
-        lhs = build(OperatorKind.h_phys(0.5, -1))
-        rhs = build(OperatorKind.hs()) + build(OperatorKind.h3())
+        lhs = h_phys(0.5, -1)
+        rhs = hs() + h3()
         assert (lhs - rhs).max_coeff() == 0.0
 
     def test_asymmetric_part_at_symmetric_point(self):
         for sign in (-1, 1):
-            lhs = build(OperatorKind.h_as(math.pi / 4, sign))
-            rhs = float(-sign) * build(OperatorKind.h3())
+            lhs = h_as(math.pi / 4, sign)
+            rhs = float(-sign) * h3()
             assert (lhs - rhs).max_coeff() <= 1e-16
 
     def test_casimir_identity(self):
         from als.gstate import compose
 
-        cas = build(OperatorKind.casimir())
-        hs = build(OperatorKind.hs())
-        ref = 0.25 * compose(hs, hs) - 0.25 * PolyDiffOperator.identity()
+        cas = casimir()
+        iso = hs()
+        ref = 0.25 * compose(iso, iso) - 0.25 * PolyDiffOperator.identity()
         assert (cas - ref).max_coeff() == 0.0
-
-    def test_lz_and_h3_coincide_in_natural_units(self):
-        assert (build(OperatorKind.lz()) - build(OperatorKind.h3())).max_coeff() == 0.0
 
     def test_hphys_beta_domain(self):
         for beta in (0.0, 1.0, -0.1, 1.3):
             with pytest.raises(ValueError):
-                build(OperatorKind.h_phys(beta, -1))
+                h_phys(beta, -1)
 
     def test_kind_parameter_validation(self):
         with pytest.raises(ValueError):
-            OperatorKind("Hs", alpha=0.3)
-        with pytest.raises(ValueError):
-            OperatorKind("Has")
-        with pytest.raises(ValueError):
-            OperatorKind("Hphys", beta=0.5, sign_e=2)
-        with pytest.raises(ValueError):
-            OperatorKind("Hmystery")
+            h_phys(0.5, 2)
+
+    def test_term_key_order(self):
+        # apply() emits terms in this order and inner_product sums in it,
+        # so a reordering changes output bits even when values agree
+        second = [(0, 0, 2, 0), (0, 0, 0, 2), (2, 0, 0, 0), (0, 2, 0, 0)]
+        ladder = [(1, 0, 0, 1), (0, 1, 1, 0)]
+        expected = {
+            "hs": (hs(), second),
+            "h1": (h1(), second),
+            "h2": (h2(), [(0, 0, 1, 1), (1, 1, 0, 0)]),
+            "h3": (h3(), ladder),
+            "casimir": (
+                casimir(),
+                [
+                    (0, 0, 4, 0), (0, 0, 2, 2), (2, 0, 2, 0), (1, 0, 1, 0),
+                    (0, 0, 0, 0), (0, 2, 2, 0), (0, 0, 0, 4), (2, 0, 0, 2),
+                    (0, 2, 0, 2), (0, 1, 0, 1), (4, 0, 0, 0), (2, 2, 0, 0),
+                    (0, 4, 0, 0),
+                ],
+            ),
+            "h_as": (h_as(0.3), second + ladder),
+            "h_perp": (h_perp(0.3), second + ladder),
+            "h_phys": (
+                h_phys(0.3),
+                [(0, 0, 2, 0), (0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 0, 1), (0, 2, 0, 0), (2, 0, 0, 0)],
+            ),
+        }
+        for name, (op, keys) in expected.items():
+            assert list(op.terms) == keys, name
 
 
 class TestCommutators:
@@ -92,18 +117,18 @@ class TestCommutators:
                 assert (lhs - rhs).max_coeff() <= 1e-16
 
     def test_isotropic_part_commutes(self):
-        for tag in ("H1", "H2", "H3"):
-            assert commutator(OperatorKind.hs(), OperatorKind(tag)).max_coeff() == 0.0
+        for op in (h1, h2, h3):
+            assert op_commutator(hs(), op()).max_coeff() == 0.0
 
     def test_integral_of_motion(self):
         for alpha in (0.0, math.pi / 8, math.pi / 4):
-            c = commutator(
-                OperatorKind.h_perp(alpha, -1), OperatorKind.h_as(alpha, -1)
+            c = op_commutator(
+                h_perp(alpha, -1), h_as(alpha, -1)
             )
             assert c.max_coeff() <= 1e-15
 
     def test_casimir_commutes_with_rotated_family(self):
-        cas = build(OperatorKind.casimir())
+        cas = casimir()
         for _ in range(3):
             phi = float(rng.uniform(0, 2 * math.pi))
             alpha = float(rng.uniform(0, math.pi / 2))
@@ -126,13 +151,13 @@ class TestRotate:
         assert max(abs(s.terms.get(k, 0j) - out.terms.get(k, 0j)) for k in keys) <= 1e-13
 
     def test_isotropic_energy_conserved(self):
-        hs = build(OperatorKind.hs())
+        iso = hs()
         for _ in range(5):
             s = random_state()
             phi = float(rng.uniform(0, 2 * math.pi))
             r = rotate(s, phi)
-            lhs = inner_product(r, apply(hs, r))
-            rhs = inner_product(s, apply(hs, s))
+            lhs = inner_product(r, apply(iso, r))
+            rhs = inner_product(s, apply(iso, s))
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
     def test_requires_isotropic_envelope(self):
@@ -259,20 +284,20 @@ class TestDilate:
         # unchanged spectrum; this is the unitary-equivalence oracle
         alpha = beta_to_alpha(beta, sign)
         lx, ly = math.sqrt(2 * (1 - beta)), math.sqrt(2 * beta)
-        kind = OperatorKind.h_phys(beta, sign)
+        hphys = h_phys(beta, sign)
         for total in range(7):
             for n in range(total + 1):
                 m = total - n
                 s = dilate(hlg_state(n, m, alpha), lx, ly)
                 lam = 2 * n + 1 if sign < 0 else 2 * m + 1
-                assert eigen_residual(s, kind, lam) <= 1e-9
+                assert eigen_residual(s, hphys, lam) <= 1e-9
 
 
 class TestExpectation:
     def test_oscillator_ladder(self):
         for n, m in [(0, 0), (2, 1), (3, 3)]:
             s = hlg_state(n, m, 0.31)
-            assert expectation(s, OperatorKind.hs()).real == pytest.approx(
+            assert expectation(s, hs()).real == pytest.approx(
                 n + m + 1, abs=1e-12
             )
 
@@ -280,17 +305,17 @@ class TestExpectation:
         for n, m in [(3, 0), (1, 2), (2, 2)]:
             for alpha in (0.0, math.pi / 8, math.pi / 4):
                 s = hlg_state(n, m, alpha)
-                assert expectation(s, OperatorKind.lz()).real == pytest.approx(
+                assert expectation(s, h3()).real == pytest.approx(
                     (n - m) * math.sin(2 * alpha), abs=1e-12
                 )
 
     def test_h2_matches_overlap_phase_derivative(self):
         # <H2> = d/d(delta) Arg <psi(a)|psi(a + delta)>, central difference
-        h2 = OperatorKind.h2()
+        gen = h2()
         d = 1e-4
         for n, m, alpha in [(2, 1, 0.4), (3, 0, 0.9)]:
             s = hlg_state(n, m, alpha)
-            exact = expectation(s, h2).real
+            exact = expectation(s, gen).real
             fwd = cmath.phase(inner_product(s, hlg_state(n, m, alpha + d)))
             bwd = cmath.phase(inner_product(s, hlg_state(n, m, alpha - d)))
             assert abs(exact - (fwd - bwd) / (2 * d)) <= 1e-6
@@ -299,7 +324,7 @@ class TestExpectation:
         from als.gstate import GaussianPolyState
 
         with pytest.raises(ValueError):
-            expectation(GaussianPolyState({}), OperatorKind.hs())
+            expectation(GaussianPolyState({}), hs())
 
 
 class TestEigenResidual:
@@ -309,8 +334,8 @@ class TestEigenResidual:
             for n in range(total + 1):
                 m = total - n
                 s = hlg_state(n, m, alpha)
-                assert eigen_residual(s, OperatorKind.h_perp(alpha, -1), 2 * n + 1) <= 1e-10
-                assert eigen_residual(s, OperatorKind.h_perp(alpha, +1), 2 * m + 1) <= 1e-10
+                assert eigen_residual(s, h_perp(alpha, -1), 2 * n + 1) <= 1e-10
+                assert eigen_residual(s, h_perp(alpha, +1), 2 * m + 1) <= 1e-10
 
     def test_asymmetric_invariant_eigenvalue(self):
         for alpha in (0.0, 0.6):
@@ -318,13 +343,13 @@ class TestEigenResidual:
                 s = hlg_state(n, m, alpha)
                 for sign in (-1, 1):
                     lam = -sign * (n - m)
-                    assert eigen_residual(s, OperatorKind.h_as(alpha, sign), lam) <= 1e-10
+                    assert eigen_residual(s, h_as(alpha, sign), lam) <= 1e-10
 
     def test_casimir_eigenvalue(self):
         for n, m in [(0, 0), (2, 1), (4, 3), (5, 5)]:
             s = hlg_state(n, m, 0.0)
             lam = 0.25 * ((n + m + 1) ** 2 - 1)
-            assert eigen_residual(s, OperatorKind.casimir(), lam) <= 1e-10
+            assert eigen_residual(s, casimir(), lam) <= 1e-10
 
 
 class TestSpinAxis:
@@ -347,7 +372,7 @@ class TestSchwingerApply:
         for alpha in (0.2, math.pi / 8):
             s = random_state()
             lhs = apply(schwinger_operator(0.0, alpha, -1), s)
-            rhs = apply(build(OperatorKind.h_perp(alpha, -1)), s)
+            rhs = apply(h_perp(alpha, -1), s)
             keys = set(lhs.terms) | set(rhs.terms)
             assert max(abs(lhs.terms.get(k, 0j) - rhs.terms.get(k, 0j)) for k in keys) <= 1e-13
 
