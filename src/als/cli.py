@@ -127,11 +127,11 @@ def fold_alpha(alpha: float, n: int, m: int) -> tuple[float, int, int, bool]:
     """
     a = alpha % math.pi
     folded = abs(a - alpha) > 1e-12
-    if a > 0.5 * math.pi + 1e-12:
+    if a > 0.5 * math.pi:
         a -= 0.5 * math.pi
         n, m = m, n
         folded = True
-    return min(max(a, 0.0), 0.5 * math.pi), n, m, folded
+    return a, n, m, folded
 
 
 def _check_order(mode: ModeIndex) -> None:

@@ -39,6 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Central-difference step: truncation (~ h^2 / eps^3 across the ramp) and
+#: rounding (~ 1e-16 / h) both stay far below the 1e-6 / eps checks allow.
+FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class FieldModel:
@@ -97,6 +101,29 @@ def b_field(model: FieldModel, x: float, y: float, z: float) -> np.ndarray:
     return model.b0 * np.array(
         [-(1.0 - model.beta) * x * de, -model.beta * y * de, th]
     )
+
+
+def _partial(f, i: int, k: int, p: tuple) -> float:
+    """Central difference of component i of f along coordinate k at p."""
+    hi = p[:k] + (p[k] + FD_STEP,) + p[k + 1:]
+    lo = p[:k] + (p[k] - FD_STEP,) + p[k + 1:]
+    return (f(*hi)[i] - f(*lo)[i]) / (2 * FD_STEP)
+
+
+def divergence(f, x: float, y: float, z: float) -> float:
+    """Central-difference divergence of the vector function f(x, y, z)."""
+    p = (x, y, z)
+    return _partial(f, 0, 0, p) + _partial(f, 1, 1, p) + _partial(f, 2, 2, p)
+
+
+def curl(f, x: float, y: float, z: float) -> np.ndarray:
+    """Central-difference curl of the vector function f(x, y, z)."""
+    p = (x, y, z)
+    return np.array([
+        _partial(f, 2, 1, p) - _partial(f, 1, 2, p),
+        _partial(f, 0, 2, p) - _partial(f, 2, 0, p),
+        _partial(f, 1, 0, p) - _partial(f, 0, 1, p),
+    ])
 
 
 def vector_potential(

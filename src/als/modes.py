@@ -84,14 +84,6 @@ class ModeIndex:
         """Rank of the pseudo-angular-momentum multiplet, (n + m)/2."""
         return 0.5 * (self.n + self.m)
 
-    @property
-    def m_l(self) -> float:
-        """Pseudo-spin projection, l/2."""
-        return 0.5 * self.l
-
-    def to_twisted(self) -> tuple[int, int]:
-        return self.n_r, self.l
-
     @classmethod
     def from_twisted(cls, n_r: int, l: int) -> "ModeIndex":
         """Cartesian (n, m) for twisted labels (n_r, l)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -246,29 +247,14 @@ def suite_observables(max_order: int) -> list[IdentityResult]:
 def suite_fields(max_order: int) -> list[IdentityResult]:
     out: list[IdentityResult] = []
     rng = np.random.default_rng(19)
-    h = 1e-5
     eps = 0.1
     t_fd = 1e-6 / eps
     t_exact = 1e-9
 
-    def div_b(model, x, y, z):
-        d = 0.0
-        for i, step in enumerate(((h, 0, 0), (0, h, 0), (0, 0, h))):
-            hi = fields_mod.b_field(model, x + step[0], y + step[1], z + step[2])[i]
-            lo = fields_mod.b_field(model, x - step[0], y - step[1], z - step[2])[i]
-            d += (hi - lo) / (2 * h)
-        return d
-
-    def curl(A, x, y, z):
-        cx = (A(x, y + h, z)[2] - A(x, y - h, z)[2]) / (2 * h) - (A(x, y, z + h)[1] - A(x, y, z - h)[1]) / (2 * h)
-        cy = (A(x, y, z + h)[0] - A(x, y, z - h)[0]) / (2 * h) - (A(x + h, y, z)[2] - A(x - h, y, z)[2]) / (2 * h)
-        cz = (A(x + h, y, z)[1] - A(x - h, y, z)[1]) / (2 * h) - (A(x, y + h, z)[0] - A(x, y - h, z)[0]) / (2 * h)
-        return np.array([cx, cy, cz])
-
     pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)) for _ in range(200)]
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
         model = fields_mod.FieldModel(beta=beta, b0=1.0, eps=eps)
-        worst = max(abs(div_b(model, *p)) for p in pts)
+        worst = max(abs(fields_mod.divergence(partial(fields_mod.b_field, model), *p)) for p in pts)
         out.append(IdentityResult("fields", f"div B = 0 at beta={beta}", worst, t_fd))
 
     model = fields_mod.FieldModel(beta=0.35, b0=1.0, eps=eps)
@@ -277,16 +263,16 @@ def suite_fields(max_order: int) -> list[IdentityResult]:
         fields_mod.GaugeParams.for_beta(0.35, a=float(rng.uniform(-1, 1)), b=float(rng.uniform(-1, 1)), c=float(rng.uniform(-1, 1)))
         for _ in range(3)
     ]
-    for params in params_sets:
-        A = lambda x, y, z: fields_mod.vector_potential(params, model, x, y, z)
+    potentials = [partial(fields_mod.vector_potential, params, model) for params in params_sets]
+    for A in potentials:
         for p in pts[:60]:
-            worst = max(worst, float(np.max(np.abs(curl(A, *p) - fields_mod.b_field(model, *p)))))
+            worst = max(worst, float(np.max(np.abs(fields_mod.curl(A, *p) - fields_mod.b_field(model, *p)))))
     out.append(IdentityResult("fields", "curl A = B across the gauge family", worst, t_fd))
 
     worst = 0.0
     for p in pts[:60]:
-        a1 = curl(lambda x, y, z: fields_mod.vector_potential(params_sets[0], model, x, y, z), *p)
-        a2 = curl(lambda x, y, z: fields_mod.vector_potential(params_sets[1], model, x, y, z), *p)
+        a1 = fields_mod.curl(potentials[0], *p)
+        a2 = fields_mod.curl(potentials[1], *p)
         worst = max(worst, float(np.max(np.abs(a1 - a2))))
     out.append(IdentityResult("fields", "equal d-b gives equal curl", worst, t_fd))
 
@@ -310,10 +296,7 @@ def suite_fields(max_order: int) -> list[IdentityResult]:
     for _ in range(50):
         x, y = rng.uniform(-1, 1, 2)
         z = rng.uniform(3 * eps, 10 * eps)
-        div = (fix.potential(x + h, y, z)[0] - fix.potential(x - h, y, z)[0]) / (2 * h)
-        div += (fix.potential(x, y + h, z)[1] - fix.potential(x, y - h, z)[1]) / (2 * h)
-        div += (fix.potential(x, y, z + h)[2] - fix.potential(x, y, z - h)[2]) / (2 * h)
-        worst = max(worst, abs(div))
+        worst = max(worst, abs(fields_mod.divergence(fix.potential, x, y, z)))
     out.append(IdentityResult("fields", "div A' = 0 inside (Coulomb gauge)", worst, t_exact))
     return out
 
@@ -418,15 +401,18 @@ def run(
 ) -> dict:
     """Run the requested suites and return the JSON-ready report.
 
-    ``suites=None`` runs every suite; an empty selection is an error.  A
-    given ``tol`` replaces the tolerance of every identity.
+    ``suites=None`` runs every suite; an empty selection or a repeated
+    name is an error.  A given ``tol`` replaces the tolerance of every
+    identity.
     """
     names = list(SUITES) if suites is None else list(suites)
     if not names:
         raise ValueError(f"no suite selected; choose from {', '.join(SUITES)}")
-    for name in names:
+    for k, name in enumerate(names):
         if name not in _SUITE_FUNCS:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+        if name in names[:k]:
+            raise ValueError(f"suite {name!r} is named more than once")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     results: list[IdentityResult] = []

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import als
 from als.cli import fold_alpha, main, parse_angle
+from als.modes import hlg_coefficients
 from als.output import load_schema, validate
 
 runner = CliRunner()
@@ -61,6 +64,25 @@ class TestFoldAlpha:
     def test_half_period_swaps_mode(self):
         a, n, m, folded = fold_alpha(0.3 + math.pi / 2, 2, 1)
         assert a == pytest.approx(0.3) and (n, m) == (1, 2) and folded
+
+    @settings(deadline=None)
+    @given(
+        alpha=st.floats(min_value=-4 * math.pi, max_value=4 * math.pi),
+        n=st.integers(0, 7),
+        m=st.integers(0, 7),
+    )
+    # an alpha just above pi/2 must be relabeled, not clamped to pi/2:
+    # clamping is off by 5e-12 of the largest coefficient
+    @example(alpha=math.pi / 2 + 9e-13, n=7, m=7)
+    def test_folded_mode_is_the_same_mode(self, alpha, n, m):
+        # the relabeling symmetries hold for the defining sum itself, up to
+        # a global sign
+        a, nn, mm, _ = fold_alpha(alpha, n, m)
+        assert 0.0 <= a <= math.pi / 2
+        ref = np.array(hlg_coefficients(n, m, alpha))
+        got = np.array(hlg_coefficients(nn, mm, a))
+        err = min(np.max(np.abs(ref - got)), np.max(np.abs(ref + got)))
+        assert err <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDensityCommand:
@@ -427,6 +449,7 @@ _BAD_INPUTS = [
     ["verify", "--tol", "-1"],
     ["verify", "--max-order", "21"],
     ["verify", "--suites", ","],
+    ["verify", "--suites", "algebra,algebra"],
 ]
 
 

@@ -7,7 +7,9 @@ from als.fields import (
     FieldModel,
     GaugeParams,
     b_field,
+    curl,
     delta_eps,
+    divergence,
     gauge_fix,
     grad_chi,
     theta_eps,
@@ -15,28 +17,7 @@ from als.fields import (
 )
 
 rng = np.random.default_rng(606)
-H = 1e-5
 EPS = 0.1
-
-
-def numeric_div(f, x, y, z):
-    d = (f(x + H, y, z)[0] - f(x - H, y, z)[0]) / (2 * H)
-    d += (f(x, y + H, z)[1] - f(x, y - H, z)[1]) / (2 * H)
-    d += (f(x, y, z + H)[2] - f(x, y, z - H)[2]) / (2 * H)
-    return d
-
-
-def numeric_curl(f, x, y, z):
-    cx = (f(x, y + H, z)[2] - f(x, y - H, z)[2]) / (2 * H) - (
-        f(x, y, z + H)[1] - f(x, y, z - H)[1]
-    ) / (2 * H)
-    cy = (f(x, y, z + H)[0] - f(x, y, z - H)[0]) / (2 * H) - (
-        f(x + H, y, z)[2] - f(x - H, y, z)[2]
-    ) / (2 * H)
-    cz = (f(x + H, y, z)[1] - f(x - H, y, z)[1]) / (2 * H) - (
-        f(x, y + H, z)[0] - f(x, y - H, z)[0]
-    ) / (2 * H)
-    return np.array([cx, cy, cz])
 
 
 def random_points(n, z_range=(-0.3, 0.3)):
@@ -53,9 +34,11 @@ class TestRamp:
         assert theta_eps(0.0, EPS) == pytest.approx(0.5, abs=1e-15)
 
     def test_delta_is_ramp_derivative(self):
-        # central difference truncation ~ h^2 / (6 eps^3)
+        # d(theta)/dz as the divergence of (0, 0, theta); central difference
+        # truncation ~ h^2 / (6 eps^3)
+        ramp = lambda x, y, z: (0.0, 0.0, theta_eps(z, EPS))
         for z in rng.uniform(-0.5, 0.5, size=20):
-            fd = (theta_eps(float(z) + H, EPS) - theta_eps(float(z) - H, EPS)) / (2 * H)
+            fd = divergence(ramp, 0.0, 0.0, float(z))
             assert delta_eps(float(z), EPS) == pytest.approx(fd, abs=1e-6)
 
     def test_no_overflow_far_from_boundary(self):
@@ -77,7 +60,7 @@ class TestBField:
         tol = 1e-6 * model.b0 / model.eps
         for p in random_points(200):
             f = lambda x, y, z: b_field(model, x, y, z)
-            assert abs(numeric_div(f, *p)) <= tol
+            assert abs(divergence(f, *p)) <= tol
 
     def test_symmetric_beta_transverse_pattern(self):
         model = FieldModel(beta=0.5, b0=1.0, eps=EPS)
@@ -104,7 +87,7 @@ class TestVectorPotential:
             )
             f = lambda x, y, z: vector_potential(params, model, x, y, z)
             for p in random_points(60):
-                assert np.max(np.abs(numeric_curl(f, *p) - b_field(model, *p))) <= tol
+                assert np.max(np.abs(curl(f, *p) - b_field(model, *p))) <= tol
 
     def test_reduces_to_fixed_form_inside(self):
         # the (0, -beta, 0, 0) member is the transverse Coulomb-gauge potential
@@ -123,7 +106,7 @@ class TestVectorPotential:
         f2 = lambda x, y, z: vector_potential(p2, model, x, y, z)
         tol = 1e-6 * model.b0 / model.eps
         for p in random_points(40):
-            assert np.max(np.abs(numeric_curl(f1, *p) - numeric_curl(f2, *p))) <= tol
+            assert np.max(np.abs(curl(f1, *p) - curl(f2, *p))) <= tol
 
     def test_constraint_violation_rejected(self):
         model = FieldModel(beta=0.3)
@@ -174,7 +157,7 @@ class TestGaugeFix:
         for _ in range(30):
             x, y = rng.uniform(-1, 1, size=2)
             z = float(rng.uniform(3 * EPS, 10 * EPS))
-            assert abs(numeric_div(fix.potential, float(x), float(y), z)) <= 1e-9
+            assert abs(divergence(fix.potential, float(x), float(y), z)) <= 1e-9
 
     def test_field_invariant_under_quadratic_gauge_motion(self):
         # curl(A + grad chi) = curl A for arbitrary quadratic chi
@@ -188,4 +171,4 @@ class TestGaugeFix:
         f0 = lambda x, y, z: vector_potential(base, model, x, y, z)
         tol = 1e-6 * model.b0 / model.eps
         for p in random_points(40):
-            assert np.max(np.abs(numeric_curl(shifted, *p) - numeric_curl(f0, *p))) <= tol
+            assert np.max(np.abs(curl(shifted, *p) - curl(f0, *p))) <= tol

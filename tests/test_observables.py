@@ -1,18 +1,16 @@
-"""Closed-form observables and the dual-path certification."""
+"""Closed-form observables against exact expectations."""
 
 import math
 
 import numpy as np
 import pytest
 
-from als.gstate import PolyDiffOperator, apply, inner_product
+from als.gstate import apply, inner_product
 from als.modes import ModeIndex, hlg_state
-from als.observables import IntegrityError, ObservableReport, energy, mean_lz, mean_r2, report
+from als.observables import R2_OP, energy, mean_lz, mean_r2
 from als.operators import expectation, h3, h_perp
 
 rng = np.random.default_rng(505)
-
-R2_OP = PolyDiffOperator({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
 
 
 class TestEnergy:
@@ -94,34 +92,3 @@ class TestMeanLz:
                     (n - m) * math.sin(2 * float(alpha)), abs=1e-11
                 )
 
-
-class TestReport:
-    def test_symmetric_twisted_mode(self):
-        rep = report(3, 0, math.pi / 4, -1)
-        assert rep.energy == pytest.approx(7.0)
-        assert rep.r2 == pytest.approx(2.0)
-        assert rep.lz == pytest.approx(3.0)
-        assert rep.casimir_j == pytest.approx(1.5)
-        assert rep.m_l == pytest.approx(1.5)
-
-    def test_zero_angular_momentum_row(self):
-        rep = report(2, 2, 0.0, -1)
-        assert rep.lz == 0.0
-        assert rep.casimir_j == pytest.approx(2.0)
-        assert rep.m_l == 0.0
-
-    def test_positron_consistency(self):
-        rep = report(1, 0, math.pi / 8, +1)
-        assert isinstance(rep, ObservableReport)
-        assert rep.energy == pytest.approx(1.0)  # 2m + 1 with m = 0
-
-    def test_integrity_error_carries_both_values(self):
-        with pytest.raises(IntegrityError) as err:
-            report(2, 1, 0.4, -1, tol=0.0)
-        assert err.value.closed_form is not None
-        assert err.value.measured is not None
-
-    def test_sweep_consistency(self):
-        for alpha in np.linspace(0, math.pi / 2, 5):
-            for n, m in [(2, 0), (0, 2), (1, 1)]:
-                report(n, m, float(alpha), -1)  # raises on any mismatch
