@@ -39,7 +39,7 @@ MIN_OVERLAP = 1e-6
 _CLOSE_TOL = 1e-9
 
 
-class ResolutionError(Exception):
+class ResolutionError(ValueError):
     """The discrete path is too coarse for a meaningful phase product."""
 
 

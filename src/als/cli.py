@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Angles are accepted in radians or as pi fractions ("pi/8", "3pi/16",
 "-pi/4").  Anywhere --alpha is accepted, --beta may be given instead and
 is converted through the charge-dependent ellipticity map (--charge
-electron|positron).  --omega and --rho-h default to natural units (1);
-they only rescale outputs, never the internal algebra.
+electron|positron).
+
+The library computes in natural units.  ``_in_units`` alone applies
+--omega (energies) and --rho-h (lengths, r^2, densities); --t is in units
+of 1/omega, so the phases of ``decompose`` do not depend on --omega.
 
 The library constrains alpha to [0, pi/2]; the CLI folds other values
 using the exact relabeling symmetries (alpha + pi is the same mode up to
@@ -19,21 +22,40 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
 
 from . import __version__
 from . import verify as verify_mod
-from .berry import ResolutionError, berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
+from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import GaussianPolyState, density_grid, inner_product, linear_combine
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, hlg_state, schwinger_state
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_state, schwinger_state
 from .observables import energy, mean_lz, mean_r2, measure
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 
 
 class IOFailure(click.ClickException):
     exit_code = 3
+
+
+@contextmanager
+def _usage_errors():
+    """A library ValueError raised by user input is a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
+@contextmanager
+def _io_errors():
+    """A failed write is an I/O error (exit 3)."""
+    try:
+        yield
+    except OSError as exc:
+        raise IOFailure(f"cannot write output: {exc}")
 
 
 class _FiniteFloat(click.ParamType):
@@ -66,56 +88,53 @@ _ANGLE_RE = re.compile(
 )
 
 
-def parse_angle(text: str) -> float:
-    """Finite radians from a float literal or a pi fraction like '3pi/16'."""
-    try:
-        value = float(text)
-    except ValueError:
-        match = _ANGLE_RE.match(text)
-        den = float(match.group("den") or 1.0) if match else 0.0
-        if not den:
-            raise click.UsageError(
-                f"cannot parse angle {text!r}: use radians or a pi fraction like pi/8"
-            )
-        value = math.pi * float(match.group("coef") or 1.0) / den
-        if match.group("sign") == "-":
-            value = -value
-    if not math.isfinite(value):
-        raise click.UsageError(f"angle {text!r} is not finite")
-    return value
+class _Angle(click.ParamType):
+    """Angle option type: finite radians from a float or a pi fraction like '3pi/16'."""
+
+    name = "angle"
+
+    def convert(self, value, param, ctx):
+        try:
+            angle = float(value)
+        except ValueError:
+            match = _ANGLE_RE.match(value)
+            den = float(match.group("den") or 1.0) if match else 0.0
+            if not den:
+                self.fail(f"cannot parse angle {value!r}: use radians or a pi fraction like pi/8", param, ctx)
+            angle = math.pi * float(match.group("coef") or 1.0) / den
+            if match.group("sign") == "-":
+                angle = -angle
+        if not math.isfinite(angle):
+            self.fail(f"angle {value!r} is not finite", param, ctx)
+        return angle
 
 
-def _resolve_sign(charge: str) -> int:
-    return -1 if charge == "electron" else +1
+parse_angle = _Angle()
 
 
 def _resolve_mode(n, m, nr, l) -> ModeIndex:
     cartesian = n is not None or m is not None
     twisted = nr is not None or l is not None
-    if cartesian and twisted:
-        raise click.UsageError("give either --n/--m or --nr/--l, not both")
-    try:
-        if cartesian:
-            if n is None or m is None:
-                raise click.UsageError("--n and --m must be given together")
-            return ModeIndex(n, m)
-        if twisted:
-            if nr is None or l is None:
-                raise click.UsageError("--nr and --l must be given together")
-            return ModeIndex.from_twisted(nr, l)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    raise click.UsageError("a mode is required: --n/--m or --nr/--l")
+    if cartesian == twisted:
+        raise click.UsageError("give one mode, as either --n/--m or --nr/--l")
+    if cartesian and None in (n, m):
+        raise click.UsageError("--n and --m must be given together")
+    if twisted and None in (nr, l):
+        raise click.UsageError("--nr and --l must be given together")
+    with _usage_errors():
+        mode = ModeIndex(n, m) if cartesian else ModeIndex.from_twisted(nr, l)
+    if mode.n + mode.m > ORDER_CAP:
+        raise click.UsageError(f"mode order n+m = {mode.n + mode.m} exceeds the cap {ORDER_CAP}")
+    return mode
 
 
 def _resolve_alpha(alpha, beta, sign_e) -> float:
     if (alpha is None) == (beta is None):
         raise click.UsageError("give exactly one of --alpha or --beta")
-    if beta is not None:
-        if not 0.0 <= beta <= 1.0:
-            raise click.UsageError(f"--beta must lie in [0, 1], got {beta}")
+    if beta is None:
+        return alpha
+    with _usage_errors():
         return beta_to_alpha(beta, sign_e)
-    return parse_angle(alpha)
 
 
 def fold_alpha(alpha: float, n: int, m: int) -> tuple[float, int, int, bool]:
@@ -132,13 +151,6 @@ def fold_alpha(alpha: float, n: int, m: int) -> tuple[float, int, int, bool]:
         n, m = m, n
         folded = True
     return a, n, m, folded
-
-
-def _check_order(mode: ModeIndex) -> None:
-    if mode.n + mode.m > ORDER_CAP:
-        raise click.UsageError(
-            f"mode order n+m = {mode.n + mode.m} exceeds the cap {ORDER_CAP}"
-        )
 
 
 def classify_pattern(grid: np.ndarray, extent: float) -> dict:
@@ -254,6 +266,27 @@ def _norm_check(grid: np.ndarray, extent: float) -> float:
     return float(grid.sum() * cell)
 
 
+def _in_units(natural, scale: float, what: str):
+    """A natural-unit result times ``scale`` (a unit or --t); exit 2 unless finite.
+
+    Every command calls it before its first write, so a rejection leaves no file.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = natural * scale
+    if not np.isfinite(scaled).all():
+        raise click.UsageError(f"{what} is not a finite number for these inputs")
+    return scaled
+
+
+def _grid_bounds(extent: float, points: int, rho_h: float) -> tuple[tuple[float, ...], dict]:
+    """CSV bounds and sidecar ``grid`` block in units of rho_h, checked before evaluation."""
+    if not math.isfinite(extent * extent):
+        raise click.UsageError(f"--extent {extent:g} is too large: its square overflows")
+    half = _in_units(extent, rho_h, "extent x rho_h")
+    bounds = (-half, half, -half, half)
+    return bounds, dict(zip(("x_min", "x_max", "y_min", "y_max"), bounds), nx=points, ny=points)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="als")
 def main():
@@ -267,6 +300,14 @@ _mode_options = [
     click.option("--l", type=int, default=None, help="Angular momentum projection."),
 ]
 
+_charge_option = click.option(
+    "--charge", "sign_e", type=click.Choice(["electron", "positron"]), default="electron",
+    callback=lambda ctx, param, value: -1 if value == "electron" else +1,
+    help="Particle charge; sets sign_e and the beta -> alpha map.",
+)
+_omega_option = click.option("--omega", type=_POSITIVE, default=1.0, help="Energy unit; scales energy outputs.")
+_rho_option = click.option("--rho-h", type=_POSITIVE, default=1.0, help="Length unit; scales bounds, r^2 and densities.")
+
 
 def add_options(options):
     def wrap(func):
@@ -279,43 +320,35 @@ def add_options(options):
 
 @main.command()
 @add_options(_mode_options)
-@click.option("--alpha", type=str, default=None, help="Symmetry angle (radians or pi fraction).")
+@click.option("--alpha", type=parse_angle, default=None, help="Symmetry angle (radians or pi fraction).")
 @click.option("--beta", type=float, default=None, help="Field ellipticity in [0, 1].")
-@click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
-@click.option("--phi", type=str, default="0", help="Rotation angle of the mode axes.")
+@_charge_option
+@click.option("--phi", type=parse_angle, default="0", help="Rotation angle of the mode axes.")
 @click.option("--extent", type=_POSITIVE, default=5.0, help="Grid half-width in units of rho_h.")
 @click.option("--points", type=click.IntRange(min=2), default=512, help="Grid points per axis.")
-@click.option("--omega", type=_POSITIVE, default=1.0)
-@click.option("--rho-h", type=_POSITIVE, default=1.0)
+@_omega_option
+@_rho_option
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="CSV output path; a .json sidecar is written next to it.")
-def density(n, m, nr, l, alpha, beta, charge, phi, extent, points, omega, rho_h, out):
+def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h, out):
     """Export a probability density grid with a JSON sidecar."""
-    sign_e = _resolve_sign(charge)
     mode = _resolve_mode(n, m, nr, l)
     alpha_in = _resolve_alpha(alpha, beta, sign_e)
-    phi_val = parse_angle(phi)
     a, nn, mm, folded = fold_alpha(alpha_in, mode.n, mode.m)
     used = ModeIndex(nn, mm)
-    _check_order(used)
+    bounds, grid_spec = _grid_bounds(extent, points, rho_h)
 
-    state = schwinger_state(used.n, used.m, a, phi_val)
+    state = schwinger_state(used.n, used.m, a, phi)
     grid = density_grid(state, -extent, extent, -extent, extent, points, points)
     norm = _norm_check(grid, extent)
     truncated = norm < 1.0 - _TRUNCATION_TOL
     pattern = classify_pattern(grid, extent)
+    values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
 
     sidecar = {
         "mode": {"n": used.n, "m": used.m, "n_r": used.n_r, "l": used.l},
         "alpha": a,
-        "phi": phi_val,
-        "grid": {
-            "x_min": -extent * rho_h,
-            "x_max": extent * rho_h,
-            "y_min": -extent * rho_h,
-            "y_max": extent * rho_h,
-            "nx": points,
-            "ny": points,
-        },
+        "phi": phi,
+        "grid": grid_spec,
         "norm_check": norm,
         "truncation_warning": truncated,
         "units": {"omega": omega, "rho_h": rho_h},
@@ -325,37 +358,30 @@ def density(n, m, nr, l, alpha, beta, charge, phi, extent, points, omega, rho_h,
         sidecar["alpha_input"] = alpha_in
         sidecar["mode_input"] = {"n": mode.n, "m": mode.m}
 
-    scale = 1.0 / (rho_h * rho_h)
-    try:
-        write_grid_csv(out, grid * scale, -extent * rho_h, extent * rho_h, -extent * rho_h, extent * rho_h)
-        write_json(_sidecar_path(out), sidecar, "density_sidecar")
-    except OSError as exc:
-        raise IOFailure(f"cannot write output: {exc}")
+    with _io_errors():
+        write_grid_csv(out, values, *bounds)
+        write_json((out[:-4] if out.endswith(".csv") else out) + ".json", sidecar, "density_sidecar")
     note = " (truncated)" if truncated else ""
     click.echo(f"wrote {out} (norm check {norm:.9f}, pattern {pattern['classification']}){note}")
 
 
-def _sidecar_path(out: str) -> str:
-    return (out[:-4] if out.endswith(".csv") else out) + ".json"
-
-
 @main.command()
 @add_options(_mode_options)
-@click.option("--alpha-min", type=str, default="0")
-@click.option("--alpha-max", type=str, default="pi/4")
+@click.option("--alpha-min", type=parse_angle, default="0")
+@click.option("--alpha-max", type=parse_angle, default="pi/4")
 @click.option("--steps", type=click.IntRange(min=1), default=16, help="Number of alpha rows.")
-@click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
-@click.option("--omega", type=_POSITIVE, default=1.0)
-@click.option("--rho-h", type=_POSITIVE, default=1.0)
+@_charge_option
+@_omega_option
+@_rho_option
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def table(n, m, nr, l, alpha_min, alpha_max, steps, charge, omega, rho_h, out):
+def table(n, m, nr, l, alpha_min, alpha_max, steps, sign_e, omega, rho_h, out):
     """Observable table over an alpha sweep: closed forms, exact values, deltas."""
-    sign_e = _resolve_sign(charge)
     mode = _resolve_mode(n, m, nr, l)
-    _check_order(mode)
-    a0, a1 = parse_angle(alpha_min), parse_angle(alpha_max)
-    if not (0.0 <= a0 <= a1 <= 0.5 * math.pi + 1e-12):
-        raise click.UsageError("sweep bounds must satisfy 0 <= alpha-min <= alpha-max <= pi/2")
+    with _usage_errors():
+        check_alpha(alpha_min)
+        check_alpha(alpha_max)
+    if alpha_min > alpha_max:
+        raise click.UsageError("sweep bounds must satisfy alpha-min <= alpha-max")
 
     header = [
         "alpha_rad",
@@ -363,19 +389,17 @@ def table(n, m, nr, l, alpha_min, alpha_max, steps, charge, omega, rho_h, out):
         "r2_closed_rhoH2", "r2_exact_rhoH2", "r2_delta",
         "lz_closed_hbar", "lz_exact_hbar", "lz_delta",
     ]
+    e_c = _in_units(energy(mode.n_r, mode.l, sign_e), omega, "energy x omega")
+    r_c = _in_units(mean_r2(mode.n_r, mode.l), rho_h * rho_h, "r^2 x rho_h^2")
     rows = []
-    for a in map(float, np.linspace(a0, a1, steps)):
+    for a in map(float, np.linspace(alpha_min, alpha_max, steps)):
         e_x, r_x, lz_x = measure(hlg_state(mode.n, mode.m, a), a, sign_e)
-        e_x *= omega
-        r_x *= rho_h**2
-        e_c = energy(mode.n_r, mode.l, sign_e, omega)
-        r_c = mean_r2(mode.n_r, mode.l, rho_h)
+        e_x = _in_units(e_x, omega, "energy x omega")
+        r_x = _in_units(r_x, rho_h * rho_h, "r^2 x rho_h^2")
         lz_c = mean_lz(mode.l, a)
         rows.append([a, e_c, e_x, e_x - e_c, r_c, r_x, r_x - r_c, lz_c, lz_x, lz_x - lz_c])
-    try:
+    with _io_errors():
         write_table_csv(out, header, rows)
-    except OSError as exc:
-        raise IOFailure(f"cannot write output: {exc}")
     click.echo(f"wrote {out} ({steps} rows)")
 
 
@@ -387,20 +411,16 @@ def table(n, m, nr, l, alpha_min, alpha_max, steps, charge, omega, rho_h, out):
 def verify(suites, max_order, tol, out):
     """Run identity suites; exit 0 only if every residual is in tolerance."""
     names = [s.strip() for s in suites.split(",") if s.strip()]
-    try:
+    with _usage_errors():
         report = verify_mod.run(names, max_order=max_order, tol=tol)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     for r in report["results"]:
         flag = "PASS" if r["pass"] else "FAIL"
         click.echo(f"{flag} [{r['suite']}] {r['identity']}: residual {r['residual']:.3e} (tol {r['tolerance']:.1e})")
     s = report["summary"]
     click.echo(f"{s['passed']}/{s['total']} identities passed")
     if out is not None:
-        try:
+        with _io_errors():
             write_json(out, report, "verify_report")
-        except OSError as exc:
-            raise IOFailure(f"cannot write report: {exc}")
         click.echo(f"wrote {out}")
     if not s["all_pass"]:
         sys.exit(1)
@@ -409,37 +429,32 @@ def verify(suites, max_order, tol, out):
 @main.command()
 @add_options(_mode_options)
 @click.option("--loop", "family", type=click.Choice(["latitude", "polar"]), default="latitude")
-@click.option("--alpha", type=str, default=None, help="Latitude of the constant-alpha loop.")
+@click.option("--alpha", type=parse_angle, default=None, help="Latitude of the constant-alpha loop.")
 @click.option("--beta", type=float, default=None, help="Latitude given as a field ellipticity.")
-@click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
-@click.option("--phi0", type=str, default="0", help="Meridian of the polar loop.")
+@_charge_option
+@click.option("--phi0", type=parse_angle, default="0", help="Meridian of the polar loop.")
 @click.option("--segments", type=int, default=2000)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def berry(n, m, nr, l, family, alpha, beta, charge, phi0, segments, out):
+def berry(n, m, nr, l, family, alpha, beta, sign_e, phi0, segments, out):
     """Geometric phase of a mode around a closed loop on the mode sphere."""
     mode = _resolve_mode(n, m, nr, l)
-    _check_order(mode)
-    try:
+    with _usage_errors():
         if family == "latitude":
             if alpha is None and beta is None:
-                alpha = "pi/8"
-            a = _resolve_alpha(alpha, beta, _resolve_sign(charge))
-            if not 0.0 <= a <= 0.5 * math.pi + 1e-12:
-                raise click.UsageError("latitude loops need alpha in [0, pi/2]")
+                alpha = math.pi / 8
+            a = _resolve_alpha(alpha, beta, sign_e)
+            check_alpha(a)
             path = latitude_loop(a, segments)
             loop_desc = {"family": "latitude", "alpha": a}
         else:
-            p0 = parse_angle(phi0)
-            path = polar_loop(p0, segments)
-            loop_desc = {"family": "polar", "phi0": p0}
+            path = polar_loop(phi0, segments)
+            loop_desc = {"family": "polar", "phi0": phi0}
         pts = path.points()
         if np.max(np.linalg.norm(pts - pts[0], axis=1)) < 1e-12:
             omega_loop = 0.0  # loop pinned at one point encloses nothing
         else:
             omega_loop = solid_angle(path)
         phase = berry_phase(path, mode.n, mode.m)
-    except (ValueError, ResolutionError) as exc:
-        raise click.UsageError(str(exc))
     expected = -0.5 * mode.l * omega_loop
     report = {
         "loop": loop_desc,
@@ -455,35 +470,32 @@ def berry(n, m, nr, l, family, alpha, beta, charge, phi0, segments, out):
         f"-(l/2)*Omega {fmt(expected)}, deviation {report['deviation']:.3e}"
     )
     if out is not None:
-        try:
+        with _io_errors():
             write_json(out, report, "berry_report")
-        except OSError as exc:
-            raise IOFailure(f"cannot write report: {exc}")
         click.echo(f"wrote {out}")
 
 
 @main.command()
 @click.option("--nr", type=int, required=True, help="Radial index of the input twisted mode.")
 @click.option("--l", type=int, required=True, help="Angular momentum of the input twisted mode.")
-@click.option("--alpha", type=str, default=None, help="Symmetry angle of the analysis basis.")
+@click.option("--alpha", type=parse_angle, default=None, help="Symmetry angle of the analysis basis.")
 @click.option("--beta", type=float, default=None)
-@click.option("--charge", type=click.Choice(["electron", "positron"]), default="electron")
+@_charge_option
 @click.option("--t", type=_FINITE, default=0.0, help="Evolution time in units of 1/omega.")
 @click.option("--max-order", type=click.IntRange(0, ORDER_CAP), default=10, help="Basis cut: include all n+m <= max-order.")
 @click.option("--extent", type=_POSITIVE, default=5.0)
 @click.option("--points", type=click.IntRange(min=2), default=256)
-@click.option("--omega", type=_POSITIVE, default=1.0)
-@click.option("--rho-h", type=_POSITIVE, default=1.0)
+@_omega_option
+@_rho_option
 @click.option("--out-prefix", type=str, required=True, help="Writes <prefix>_coefficients.csv, <prefix>_density.csv, <prefix>.json.")
-def decompose(nr, l, alpha, beta, charge, t, max_order, extent, points, omega, rho_h, out_prefix):
+def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, rho_h, out_prefix):
     """Expand a twisted mode over the asymmetric basis and evolve the phases."""
-    sign_e = _resolve_sign(charge)
     mode_in = _resolve_mode(None, None, nr, l)
-    _check_order(mode_in)
     alpha_in = _resolve_alpha(alpha, beta, sign_e)
     # folding only moves the analysis angle; the basis runs over all modes
     # anyway, so the index relabeling is absorbed by the coefficient table
     a, _, _, _ = fold_alpha(alpha_in, mode_in.n, mode_in.m)
+    bounds, grid_spec = _grid_bounds(extent, points, rho_h)
 
     lg = hlg_state(mode_in.n, mode_in.m, 0.25 * math.pi)
     coeff_rows = []
@@ -495,12 +507,13 @@ def decompose(nr, l, alpha, beta, charge, t, max_order, extent, points, omega, r
             basis = hlg_state(n_i, m_i, a)
             c = inner_product(basis, lg)
             mode_i = ModeIndex(n_i, m_i)
-            eps_i = energy(mode_i.n_r, mode_i.l, sign_e, omega)
-            phase = complex(math.cos(eps_i * t), -math.sin(eps_i * t))
-            ct = c * phase
+            eps_i = energy(mode_i.n_r, mode_i.l, sign_e)
+            angle = _in_units(eps_i, t, "energy x t")
+            ct = c * complex(math.cos(angle), -math.sin(angle))
             sum_abs2 += abs(c) ** 2
             coeff_rows.append(
-                [n_i, m_i, mode_i.l, mode_i.n_r, eps_i, c.real, c.imag, abs(c) ** 2, ct.real, ct.imag]
+                [str(n_i), str(m_i), str(mode_i.l), str(mode_i.n_r), _in_units(eps_i, omega, "energy x omega"),
+                 c.real, c.imag, abs(c) ** 2, ct.real, ct.imag]
             )
             if abs(c) > 1e-14:
                 states.append(basis)
@@ -508,6 +521,7 @@ def decompose(nr, l, alpha, beta, charge, t, max_order, extent, points, omega, r
 
     rebuilt = linear_combine(amps, states) if states else GaussianPolyState({})
     grid = density_grid(rebuilt, -extent, extent, -extent, extent, points, points)
+    values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
     norm = _norm_check(grid, extent)
     truncated = sum_abs2 < 1.0 - _TRUNCATION_TOL
 
@@ -519,21 +533,15 @@ def decompose(nr, l, alpha, beta, charge, t, max_order, extent, points, omega, r
         "max_order": max_order,
         "sum_abs2": sum_abs2,
         "truncation_warning": truncated,
-        "grid": {
-            "x_min": -extent * rho_h, "x_max": extent * rho_h,
-            "y_min": -extent * rho_h, "y_max": extent * rho_h,
-            "nx": points, "ny": points,
-        },
+        "grid": grid_spec,
         "norm_check": norm,
         "units": {"omega": omega, "rho_h": rho_h},
     }
     header = ["n", "m", "l", "n_r", "energy_omega", "re_c", "im_c", "abs2_c", "re_c_t", "im_c_t"]
-    try:
-        write_table_csv(f"{out_prefix}_coefficients.csv", header, [[str(r[0]), str(r[1]), str(r[2]), str(r[3])] + r[4:] for r in coeff_rows])
-        write_grid_csv(f"{out_prefix}_density.csv", grid / rho_h**2, -extent * rho_h, extent * rho_h, -extent * rho_h, extent * rho_h)
+    with _io_errors():
+        write_table_csv(f"{out_prefix}_coefficients.csv", header, coeff_rows)
+        write_grid_csv(f"{out_prefix}_density.csv", values, *bounds)
         write_json(f"{out_prefix}.json", sidecar, "decompose_sidecar")
-    except OSError as exc:
-        raise IOFailure(f"cannot write outputs: {exc}")
     note = " (truncated)" if truncated else ""
     click.echo(f"wrote {out_prefix}_* (sum |c|^2 = {sum_abs2:.9f}{note})")
 

@@ -18,9 +18,10 @@ The quadratic gauge family for this field is
 
     A = B0 * ( theta [a x + b y],
                theta [(1 + b) x + c y],
-               delta [a x^2 / 2 + d x y + c y^2 / 2] ),      d - b = beta,
+               delta [a x^2 / 2 + d x y + c y^2 / 2] ),      d = b + beta,
 
-and the scalar gauge function
+where the field fixes d, so ``GaugeParams`` holds only (a, b, c).  The
+scalar gauge function
 
     chi = -B0 theta(z) (a x^2 / 2 + d x y + c y^2 / 2)
 
@@ -61,24 +62,11 @@ class FieldModel:
 
 @dataclass(frozen=True)
 class GaugeParams:
-    """Quadratic gauge-family parameters; the field fixes d - b = beta."""
+    """Free quadratic gauge-family parameters; the field fixes d = b + beta."""
 
     a: float
     b: float
     c: float
-    d: float
-
-    @classmethod
-    def for_beta(cls, beta: float, a: float = 0.0, b: float = 0.0, c: float = 0.0):
-        """Parameters with d chosen to satisfy the curl constraint."""
-        return cls(a=a, b=b, c=c, d=b + beta)
-
-    def check(self, model: FieldModel) -> None:
-        if abs((self.d - self.b) - model.beta) > 1e-12:
-            raise ValueError(
-                f"gauge constraint violated: d - b = {self.d - self.b} "
-                f"but the field has beta = {model.beta}"
-            )
 
 
 def theta_eps(z: float, eps: float) -> float:
@@ -130,14 +118,14 @@ def vector_potential(
     params: GaugeParams, model: FieldModel, x: float, y: float, z: float
 ) -> np.ndarray:
     """Member of the quadratic gauge family with curl equal to b_field."""
-    params.check(model)
     th = theta_eps(z, model.eps)
     de = delta_eps(z, model.eps)
+    d = params.b + model.beta
     return model.b0 * np.array(
         [
             th * (params.a * x + params.b * y),
             th * ((1.0 + params.b) * x + params.c * y),
-            de * (0.5 * params.a * x * x + params.d * x * y + 0.5 * params.c * y * y),
+            de * (0.5 * params.a * x * x + d * x * y + 0.5 * params.c * y * y),
         ]
     )
 
@@ -145,46 +133,31 @@ def vector_potential(
 def grad_chi(
     params: GaugeParams, model: FieldModel, x: float, y: float, z: float
 ) -> np.ndarray:
-    """Gradient of the fixing gauge function chi."""
+    """Gradient of the gauge function chi that fixes the member ``params``."""
     th = theta_eps(z, model.eps)
     de = delta_eps(z, model.eps)
-    quad = 0.5 * params.a * x * x + params.d * x * y + 0.5 * params.c * y * y
+    d = params.b + model.beta
+    quad = 0.5 * params.a * x * x + d * x * y + 0.5 * params.c * y * y
     return -model.b0 * np.array(
         [
-            th * (params.a * x + params.d * y),
-            th * (params.d * x + params.c * y),
+            th * (params.a * x + d * y),
+            th * (d * x + params.c * y),
             de * quad,
         ]
     )
 
 
-@dataclass(frozen=True)
-class GaugeFixResult:
-    """Outcome of the gauge fixing transform A' = A + grad(chi)."""
-
-    original: GaugeParams
-    fixed: GaugeParams
-    model: FieldModel
-
-    def chi(self, x: float, y: float, z: float) -> float:
-        p = self.original
-        quad = 0.5 * p.a * x * x + p.d * x * y + 0.5 * p.c * y * y
-        return -self.model.b0 * theta_eps(z, self.model.eps) * quad
-
-    def potential(self, x: float, y: float, z: float) -> np.ndarray:
-        """A' evaluated as A + grad(chi); algebraically the fixed member."""
-        return vector_potential(self.original, self.model, x, y, z) + grad_chi(
-            self.original, self.model, x, y, z
-        )
+def transformed_potential(
+    params: GaugeParams, model: FieldModel, x: float, y: float, z: float
+) -> np.ndarray:
+    """A + grad(chi) from the member ``params``; equals the gauge_fix member."""
+    return vector_potential(params, model, x, y, z) + grad_chi(params, model, x, y, z)
 
 
-def gauge_fix(params: GaugeParams, model: FieldModel) -> GaugeFixResult:
-    """Gauge transformation removing the longitudinal component.
+def gauge_fix(model: FieldModel) -> GaugeParams:
+    """The member that A + grad(chi) reaches from every member: (0, -beta, 0).
 
-    The returned fixed parameters are (0, -beta, 0, 0), whose potential is
-    B0 (-beta y theta, (1 - beta) x theta, 0): transverse, and divergence
-    free wherever the ramp is flat.
+    Its potential is B0 (-beta y theta, (1 - beta) x theta, 0) with d = 0:
+    transverse, and divergence free wherever the ramp is flat.
     """
-    params.check(model)
-    fixed = GaugeParams(a=0.0, b=-model.beta, c=0.0, d=0.0)
-    return GaugeFixResult(original=params, fixed=fixed, model=model)
+    return GaugeParams(a=0.0, b=-model.beta, c=0.0)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
@@ -251,13 +251,6 @@ def apply(D: PolyDiffOperator, s: GaussianPolyState) -> GaussianPolyState:
     return GaussianPolyState(out, s.envelope)
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def compose(D1: PolyDiffOperator, D2: PolyDiffOperator) -> PolyDiffOperator:
     """Operator product D1 D2, normal ordered via the Leibniz rule.
 
@@ -272,9 +265,9 @@ def compose(D1: PolyDiffOperator, D2: PolyDiffOperator) -> PolyDiffOperator:
         for (p2, q2, a2, b2), c2 in D2.terms.items():
             c12 = c1 * c2
             for i in range(min(a1, p2) + 1):
-                fx = comb(a1, i) * _falling(p2, i)
+                fx = comb(a1, i) * perm(p2, i)
                 for j in range(min(b1, q2) + 1):
-                    f = fx * comb(b1, j) * _falling(q2, j)
+                    f = fx * comb(b1, j) * perm(q2, j)
                     key = (p1 + p2 - i, q1 + q2 - j, a1 - i + a2, b1 - j + b2)
                     out[key] = out.get(key, 0j) + c12 * f
     return PolyDiffOperator(out)

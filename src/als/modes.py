@@ -51,7 +51,7 @@ from math import comb, factorial
 
 from . import specfun
 from .gstate import GaussianPolyState, linear_combine
-from .operators import check_sign
+from .operators import check_sign, rotate
 
 #: Limit on n + m; double precision degrades in the coefficient sums
 #: well above this.
@@ -115,7 +115,8 @@ def beta_to_alpha(beta: float, sign_e: int) -> float:
     return math.asin(root) if sign_e < 0 else math.acos(root)
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """Reject a symmetry angle outside [0, pi/2] (with 1e-12 of slack above)."""
     if not 0.0 <= alpha <= 0.5 * math.pi + 1e-12:
         raise ValueError(
             f"alpha must lie in [0, pi/2], got {alpha}; out-of-range values "
@@ -169,7 +170,7 @@ def hlg_state(
         raise ValueError(f"mode indices must be >= 0, got ({n}, {m})")
     if n + m > ORDER_CAP:
         raise ValueError(f"mode order n+m = {n + m} exceeds the cap {ORDER_CAP}")
-    _check_alpha(alpha)
+    check_alpha(alpha)
     coeffs = hlg_coefficients(n, m, alpha)
     terms: dict[tuple[int, int], complex] = {}
     for k, ck in enumerate(coeffs):
@@ -217,8 +218,6 @@ def schwinger_state(n: int, m: int, alpha: float, phi: float) -> GaussianPolySta
 
     Eigenstate of the rotated-axis Hamiltonian family; unit norm.
     """
-    from .operators import rotate
-
     return rotate(hlg_state(n, m, alpha), phi)
 
 

@@ -4,11 +4,13 @@
 and <Lz>; ``als table`` sets it beside the closed forms and the
 ``observables`` suite of ``als verify`` certifies them against it.
 
-In twisted labels (n_r, l):
+In twisted labels (n_r, l), in natural units (omega = rho_h = hbar = 1):
 
-    energy    = omega * (2 n_r + |l| - sign_e * l + 1)
-    <r^2>     = (rho_h^2 / 2) * (2 n_r + |l| + 1)        (alpha independent)
+    energy    = 2 n_r + |l| - sign_e * l + 1
+    <r^2>     = (2 n_r + |l| + 1) / 2        (alpha independent)
     <Lz>      = l * sin(2 alpha)
+
+Only the CLI rescales to --omega and --rho-h.
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ from .gstate import GaussianPolyState, PolyDiffOperator, apply, inner_product
 from .operators import check_sign, expectation, h3, h_perp
 
 
-def energy(n_r: int, l: int, sign_e: int, omega: float = 1.0) -> float:
-    """Transverse level energy, degenerate in l for each charge sign."""
+def energy(n_r: int, l: int, sign_e: int) -> float:
+    """Transverse level energy in units of omega, degenerate in l for each charge sign."""
     if n_r < 0:
         raise ValueError(f"radial quantum number must be >= 0, got {n_r}")
     check_sign(sign_e)
-    return omega * (2 * n_r + abs(l) - sign_e * l + 1)
+    return float(2 * n_r + abs(l) - sign_e * l + 1)
 
 
-def mean_r2(n_r: int, l: int, rho_h: float = 1.0) -> float:
-    """Mean square transverse radius; independent of alpha."""
+def mean_r2(n_r: int, l: int) -> float:
+    """Mean square transverse radius in units of rho_h^2; independent of alpha."""
     if n_r < 0:
         raise ValueError(f"radial quantum number must be >= 0, got {n_r}")
-    return 0.5 * rho_h**2 * (2 * n_r + abs(l) + 1)
+    return 0.5 * (2 * n_r + abs(l) + 1)
 
 
 def mean_lz(l: int, alpha: float) -> float:

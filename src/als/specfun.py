@@ -39,10 +39,6 @@ class PolyCoeffs:
 
     coeffs: tuple[float, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x):
         """Evaluate by Horner's scheme; works on scalars and numpy arrays."""
         acc = self.coeffs[-1] * (x * 0 + 1) if hasattr(x, "shape") else self.coeffs[-1]

@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +179,20 @@ class TestDensityCommand:
         a = (tmp_path / "a.csv").read_bytes()
         assert b"\r" not in a  # LF endings only
 
+    def test_rho_h_scales_bounds_and_values(self, tmp_path):
+        args = ["density", "--nr", "1", "--l", "2", "--alpha", "pi/8", "--points", "32", "--out"]
+        outputs = {}
+        for rho in ("1", "2"):
+            result = runner.invoke(main, args + [str(tmp_path / f"r{rho}.csv"), "--rho-h", rho])
+            assert result.exit_code == 0, result.output
+            sidecar = json.loads((tmp_path / f"r{rho}.json").read_text())
+            outputs[rho] = read_grid(tmp_path / f"r{rho}.csv") + (sidecar,)
+        (b1, g1, s1), (b2, g2, s2) = outputs["1"], outputs["2"]
+        assert b2 == tuple(2 * b for b in b1)
+        assert [s2["grid"][k] for k in ("x_min", "x_max", "y_min", "y_max")] == list(b2)
+        assert np.array_equal(g2, g1 / 4)
+        assert s2["norm_check"] == s1["norm_check"]
+
     @pytest.mark.parametrize("nr, l, truncated", [(5, 8, True), (0, 1, False)])
     def test_truncation_warning(self, nr, l, truncated, tmp_path):
         # (5, 8) keeps norm_check 0.999986 inside the default extent 5
@@ -267,6 +284,26 @@ class TestTableCommand:
         assert len(r_vals) == 1
         # n_r=1, l=-2, electron: 2 n_r + |l| - sign l + 1 = 2 + 2 - 2 + 1 = 3
         assert all(abs(float(v) - 3.0) < 1e-9 for v in e_vals)
+
+
+    def test_omega_and_rho_h_scale_their_columns(self, tmp_path):
+        tables = {}
+        for tag, units in (("natural", []), ("scaled", ["--omega", "2.5", "--rho-h", "2"])):
+            out = tmp_path / f"{tag}.csv"
+            result = runner.invoke(
+                main, ["table", "--nr", "1", "--l", "2", "--steps", "5", "--out", str(out)] + units
+            )
+            assert result.exit_code == 0, result.output
+            lines = out.read_text().splitlines()
+            header = lines[0].split(",")
+            tables[tag] = {name: np.array([float(ln.split(",")[k]) for ln in lines[1:]]) for k, name in enumerate(header)}
+        natural, scaled = tables["natural"], tables["scaled"]
+        for name in natural:
+            factor = 2.5 if name.startswith("energy") else 4.0 if name.startswith("r2") else 1.0
+            if name.endswith("_delta"):
+                assert np.max(np.abs(scaled[name])) <= 1e-10
+            else:
+                assert np.array_equal(scaled[name], natural[name] * factor), name
 
 
 class TestVerifyCommand:
@@ -419,6 +456,24 @@ class TestDecomposeCommand:
         assert weights[(0, 1)] == pytest.approx(0.5, abs=1e-12)
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_phases_do_not_depend_on_omega(self, tmp_path):
+        # --t is in units of 1/omega: the phase is the natural energy times t
+        columns = {}
+        for omega in ("1", "2"):
+            prefix = str(tmp_path / f"w{omega}")
+            result = runner.invoke(
+                main,
+                ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--t", "0.5",
+                 "--omega", omega, "--max-order", "1", "--points", "16", "--out-prefix", prefix],
+            )
+            assert result.exit_code == 0, result.output
+            lines = (tmp_path / f"w{omega}_coefficients.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            columns[omega] = {name: [ln.split(",")[k] for ln in lines[1:]] for k, name in enumerate(header)}
+        assert columns["2"]["re_c_t"] == columns["1"]["re_c_t"]
+        assert columns["2"]["im_c_t"] == columns["1"]["im_c_t"]
+        assert [float(e) for e in columns["2"]["energy_omega"]] == [2 * float(e) for e in columns["1"]["energy_omega"]]
+
     def test_truncation_warning_recorded(self, tmp_path):
         prefix = str(tmp_path / "dec")
         result = runner.invoke(
@@ -450,6 +505,15 @@ _BAD_INPUTS = [
     ["verify", "--max-order", "21"],
     ["verify", "--suites", ","],
     ["verify", "--suites", "algebra,algebra"],
+    # inputs whose outputs would not be finite
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--max-order", "2", "--t", "1e308"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--max-order", "2", "--rho-h", "1e308"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--rho-h", "1e-320"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--extent", "1e300"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--max-order", "2", "--extent", "1e300"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--extent", "1e308"],
+    ["table", "--nr", "0", "--l", "1", "--steps", "2", "--omega", "1e308"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--max-order", "2", "--omega", "1e308"],
 ]
 
 
@@ -459,6 +523,87 @@ def test_bad_input_is_usage_error(args, tmp_path):
     result = runner.invoke(main, args + out)
     assert result.exit_code == 2, result.output
     assert not list(tmp_path.iterdir())  # rejected before anything is written
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--nr", "0", "--l", "1", "--steps", "2", "--out", "/nonexistent-dir/x.csv"],
+        ["verify", "--suites", "algebra", "--max-order", "1", "--out", "/nonexistent-dir/x.json"],
+        ["berry", "--nr", "0", "--l", "1", "--segments", "20", "--out", "/nonexistent-dir/x.json"],
+        ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--max-order", "1", "--points", "8",
+         "--out-prefix", "/nonexistent-dir/x"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_unwritable_path_is_io_error(args):
+    # density's case is TestDensityCommand::test_unwritable_path
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+
+
+# Base flags of each command, and the float flags the contract test draws.
+_CONTRACT = {
+    "density": (["--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8"],
+                ["--alpha", "--phi", "--extent", "--omega", "--rho-h"]),
+    "table": (["--nr", "0", "--l", "1", "--steps", "2"], ["--alpha-min", "--alpha-max", "--omega", "--rho-h"]),
+    "decompose": (["--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--max-order", "2"],
+                  ["--alpha", "--t", "--extent", "--omega", "--rho-h"]),
+}
+
+_FLOATS = st.one_of(
+    st.floats(min_value=-0.5, max_value=1.5),  # normal
+    st.floats(min_value=1e100) | st.floats(max_value=-1e100),  # huge, and the infinities
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),  # subnormal (and zero)
+    st.just(math.nan),
+)
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_CONTRACT)))
+    flags = draw(st.lists(st.sampled_from(_CONTRACT[command][1]), unique=True, min_size=1, max_size=2))
+    return command, {flag: draw(_FLOATS) for flag in flags}
+
+
+def _assert_finite(path: Path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=lambda c: pytest.fail(f"{path.name} holds {c}"))
+        return
+    for token in re.split(r"[,\s#]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), f"{path.name} holds {token}"
+
+
+@settings(deadline=None, max_examples=180)
+@given(call=_cli_calls())
+@example(call=("decompose", {"--t": 1e308}))
+@example(call=("decompose", {"--rho-h": 1e308}))
+@example(call=("density", {"--rho-h": 1e-320}))
+@example(call=("density", {"--extent": 1e300}))
+@example(call=("decompose", {"--extent": 1e300}))
+@example(call=("density", {"--extent": 1e308}))
+@example(call=("table", {"--omega": 1e308}))
+@example(call=("decompose", {"--omega": 1e308}))
+def test_exit_code_contract(call):
+    # exit 0 with finite outputs, or exit 2 with nothing written; never a traceback
+    command, flags = call
+    base, _ = _CONTRACT[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = ["--out-prefix", f"{tmp}/x"] if command == "decompose" else ["--out", f"{tmp}/x.csv"]
+        args = [command] + base + [a for flag, v in flags.items() for a in (flag, repr(v))] + out
+        result = runner.invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code in (0, 2), result.output
+        written = sorted(Path(tmp).iterdir())
+        if result.exit_code == 2:
+            assert not written
+        for path in written:
+            _assert_finite(path)
 
 
 def test_version_matches_package():

@@ -13,6 +13,7 @@ from als.fields import (
     gauge_fix,
     grad_chi,
     theta_eps,
+    transformed_potential,
     vector_potential,
 )
 
@@ -82,17 +83,17 @@ class TestVectorPotential:
         model = FieldModel(beta=0.35, b0=1.0, eps=EPS)
         tol = 1e-6 * model.b0 / model.eps
         for _ in range(3):
-            params = GaugeParams.for_beta(
-                0.35, a=float(rng.uniform(-1, 1)), b=float(rng.uniform(-1, 1)), c=float(rng.uniform(-1, 1))
+            params = GaugeParams(
+                a=float(rng.uniform(-1, 1)), b=float(rng.uniform(-1, 1)), c=float(rng.uniform(-1, 1))
             )
             f = lambda x, y, z: vector_potential(params, model, x, y, z)
             for p in random_points(60):
                 assert np.max(np.abs(curl(f, *p) - b_field(model, *p))) <= tol
 
     def test_reduces_to_fixed_form_inside(self):
-        # the (0, -beta, 0, 0) member is the transverse Coulomb-gauge potential
+        # the (0, -beta, 0) member (d = 0) is the transverse Coulomb-gauge potential
         model = FieldModel(beta=0.4, b0=1.5, eps=EPS)
-        params = GaugeParams(a=0.0, b=-0.4, c=0.0, d=0.0)
+        params = GaugeParams(a=0.0, b=-0.4, c=0.0)
         for x, y, _ in random_points(20):
             z = 30 * EPS
             ref = 1.5 * np.array([-0.4 * y, 0.6 * x, 0.0])
@@ -100,70 +101,60 @@ class TestVectorPotential:
 
     def test_gauge_equivalence_same_curl(self):
         model = FieldModel(beta=0.2, b0=1.0, eps=EPS)
-        p1 = GaugeParams.for_beta(0.2, a=0.3, b=-0.5, c=0.9)
-        p2 = GaugeParams.for_beta(0.2, a=-1.1, b=0.4, c=0.0)
+        p1 = GaugeParams(a=0.3, b=-0.5, c=0.9)
+        p2 = GaugeParams(a=-1.1, b=0.4, c=0.0)
         f1 = lambda x, y, z: vector_potential(p1, model, x, y, z)
         f2 = lambda x, y, z: vector_potential(p2, model, x, y, z)
         tol = 1e-6 * model.b0 / model.eps
         for p in random_points(40):
             assert np.max(np.abs(curl(f1, *p) - curl(f2, *p))) <= tol
 
-    def test_constraint_violation_rejected(self):
-        model = FieldModel(beta=0.3)
-        with pytest.raises(ValueError):
-            vector_potential(GaugeParams(a=0, b=0, c=0, d=0.7), model, 0.1, 0.2, 0.0)
-
 
 class TestGaugeFix:
     def test_already_fixed_has_null_chi(self):
         model = FieldModel(beta=0.25, b0=1.0, eps=EPS)
-        params = GaugeParams(a=0.0, b=-0.25, c=0.0, d=0.0)
-        fix = gauge_fix(params, model)
+        params = GaugeParams(a=0.0, b=-0.25, c=0.0)
         for p in random_points(20):
-            assert fix.chi(*p) == 0.0
             assert np.max(np.abs(grad_chi(params, model, *p))) == 0.0
-            assert fix.potential(*p) == pytest.approx(
+            assert transformed_potential(params, model, *p) == pytest.approx(
                 vector_potential(params, model, *p), abs=1e-15
             )
 
     def test_transform_cancels_to_fixed_member(self):
-        # A + grad(chi) equals the (0, -beta, 0, 0) potential identically
+        # A + grad(chi) equals the (0, -beta, 0) potential identically
         model = FieldModel(beta=0.35, b0=1.0, eps=EPS)
         for _ in range(3):
-            params = GaugeParams.for_beta(
-                0.35, a=float(rng.uniform(-1, 1)), b=float(rng.uniform(-1, 1)), c=float(rng.uniform(-1, 1))
+            params = GaugeParams(
+                a=float(rng.uniform(-1, 1)), b=float(rng.uniform(-1, 1)), c=float(rng.uniform(-1, 1))
             )
-            fix = gauge_fix(params, model)
             for p in random_points(40, z_range=(-1.0, 1.0)):
-                ref = vector_potential(fix.fixed, model, *p)
-                assert np.max(np.abs(fix.potential(*p) - ref)) <= 1e-12
+                ref = vector_potential(gauge_fix(model), model, *p)
+                assert np.max(np.abs(transformed_potential(params, model, *p) - ref)) <= 1e-12
 
     def test_matches_transverse_potential_inside(self):
         # the tanh ramp tail decays as exp(-2 z / eps); beyond z = 12 eps it
         # is below 1e-9, where the asymptotic transverse form holds
         model = FieldModel(beta=0.35, b0=1.0, eps=EPS)
-        params = GaugeParams.for_beta(0.35, a=0.8, b=0.1, c=-0.6)
-        fix = gauge_fix(params, model)
+        params = GaugeParams(a=0.8, b=0.1, c=-0.6)
         for _ in range(30):
             x, y = rng.uniform(-1, 1, size=2)
             z = float(rng.uniform(12 * EPS, 30 * EPS))
             ref = np.array([-0.35 * y, 0.65 * x, 0.0])
-            assert np.max(np.abs(fix.potential(float(x), float(y), z) - ref)) <= 1e-9
+            assert np.max(np.abs(transformed_potential(params, model, float(x), float(y), z) - ref)) <= 1e-9
 
     def test_coulomb_gauge_inside(self):
         model = FieldModel(beta=0.35, b0=1.0, eps=EPS)
-        params = GaugeParams.for_beta(0.35, a=0.8, b=0.1, c=-0.6)
-        fix = gauge_fix(params, model)
+        fixed = lambda x, y, z: transformed_potential(GaugeParams(a=0.8, b=0.1, c=-0.6), model, x, y, z)
         for _ in range(30):
             x, y = rng.uniform(-1, 1, size=2)
             z = float(rng.uniform(3 * EPS, 10 * EPS))
-            assert abs(divergence(fix.potential, float(x), float(y), z)) <= 1e-9
+            assert abs(divergence(fixed, float(x), float(y), z)) <= 1e-9
 
     def test_field_invariant_under_quadratic_gauge_motion(self):
         # curl(A + grad chi) = curl A for arbitrary quadratic chi
         model = FieldModel(beta=0.3, b0=1.0, eps=EPS)
-        base = GaugeParams.for_beta(0.3, a=0.2, b=-0.1, c=0.5)
-        other = GaugeParams(a=1.3, b=base.b, c=-0.7, d=base.d)  # same d - b
+        base = GaugeParams(a=0.2, b=-0.1, c=0.5)
+        other = GaugeParams(a=1.3, b=base.b, c=-0.7)  # same b, so the same d
 
         def shifted(x, y, z):
             return vector_potential(base, model, x, y, z) + grad_chi(other, model, x, y, z)

@@ -112,6 +112,15 @@ class TestSymmetryMaps:
 
 
 class TestModeConstruction:
+    @settings(deadline=None, max_examples=40)
+    @given(order=st.integers(0, 8), alpha=st.floats(min_value=0.0, max_value=math.pi / 2))
+    def test_mode_family_is_orthonormal(self, order, alpha):
+        # the order-N family at one alpha is a unitary image of the
+        # Hermite-Gauss basis, so its Gram matrix is the identity
+        states = [hlg_state(n, order - n, alpha) for n in range(order + 1)]
+        gram = np.array([[inner_product(a, b) for b in states] for a in states])
+        assert np.max(np.abs(gram - np.eye(order + 1))) <= 1e-12
+
     def test_ground_state_alpha_independent(self):
         for alpha in (0.0, 0.3, math.pi / 4, math.pi / 2):
             s = hlg_state(0, 0, alpha)

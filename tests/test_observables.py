@@ -37,9 +37,6 @@ class TestEnergy:
                 assert energy(mode.n_r, mode.l, -1) == 2 * mode.n + 1
                 assert energy(mode.n_r, mode.l, +1) == 2 * mode.m + 1
 
-    def test_omega_scaling(self):
-        assert energy(0, 3, -1, omega=2.5) == pytest.approx(17.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             energy(-1, 0, -1)
@@ -64,9 +61,6 @@ class TestMeanR2:
             vals.append(inner_product(s, apply(R2_OP, s)).real)
         assert max(vals) - min(vals) <= 1e-11
         assert vals[0] == pytest.approx(mean_r2(1, 2), abs=1e-11)
-
-    def test_rho_scaling(self):
-        assert mean_r2(0, 0, rho_h=2.0) == 2.0
 
 
 class TestMeanLz:
