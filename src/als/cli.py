@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
-from .gstate import GaussianPolyState, density_grid, inner_product, linear_combine
+from .gstate import density_grid, inner_product, linear_combine
 from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_state, schwinger_state
 from .observables import energy, mean_lz, mean_r2, measure
 from .output import fmt, write_grid_csv, write_json, write_table_csv
@@ -255,8 +255,8 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
     }
 
 
-# A norm (grid sum or basis weight) further than this below 1 is flagged
-# as truncated.
+# A basis weight further than this below 1 is flagged as truncated; a grid
+# norm further than this from 1, either way, as truncated or undersampled.
 _TRUNCATION_TOL = 1e-6
 
 
@@ -340,7 +340,7 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
     state = schwinger_state(used.n, used.m, a, phi)
     grid = density_grid(state, -extent, extent, -extent, extent, points, points)
     norm = _norm_check(grid, extent)
-    truncated = norm < 1.0 - _TRUNCATION_TOL
+    truncated = abs(norm - 1.0) > _TRUNCATION_TOL
     pattern = classify_pattern(grid, extent)
     values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
 
@@ -361,7 +361,7 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
     with _io_errors():
         write_grid_csv(out, values, *bounds)
         write_json((out[:-4] if out.endswith(".csv") else out) + ".json", sidecar, "density_sidecar")
-    note = " (truncated)" if truncated else ""
+    note = (" (undersampled)" if norm > 1.0 else " (truncated)") if truncated else ""
     click.echo(f"wrote {out} (norm check {norm:.9f}, pattern {pattern['classification']}){note}")
 
 
@@ -432,12 +432,16 @@ def verify(suites, max_order, tol, out):
 @click.option("--alpha", type=parse_angle, default=None, help="Latitude of the constant-alpha loop.")
 @click.option("--beta", type=float, default=None, help="Latitude given as a field ellipticity.")
 @_charge_option
-@click.option("--phi0", type=parse_angle, default="0", help="Meridian of the polar loop.")
+@click.option("--phi0", type=parse_angle, default=None, help="Meridian of the polar loop (default 0).")
 @click.option("--segments", type=int, default=2000)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def berry(n, m, nr, l, family, alpha, beta, sign_e, phi0, segments, out):
     """Geometric phase of a mode around a closed loop on the mode sphere."""
     mode = _resolve_mode(n, m, nr, l)
+    if family == "polar" and (alpha is not None or beta is not None):
+        raise click.UsageError("--alpha/--beta set the latitude loop; the polar loop takes --phi0")
+    if family == "latitude" and phi0 is not None:
+        raise click.UsageError("--phi0 sets the polar loop; the latitude loop takes --alpha or --beta")
     with _usage_errors():
         if family == "latitude":
             if alpha is None and beta is None:
@@ -447,6 +451,7 @@ def berry(n, m, nr, l, family, alpha, beta, sign_e, phi0, segments, out):
             path = latitude_loop(a, segments)
             loop_desc = {"family": "latitude", "alpha": a}
         else:
+            phi0 = 0.0 if phi0 is None else phi0
             path = polar_loop(phi0, segments)
             loop_desc = {"family": "polar", "phi0": phi0}
         pts = path.points()
@@ -519,7 +524,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
                 states.append(basis)
                 amps.append(ct)
 
-    rebuilt = linear_combine(amps, states) if states else GaussianPolyState({})
+    rebuilt = linear_combine(amps, states)
     grid = density_grid(rebuilt, -extent, extent, -extent, extent, points, points)
     values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
     norm = _norm_check(grid, extent)

@@ -1,13 +1,13 @@
 """Exact algebra of polynomial x Gaussian wavefunctions.
 
-A state is a finite complex polynomial multiplied by a Gaussian envelope,
+A state is a finite complex polynomial multiplied by one isotropic
+Gaussian,
 
-    psi(x, y) = P(x, y) * exp(-ax*x^2 - ay*y^2),
+    psi(x, y) = P(x, y) * exp(-x^2 - y^2),
 
 in dimensionless transverse coordinates (lengths in units of the
-characteristic transverse radius).  The default envelope is the isotropic
-``ax = ay = 1``; the anisotropic generalization exists only to support
-unitary coordinate dilations.
+characteristic transverse radius).  Coordinate dilations act on operators
+(``operators.dilate``), so no state needs another Gaussian.
 
 Operators are finite sums ``c * x^p y^q (d/dx)^dx (d/dy)^dy``, normal
 ordered (all derivatives to the right), tagged in units of the rotation
@@ -17,7 +17,7 @@ all exact up to float rounding; no grids are involved.
 
 Inner products reduce to Gaussian moments
 
-    integral x^p y^q exp(-2ax*x^2 - 2ay*y^2) dx dy,
+    integral x^p y^q exp(-2x^2 - 2y^2) dx dy,
 
 evaluated from the half-integer Gamma recurrence.
 """
@@ -39,51 +39,38 @@ OpTerm = tuple[int, int, int, int]
 
 
 class GaussianPolyState:
-    """Sparse polynomial term map over a fixed Gaussian envelope.
+    """Sparse polynomial term map over the isotropic Gaussian.
 
     ``terms`` maps ``(p, q)`` monomial powers to complex coefficients.
     Instances are treated as immutable values: every operation returns a
     new state.
     """
 
-    __slots__ = ("terms", "envelope")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, envelope: tuple[float, float] = (1.0, 1.0)):
-        ax, ay = float(envelope[0]), float(envelope[1])
-        if not (ax > 0 and ay > 0):
-            raise ValueError(f"envelope exponents must be positive, got {envelope}")
+    def __init__(self, terms=None):
         clean: dict[Monomial, complex] = {}
         for (p, q), c in (terms or {}).items():
             c = complex(c)
             if abs(c) >= _PRUNE:
                 clean[(int(p), int(q))] = c
         self.terms = clean
-        self.envelope = (ax, ay)
-
-    def _require_same_envelope(self, other: "GaussianPolyState") -> None:
-        if self.envelope != other.envelope:
-            raise ValueError(
-                f"envelope mismatch: {self.envelope} vs {other.envelope}"
-            )
 
     def __add__(self, other: "GaussianPolyState") -> "GaussianPolyState":
-        self._require_same_envelope(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0j) + c
-        return GaussianPolyState(out, self.envelope)
+        return GaussianPolyState(out)
 
     def __sub__(self, other: "GaussianPolyState") -> "GaussianPolyState":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "GaussianPolyState":
         s = complex(scalar)
-        return GaussianPolyState(
-            {k: s * c for k, c in self.terms.items()}, self.envelope
-        )
+        return GaussianPolyState({k: s * c for k, c in self.terms.items()})
 
     def __repr__(self) -> str:
-        return f"GaussianPolyState({len(self.terms)} terms, envelope={self.envelope})"
+        return f"GaussianPolyState({len(self.terms)} terms)"
 
 
 class PolyDiffOperator:
@@ -138,43 +125,38 @@ def linear_combine(coeffs, states) -> GaussianPolyState:
         raise ValueError(
             f"got {len(coeffs)} coefficients for {len(states)} states"
         )
-    if not states:
-        return GaussianPolyState({})
-    envelope = states[0].envelope
     out: dict[Monomial, complex] = {}
     for c, s in zip(coeffs, states):
-        if s.envelope != envelope:
-            raise ValueError("all states must share one envelope")
         c = complex(c)
         for key, v in s.terms.items():
             out[key] = out.get(key, 0j) + c * v
-    return GaussianPolyState(out, envelope)
+    return GaussianPolyState(out)
 
 
 @lru_cache(maxsize=None)
-def _moment_1d(k: int, a: float) -> float:
-    """integral u^k exp(-a u^2) du over the real line (even k only)."""
+def _moment_1d(k: int) -> float:
+    """integral u^k exp(-2 u^2) du over the real line (0 for odd k)."""
     if k % 2:
         return 0.0
     if k == 0:
-        return math.sqrt(math.pi / a)
-    return _moment_1d(k - 2, a) * (k - 1) / (2.0 * a)
+        return math.sqrt(math.pi / 2.0)
+    return _moment_1d(k - 2) * (k - 1) / 4.0
 
 
 def gaussian_moment(p: int, q: int) -> float:
-    """Moment of the squared isotropic envelope:
+    """Moment of the squared Gaussian:
 
     integral x^p y^q exp(-2x^2 - 2y^2) dx dy.
     """
     if p < 0 or q < 0:
         raise ValueError(f"moment powers must be >= 0, got ({p}, {q})")
-    return _moment_1d(p, 2.0) * _moment_1d(q, 2.0)
+    return _moment_1d(p) * _moment_1d(q)
 
 
 @lru_cache(maxsize=None)
-def _moment_table(kmax: int, a: float) -> np.ndarray:
-    """Read-only array of _moment_1d(k, a) for k = 0..kmax (odd k give 0)."""
-    table = np.array([_moment_1d(k, a) for k in range(kmax + 1)])
+def _moment_table(kmax: int) -> np.ndarray:
+    """Read-only array of _moment_1d(k) for k = 0..kmax (odd k give 0)."""
+    table = np.array([_moment_1d(k) for k in range(kmax + 1)])
     table.flags.writeable = False
     return table
 
@@ -190,12 +172,11 @@ def _packed(s: GaussianPolyState):
 def inner_product(a: GaussianPolyState, b: GaussianPolyState) -> complex:
     """<a|b>, conjugate-linear in the first argument.
 
-    Envelopes may differ; the product of the two Gaussians supplies the
-    integration weight.  Each term pair contributes
-    conj(ca) cb M(p + r, ax) M(q + s, ay), formed with the float operations
-    of Python's complex arithmetic and summed sequentially in row-major
-    term order, so the result is that of the plain double loop bit for
-    bit.  Odd moments are 0 and add nothing to the sum.
+    Each term pair contributes conj(ca) cb M(p + r) M(q + s), formed with
+    the float operations of Python's complex arithmetic and summed
+    sequentially in row-major term order, so the result is that of the
+    plain double loop bit for bit.  Odd moments are 0 and add nothing to
+    the sum.
     """
     if not a.terms or not b.terms:
         return 0j
@@ -203,8 +184,8 @@ def inner_product(a: GaussianPolyState, b: GaussianPolyState) -> complex:
     pb, qb, br, bi = _packed(b)
     px = pa[:, None] + pb
     qy = qa[:, None] + qb
-    mx = _moment_table(int(px.max()), a.envelope[0] + b.envelope[0])[px]
-    my = _moment_table(int(qy.max()), a.envelope[1] + b.envelope[1])[qy]
+    mx = _moment_table(int(px.max()))[px]
+    my = _moment_table(int(qy.max()))[qy]
     re = ((ar[:, None] * br + ai[:, None] * bi) * mx) * my
     im = ((ar[:, None] * bi - ai[:, None] * br) * mx) * my
     # cumsum adds in order, unlike sum or dot; adding to 0.0 gives the
@@ -212,43 +193,42 @@ def inner_product(a: GaussianPolyState, b: GaussianPolyState) -> complex:
     return complex(0.0 + np.cumsum(re)[-1], 0.0 + np.cumsum(im)[-1])
 
 
-def _diff_x(poly: dict[Monomial, complex], ax: float) -> dict[Monomial, complex]:
-    # d/dx acting on P * exp(-ax x^2 - ...): P -> dP/dx - 2 ax x P
+def _diff_x(poly: dict[Monomial, complex]) -> dict[Monomial, complex]:
+    # d/dx acting on P * exp(-x^2 - y^2): P -> dP/dx - 2 x P
     out: dict[Monomial, complex] = {}
     for (p, q), c in poly.items():
         if p:
             key = (p - 1, q)
             out[key] = out.get(key, 0j) + p * c
         key = (p + 1, q)
-        out[key] = out.get(key, 0j) - 2.0 * ax * c
+        out[key] = out.get(key, 0j) - 2.0 * c
     return out
 
 
-def _diff_y(poly: dict[Monomial, complex], ay: float) -> dict[Monomial, complex]:
+def _diff_y(poly: dict[Monomial, complex]) -> dict[Monomial, complex]:
     out: dict[Monomial, complex] = {}
     for (p, q), c in poly.items():
         if q:
             key = (p, q - 1)
             out[key] = out.get(key, 0j) + q * c
         key = (p, q + 1)
-        out[key] = out.get(key, 0j) - 2.0 * ay * c
+        out[key] = out.get(key, 0j) - 2.0 * c
     return out
 
 
 def apply(D: PolyDiffOperator, s: GaussianPolyState) -> GaussianPolyState:
     """Exact operator action D s, staying inside the representation."""
-    ax, ay = s.envelope
     out: dict[Monomial, complex] = {}
     for (p, q, dx, dy), c in D.terms.items():
         poly = s.terms
         for _ in range(dx):
-            poly = _diff_x(poly, ax)
+            poly = _diff_x(poly)
         for _ in range(dy):
-            poly = _diff_y(poly, ay)
+            poly = _diff_y(poly)
         for (i, j), v in poly.items():
             key = (i + p, j + q)
             out[key] = out.get(key, 0j) + c * v
-    return GaussianPolyState(out, s.envelope)
+    return GaussianPolyState(out)
 
 
 def compose(D1: PolyDiffOperator, D2: PolyDiffOperator) -> PolyDiffOperator:
@@ -279,22 +259,21 @@ def op_commutator(D1: PolyDiffOperator, D2: PolyDiffOperator) -> PolyDiffOperato
 
 
 def evaluate(s: GaussianPolyState, x: float, y: float) -> complex:
-    """Pointwise value P(x, y) exp(-ax x^2 - ay y^2)."""
-    ax, ay = s.envelope
+    """Pointwise value P(x, y) exp(-x^2 - y^2)."""
     total = 0j
     for (p, q), c in s.terms.items():
         total += c * x**p * y**q
-    return total * math.exp(-ax * x * x - ay * y * y)
+    return total * math.exp(-x * x - y * y)
 
 
-def _axis_table(u: np.ndarray, a: float, kmax: int) -> np.ndarray:
-    """T[i, k] = exp(-a u_i^2) u_i^k for k = 0..kmax.
+def _axis_table(u: np.ndarray, kmax: int) -> np.ndarray:
+    """T[i, k] = exp(-u_i^2) u_i^k for k = 0..kmax.
 
     Built by multiplying up from the Gaussian column, so a point whose
     Gaussian underflows gives a row of zeros instead of inf * 0 = NaN.
     """
     table = np.empty((u.size, kmax + 1))
-    table[:, 0] = np.exp(-a * u * u)
+    table[:, 0] = np.exp(-u * u)
     for k in range(1, kmax + 1):
         table[:, k] = table[:, k - 1] * u
     return table
@@ -328,6 +307,5 @@ def density_grid(
     coeffs = np.zeros((pmax + 1, qmax + 1), dtype=complex)
     for (p, q), c in s.terms.items():
         coeffs[p, q] = c
-    ax, ay = s.envelope
-    vals = _axis_table(yc, ay, qmax) @ (_axis_table(xc, ax, pmax) @ coeffs).T
+    vals = _axis_table(yc, qmax) @ (_axis_table(xc, pmax) @ coeffs).T
     return vals.real**2 + vals.imag**2

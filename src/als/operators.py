@@ -30,8 +30,12 @@ dilation, written with the field ellipticity beta:
             - sign_e * 2 * (-i) [-beta y dx + (1 - beta) x dy]
             + 4 [beta^2 y^2 + (1 - beta)^2 x^2].
 
-Its eigenstates are the modes psi(alpha(beta)) dilated by
-(sqrt(2(1-beta)), sqrt(2 beta)), with the mode spectrum unchanged.
+With U the unitary dilation psi(x, y) -> sqrt(lx ly) psi(lx x, ly y) at
+(lx, ly) = (sqrt(2(1-beta)), sqrt(2 beta)),
+
+    U^-1 Hphys U = Hperp(alpha(beta)),
+
+so Hphys has the mode spectrum of Hperp; ``dilate`` forms the left side.
 """
 
 from __future__ import annotations
@@ -154,13 +158,10 @@ def rotate(s: GaussianPolyState, phi: float) -> GaussianPolyState:
 
     psi(x, y) -> psi(x cos(phi) + y sin(phi), -x sin(phi) + y cos(phi)).
 
-    Exactly norm preserving; requires the isotropic envelope.  Each
-    homogeneous degree d maps as one (d + 1)-vector by the matrix
-    sum_e W_d[e] cos^e(phi) sin^(d-e)(phi), which is the identity at
-    phi = 0.
+    Exactly norm preserving.  Each homogeneous degree d maps as one
+    (d + 1)-vector by the matrix sum_e W_d[e] cos^e(phi) sin^(d-e)(phi),
+    which is the identity at phi = 0.
     """
-    if s.envelope[0] != s.envelope[1]:
-        raise ValueError("rotation requires an isotropic envelope")
     c, si = math.cos(phi), math.sin(phi)
     by_degree: dict[int, dict[int, complex]] = {}
     for (p, q), coeff in s.terms.items():
@@ -174,23 +175,20 @@ def rotate(s: GaussianPolyState, phi: float) -> GaussianPolyState:
         mat = (cos_e[: d + 1] * sin_e[d::-1]) @ _rotation_weights(d)
         u = mat.reshape(d + 1, d + 1) @ v
         out.update(zip(((d - r, r) for r in range(d + 1)), u.tolist()))
-    return GaussianPolyState(out, s.envelope)
+    return GaussianPolyState(out)
 
 
-def dilate(s: GaussianPolyState, lx: float, ly: float) -> GaussianPolyState:
-    """Unitary dilation psi(x, y) -> sqrt(lx ly) psi(lx x, ly y).
+def dilate(D: PolyDiffOperator, lx: float, ly: float) -> PolyDiffOperator:
+    """U^-1 D U for the unitary dilation U: psi(x, y) -> sqrt(lx ly) psi(lx x, ly y).
 
-    The envelope exponents rescale to (ax lx^2, ay ly^2), so the result is
-    generally anisotropic.
+    U^-1 x U = x / lx and U^-1 d/dx U = lx d/dx (likewise in y), so the
+    normal-ordered term c x^p y^q dx^a dy^b scales by lx^(a-p) ly^(b-q).
     """
-    if lx <= 0 or ly <= 0:
+    if not (lx > 0 and ly > 0):
         raise ValueError(f"dilation scales must be positive, got ({lx}, {ly})")
-    root = math.sqrt(lx * ly)
-    terms = {
-        (p, q): c * root * lx**p * ly**q for (p, q), c in s.terms.items()
-    }
-    ax, ay = s.envelope
-    return GaussianPolyState(terms, (ax * lx * lx, ay * ly * ly))
+    return PolyDiffOperator(
+        {(p, q, a, b): c * lx ** (a - p) * ly ** (b - q) for (p, q, a, b), c in D.terms.items()}
+    )
 
 
 def expectation(s: GaussianPolyState, D: PolyDiffOperator) -> complex:

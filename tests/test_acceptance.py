@@ -112,7 +112,7 @@ def test_criterion_7_wigner_reconstruction(rows):
 def test_criterion_8_unitary_equivalence(rows):
     check(
         8, "ellipticity-form equivalence on dilated modes",
-        ("max residual", worst(rows, "ellipticity form on dilated modes"), 1e-9),
+        ("max residual", worst(rows, "ellipticity form on dilated modes"), 1e-12),
     )
 
 

@@ -193,20 +193,29 @@ class TestDensityCommand:
         assert np.array_equal(g2, g1 / 4)
         assert s2["norm_check"] == s1["norm_check"]
 
-    @pytest.mark.parametrize("nr, l, truncated", [(5, 8, True), (0, 1, False)])
-    def test_truncation_warning(self, nr, l, truncated, tmp_path):
-        # (5, 8) keeps norm_check 0.999986 inside the default extent 5
+    @pytest.mark.parametrize(
+        "nr, l, alpha, points, note",
+        [
+            # (5, 8) keeps norm_check 0.999986 inside the default extent 5
+            pytest.param(5, 8, "pi/4", 256, "truncated", id="5-8-True"),
+            pytest.param(0, 1, "pi/4", 256, None, id="0-1-False"),
+            # too few points: the grid sums read 1.284 and 1.00015
+            pytest.param(3, 3, "pi/4", 6, "undersampled", id="3-3-undersampled"),
+            pytest.param(0, 1, "pi/8", 16, "undersampled", id="0-1-undersampled"),
+        ],
+    )
+    def test_truncation_warning(self, nr, l, alpha, points, note, tmp_path):
         out = tmp_path / "d.csv"
         result = runner.invoke(
             main,
-            ["density", "--nr", str(nr), "--l", str(l), "--alpha", "pi/4",
-             "--points", "256", "--out", str(out)],
+            ["density", "--nr", str(nr), "--l", str(l), "--alpha", alpha,
+             "--points", str(points), "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         sidecar = json.loads((tmp_path / "d.json").read_text())
         validate(sidecar, "density_sidecar")
-        assert sidecar["truncation_warning"] is truncated
-        assert ("(truncated)" in result.output) is truncated
+        assert sidecar["truncation_warning"] is (note is not None)
+        assert result.output.endswith(")\n" if note is None else f") ({note})\n")
 
     def test_huge_extent_gives_finite_grid(self, tmp_path):
         # x^20 overflows at |x| = 1e20; the Gaussian underflows first
@@ -505,6 +514,10 @@ _BAD_INPUTS = [
     ["verify", "--max-order", "21"],
     ["verify", "--suites", ","],
     ["verify", "--suites", "algebra,algebra"],
+    # options of the other loop family
+    ["berry", "--nr", "0", "--l", "1", "--loop", "polar", "--alpha", "0.3", "--segments", "50"],
+    ["berry", "--nr", "0", "--l", "1", "--loop", "polar", "--beta", "0.3", "--segments", "50"],
+    ["berry", "--nr", "0", "--l", "1", "--loop", "latitude", "--phi0", "0.7", "--segments", "50"],
     # inputs whose outputs would not be finite
     ["decompose", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--max-order", "2", "--t", "1e308"],
     ["decompose", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--max-order", "2", "--rho-h", "1e308"],

@@ -19,7 +19,7 @@ from als.gstate import (
     op_commutator,
 )
 from als.modes import hlg_state, schwinger_state
-from als.operators import dilate, h1, h2, h3, h_perp, hs
+from als.operators import h1, h2, h3, h_perp, hs
 
 rng = np.random.default_rng(202)
 
@@ -28,12 +28,12 @@ DX = PolyDiffOperator({(0, 0, 1, 0): 1.0})
 X_OP = PolyDiffOperator({(1, 0, 0, 0): 1.0})
 
 
-def random_state(n_terms=6, max_pow=5, envelope=(1.0, 1.0)):
+def random_state(n_terms=6, max_pow=5):
     terms = {}
     for _ in range(n_terms):
         key = (int(rng.integers(0, max_pow)), int(rng.integers(0, max_pow)))
         terms[key] = complex(rng.normal(), rng.normal())
-    return GaussianPolyState(terms, envelope)
+    return GaussianPolyState(terms)
 
 
 def random_operator(n_terms=3, max_pow=2):
@@ -126,15 +126,13 @@ class TestInnerProduct:
 
 def loop_inner_product(a, b):
     """The plain double loop over term pairs: the oracle for inner_product."""
-    ax = a.envelope[0] + b.envelope[0]
-    ay = a.envelope[1] + b.envelope[1]
     total = 0j
     for (p, q), ca in a.terms.items():
         cc = ca.conjugate()
         for (r, s), cb in b.terms.items():
             if (p + r) % 2 or (q + s) % 2:
                 continue
-            total += cc * cb * _moment_1d(p + r, ax) * _moment_1d(q + s, ay)
+            total += cc * cb * _moment_1d(p + r) * _moment_1d(q + s)
     return total
 
 
@@ -148,16 +146,6 @@ class TestInnerProductOracle:
                 b = random_state(n_terms, max_pow)
                 assert inner_product(a, b) == loop_inner_product(a, b)
                 assert inner_product(a, a) == loop_inner_product(a, a)
-
-    def test_anisotropic_and_mixed_envelopes(self):
-        a = random_state(12, 7, envelope=(2.0, 0.5))
-        b = random_state(12, 7, envelope=(2.0, 0.5))
-        assert inner_product(a, b) == loop_inner_product(a, b)
-        s = hlg_state(4, 3, 0.4)
-        d = dilate(s, 1.3, 0.6)
-        assert d.envelope != s.envelope
-        assert inner_product(s, d) == loop_inner_product(s, d)
-        assert inner_product(d, a) == loop_inner_product(d, a)
 
     def test_empty_state(self):
         empty = GaussianPolyState({})
@@ -303,12 +291,12 @@ class TestDensityGrid:
         "s",
         [
             schwinger_state(4, 1, 0.3, 0.7),
-            GaussianPolyState({(3, 0): 0.5, (1, 2): -1j, (0, 4): 0.25 + 0.5j}, envelope=(2.0, 0.5)),
+            GaussianPolyState({(3, 0): 0.5, (1, 2): -1j, (0, 4): 0.25 + 0.5j}),
         ],
-        ids=["rotated", "anisotropic"],
+        ids=["rotated", "xy_asymmetric"],
     )
     def test_matches_pointwise_evaluate(self, s):
-        # non-square and off-centre, so a swapped axis or envelope shows
+        # non-square and off-centre, so a swapped axis shows
         grid = density_grid(s, -3, 4, -2, 5, 37, 23)
         assert grid.shape == (23, 37)
         xc = -3 + (7 / 37) * (np.arange(37) + 0.5)
@@ -327,14 +315,3 @@ class TestDensityGrid:
             density_grid(GROUND, 1, 1, -1, 1, 8, 8)
         with pytest.raises(ValueError):
             density_grid(GROUND, -1, 1, -1, 1, 1, 8)
-
-
-class TestEnvelopeValidation:
-    def test_nonpositive_envelope_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianPolyState({(0, 0): 1.0}, envelope=(0.0, 1.0))
-
-    def test_mismatched_envelopes_rejected(self):
-        aniso = GaussianPolyState({(0, 0): 1.0}, envelope=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            _ = GROUND + aniso

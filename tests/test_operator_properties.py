@@ -1,4 +1,5 @@
-"""Property tests of the operator constructors over alpha in [0, pi/2]."""
+"""Property tests of the operator constructors over alpha in [0, pi/2]
+and beta in (0, 1)."""
 
 import math
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from als.gstate import op_commutator
-from als.operators import h_as, h_perp, h_phys, schwinger_operator
+from als.modes import beta_to_alpha
+from als.operators import dilate, h_as, h_perp, h_phys, schwinger_operator
 
 alphas = st.floats(min_value=0.0, max_value=math.pi / 2)
 signs = st.sampled_from((-1, 1))
@@ -28,6 +30,15 @@ def test_h_perp_is_the_unrotated_schwinger_operator(alpha, sign):
 @given(alpha=alphas, sign=signs)
 def test_h_perp_commutes_with_h_as(alpha, sign):
     assert op_commutator(h_perp(alpha, sign), h_as(alpha, sign)).max_coeff() <= 1e-12
+
+
+@settings(deadline=None)
+@given(beta=st.floats(min_value=1e-3, max_value=1 - 1e-3), sign=signs)
+def test_dilation_takes_h_phys_to_h_perp(beta, sign):
+    # U^-1 Hphys(beta) U = Hperp(alpha(beta)) for the symmetrizing dilation U
+    lx, ly = math.sqrt(2 * (1 - beta)), math.sqrt(2 * beta)
+    diff = dilate(h_phys(beta, sign), lx, ly) - h_perp(beta_to_alpha(beta, sign), sign)
+    assert diff.max_coeff() <= 1e-12
 
 
 @given(alpha=alphas, sign=bad_signs)

@@ -160,11 +160,6 @@ class TestRotate:
             rhs = inner_product(s, apply(iso, s))
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
-    def test_requires_isotropic_envelope(self):
-        s = dilate(random_state(), 1.0, 2.0)
-        with pytest.raises(ValueError):
-            rotate(s, 0.3)
-
 
 def loop_rotate(s, phi):
     """Term-by-term double binomial expansion: the oracle for rotate."""
@@ -183,7 +178,7 @@ def loop_rotate(s, phi):
                     continue
                 key = (i + q - jj, p - i + jj)
                 out[key] = out.get(key, 0j) + coeff * f
-    return GaussianPolyState(out, s.envelope)
+    return GaussianPolyState(out)
 
 
 def coeff_diff(a, b):
@@ -250,47 +245,47 @@ class TestRotateOracle:
         scale = max(abs(c) for c in rhs.terms.values())
         assert coeff_diff(lhs, rhs) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("phi", [0.0, 0.3])
-    def test_anisotropic_envelope_raises(self, phi):
-        with pytest.raises(ValueError):
-            rotate(dilate(hlg_state(4, 2, 0.3), 1.2, 0.8), phi)
+
+def random_operator(n_terms=6, max_pow=3):
+    terms = {}
+    for _ in range(n_terms):
+        key = tuple(int(v) for v in rng.integers(0, max_pow + 1, size=4))
+        terms[key] = complex(rng.normal(), rng.normal())
+    return PolyDiffOperator(terms)
 
 
 class TestDilate:
     def test_identity_scales(self):
-        s = random_state()
-        out = dilate(s, 1.0, 1.0)
-        keys = set(s.terms) | set(out.terms)
-        assert max(abs(s.terms.get(k, 0j) - out.terms.get(k, 0j)) for k in keys) == 0.0
-        assert out.envelope == s.envelope
+        D = random_operator()
+        assert dilate(D, 1.0, 1.0).terms == D.terms
 
-    def test_norm_preserved(self):
-        for _ in range(8):
-            s = random_state()
-            lx, ly = rng.uniform(0.3, 2.5, size=2)
-            out = dilate(s, float(lx), float(ly))
-            assert inner_product(out, out).real == pytest.approx(
-                inner_product(s, s).real, rel=1e-11
-            )
+    def test_composition(self):
+        for _ in range(5):
+            D = random_operator()
+            a, b, c, d = (float(v) for v in rng.uniform(0.4, 2.5, size=4))
+            lhs = dilate(dilate(D, a, b), c, d)
+            rhs = dilate(D, a * c, b * d)
+            assert (lhs - rhs).max_coeff() <= 1e-14 * max(1.0, rhs.max_coeff())
+
+    def test_preserves_commutators(self):
+        for A, B in [(h_phys(0.3, -1), h2()), (random_operator(), random_operator())]:
+            lx, ly = (float(v) for v in rng.uniform(0.4, 2.5, size=2))
+            lhs = dilate(op_commutator(A, B), lx, ly)
+            rhs = op_commutator(dilate(A, lx, ly), dilate(B, lx, ly))
+            assert (lhs - rhs).max_coeff() <= 1e-13 * max(1.0, rhs.max_coeff())
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            dilate(random_state(), 0.0, 1.0)
+            dilate(hs(), 0.0, 1.0)
 
     @pytest.mark.parametrize("beta", [0.2, 0.35, 0.5])
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_ellipticity_hamiltonian_equivalence(self, beta, sign):
-        # the dilated modes diagonalize the ellipticity form with the
-        # unchanged spectrum; this is the unitary-equivalence oracle
-        alpha = beta_to_alpha(beta, sign)
+        # U^-1 Hphys(beta) U = Hperp(alpha(beta)) for the symmetrizing
+        # dilation U, so the two forms share their spectrum
         lx, ly = math.sqrt(2 * (1 - beta)), math.sqrt(2 * beta)
-        hphys = h_phys(beta, sign)
-        for total in range(7):
-            for n in range(total + 1):
-                m = total - n
-                s = dilate(hlg_state(n, m, alpha), lx, ly)
-                lam = 2 * n + 1 if sign < 0 else 2 * m + 1
-                assert eigen_residual(s, hphys, lam) <= 1e-9
+        diff = dilate(h_phys(beta, sign), lx, ly) - h_perp(beta_to_alpha(beta, sign), sign)
+        assert diff.max_coeff() <= 1e-12
 
 
 class TestExpectation:
