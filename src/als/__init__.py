@@ -23,6 +23,7 @@ from .modes import (
     alpha_to_beta,
     beta_to_alpha,
     euler_angles,
+    hlg_block,
     hlg_state,
     schwinger_state,
     wigner_decompose,
@@ -66,6 +67,7 @@ __all__ = [
     "h_as",
     "h_perp",
     "h_phys",
+    "hlg_block",
     "hlg_state",
     "hs",
     "inner_product",

@@ -10,10 +10,13 @@ a mode around a closed parameter loop leaves a geometric phase
     Phi = -Arg prod_k <psi(v_k) | psi(v_{k+1})>
 
 (the discrete phase-product; manifestly gauge invariant because every
-vertex state enters once as a bra and once as a ket).  As the segment
-count grows it converges to -(l/2) * Omega, where Omega is the signed
-solid angle the loop encloses, counted positive for counterclockwise
-traversal seen from the +z pole.
+vertex state enters once as a bra and once as a ket).  The vertex states
+are vectors of the mode's Hs level in its Laguerre-Gauss basis, where a
+rotation by phi is the phase exp(-i phi l) on the basis mode of angular
+momentum l, so each overlap is one (n + m + 1)-term dot product.  As the
+segment count grows it converges to -(l/2) * Omega, where Omega is the
+signed solid angle the loop encloses, counted positive for
+counterclockwise traversal seen from the +z pole.
 
 Solid angles are summed from signed vertex-triangle excesses fanned from
 the +z pole, which handles great-circle loops and multiple windings; the
@@ -29,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gstate import inner_product
-from .modes import hlg_state
-from .operators import rotate, spin_axis
+from .modes import hlg_block
+from .operators import spin_axis
 
 #: Consecutive-vertex overlaps below this magnitude abort the phase product.
 MIN_OVERLAP = 1e-6
@@ -152,19 +154,22 @@ def berry_phase(path: SpherePath, n: int, m: int) -> float:
     """
     if not path.closed:
         raise ValueError("geometric phase is defined for closed paths only")
-    verts = path.vertices[:-1]
+    verts = np.array(path.vertices[:-1])
     if len(verts) < 3:
         raise ValueError("need at least 3 path vertices")
-    # One mode per distinct alpha, rotated to each vertex's phi: the
-    # schwinger_state of every vertex without rebuilding the mode.
-    modes = {a: hlg_state(n, m, a) for a in {a for _, a in verts}}
-    states = [rotate(modes[a], p) for p, a in verts]
-    product = 1.0 + 0j
-    for k in range(len(states)):
-        z = inner_product(states[k], states[(k + 1) % len(states)])
-        if abs(z) < MIN_OVERLAP:
-            raise ResolutionError(
-                f"overlap magnitude {abs(z):.2e} at segment {k}: path too coarse"
-            )
-        product *= z
-    return -cmath.phase(product)
+    order = n + m
+    alphas, which = np.unique(verts[:, 1], return_inverse=True)
+    modes = np.array([hlg_block(n, m, float(a)) for a in alphas])
+    # Rows: the Laguerre-Gauss modes (order - k, k), of angular momentum
+    # order - 2k; unitary, so overlaps in its coordinates are the same.
+    basis = np.array([hlg_block(order - k, k, 0.25 * math.pi) for k in range(order + 1)])
+    lz = order - 2 * np.arange(order + 1)
+    states = (modes @ basis.conj().T)[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
+    overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
+    coarse = np.flatnonzero(np.abs(overlaps) < MIN_OVERLAP)
+    if coarse.size:
+        k = int(coarse[0])
+        raise ResolutionError(
+            f"overlap magnitude {abs(overlaps[k]):.2e} at segment {k}: path too coarse"
+        )
+    return -cmath.phase(complex(np.prod(overlaps)))

@@ -342,6 +342,9 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
     norm = _norm_check(grid, extent)
     truncated = abs(norm - 1.0) > _TRUNCATION_TOL
     pattern = classify_pattern(grid, extent)
+    if norm > 1.0 + _TRUNCATION_TOL:
+        # an undersampled grid can make a ring look like a spot
+        pattern["classification"] = "unresolved"
     values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
 
     sidecar = {
@@ -461,6 +464,7 @@ def berry(n, m, nr, l, family, alpha, beta, sign_e, phi0, segments, out):
             omega_loop = solid_angle(path)
         phase = berry_phase(path, mode.n, mode.m)
     expected = -0.5 * mode.l * omega_loop
+    winding = round((phase - expected) / (2.0 * math.pi))
     report = {
         "loop": loop_desc,
         "mode": {"n": mode.n, "m": mode.m, "n_r": mode.n_r, "l": mode.l},
@@ -469,10 +473,11 @@ def berry(n, m, nr, l, family, alpha, beta, sign_e, phi0, segments, out):
         "berry_phase": phase,
         "expected_phase": expected,
         "deviation": abs(wrap_phase(phase - expected)),
+        "winding": winding,
     }
     click.echo(
         f"solid angle {fmt(omega_loop)}, phase {fmt(phase)}, "
-        f"-(l/2)*Omega {fmt(expected)}, deviation {report['deviation']:.3e}"
+        f"-(l/2)*Omega {fmt(expected)}, deviation {report['deviation']:.3e}, winding {winding}"
     )
     if out is not None:
         with _io_errors():

@@ -39,6 +39,11 @@ with B in [0, pi], which makes
         = sum_{m'} D^j_{m',m}(A, B, C) psi_{j+m', j-m'}(x, y; 0)
 
 hold exactly (as an SU(2) identity, including half-integer j).
+
+Within one level N = n + m the modes are unit (N+1)-vectors over the
+normalised Hermite-Gauss products |N-k, k> (``hlg_block``).  The
+alpha = pi/4 vectors form the Laguerre-Gauss basis, which diagonalises
+Lz, so a rotation of the level is a phase per basis vector.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+
+import numpy as np
 
 from . import specfun
 from .gstate import GaussianPolyState, linear_combine
@@ -153,6 +160,31 @@ def _hermite_scaled(order: int) -> tuple[float, ...]:
     return tuple(c * 2.0 ** (0.5 * p) for p, c in enumerate(base))
 
 
+def _check_mode(n: int, m: int, alpha: float) -> None:
+    """Reject negative indices, an order above ORDER_CAP and a bad alpha."""
+    if n < 0 or m < 0:
+        raise ValueError(f"mode indices must be >= 0, got ({n}, {m})")
+    if n + m > ORDER_CAP:
+        raise ValueError(f"mode order n+m = {n + m} exceeds the cap {ORDER_CAP}")
+    check_alpha(alpha)
+
+
+def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
+    """Mode psi_{n,m}(alpha) as a unit (N+1)-vector, N = n + m.
+
+    Entry k is the coefficient of the normalised Hermite-Gauss product
+    |N-k, k> = H_{N-k}(sqrt2 x) H_k(sqrt2 y) exp(-x^2 - y^2) /
+    sqrt(pi 2^(N-1) (N-k)! k!), which is c_k sqrt((N-k)! k! / (n! m!)).
+    """
+    _check_mode(n, m, alpha)
+    order = n + m
+    scale = [
+        math.sqrt(factorial(order - k) * factorial(k) / (factorial(n) * factorial(m)))
+        for k in range(order + 1)
+    ]
+    return np.array(hlg_coefficients(n, m, alpha)) * scale
+
+
 def hlg_state(
     n: int,
     m: int,
@@ -166,11 +198,7 @@ def hlg_state(
     Hermite-Gauss product (including its (-i)^m phase), at alpha = pi/4
     the twisted Laguerre-Gauss state.
     """
-    if n < 0 or m < 0:
-        raise ValueError(f"mode indices must be >= 0, got ({n}, {m})")
-    if n + m > ORDER_CAP:
-        raise ValueError(f"mode order n+m = {n + m} exceeds the cap {ORDER_CAP}")
-    check_alpha(alpha)
+    _check_mode(n, m, alpha)
     coeffs = hlg_coefficients(n, m, alpha)
     terms: dict[tuple[int, int], complex] = {}
     for k, ck in enumerate(coeffs):

@@ -13,6 +13,7 @@ from als.berry import (
     latitude_loop,
     polar_loop,
     solid_angle,
+    wrap_phase,
 )
 from als.gstate import inner_product
 from als.modes import schwinger_state
@@ -168,6 +169,12 @@ class TestBerryPhase:
         for k in range(len(states)):
             prod *= inner_product(states[k], states[(k + 1) % len(states)])
         assert abs(berry_phase(loop, 2, 1) + cmath.phase(prod)) <= 1e-12
+
+    @pytest.mark.parametrize("n, m", [(20, 0), (0, 20), (15, 5)])
+    def test_order_cap_phase_matches_discrete_solid_angle(self, n, m):
+        loop = latitude_loop(math.pi / 8, 2000)
+        expected = -0.5 * (n - m) * solid_angle(loop)
+        assert abs(wrap_phase(berry_phase(loop, n, m) - expected)) <= 1e-11
 
     def test_open_path_rejected(self):
         p = SpherePath(((0.0, 0.1), (0.5, 0.1)), closed=False)

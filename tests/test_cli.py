@@ -217,6 +217,28 @@ class TestDensityCommand:
         assert sidecar["truncation_warning"] is (note is not None)
         assert result.output.endswith(")\n" if note is None else f") ({note})\n")
 
+    @pytest.mark.parametrize(
+        "nr, l, alpha, points, resolved",
+        [
+            # an l = 3 ring read as a spot at 6 points; mixed read as spot at 16
+            pytest.param(3, 3, "pi/4", 6, "ring", id="3-3"),
+            pytest.param(0, 1, "pi/8", 16, "mixed", id="0-1"),
+        ],
+    )
+    def test_undersampled_pattern_is_unresolved(self, nr, l, alpha, points, resolved, tmp_path):
+        for n_points, classification in ((points, "unresolved"), (64, resolved)):
+            out = tmp_path / f"d{n_points}.csv"
+            result = runner.invoke(
+                main,
+                ["density", "--nr", str(nr), "--l", str(l), "--alpha", alpha,
+                 "--points", str(n_points), "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            sidecar = json.loads((tmp_path / f"d{n_points}.json").read_text())
+            validate(sidecar, "density_sidecar")
+            assert sidecar["pattern"]["classification"] == classification
+            assert f"pattern {classification})" in result.output
+
     def test_huge_extent_gives_finite_grid(self, tmp_path):
         # x^20 overflows at |x| = 1e20; the Gaussian underflows first
         out = tmp_path / "far.csv"
@@ -428,6 +450,31 @@ class TestBerryCommand:
         report = json.loads(out.read_text())
         assert abs(report["berry_phase"] - report["expected_phase"]) > 6.0
         assert report["deviation"] <= 1e-3
+
+    @pytest.mark.parametrize("l, winding", [(10, 1), (-5, -1), (3, 0)])
+    def test_winding_counts_whole_turns(self, l, winding, tmp_path):
+        out = tmp_path / "berry.json"
+        result = runner.invoke(
+            main,
+            ["berry", "--nr", "0", f"--l={l}", "--alpha", "pi/8",
+             "--segments", "200", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        validate(report, "berry_report")
+        assert report["winding"] == winding
+        turns = report["berry_phase"] - report["expected_phase"] - 2 * math.pi * winding
+        assert abs(turns) == pytest.approx(report["deviation"], abs=1e-12)
+        assert result.output.splitlines()[0].endswith(f"winding {winding}")
+
+    def test_report_without_winding_validates(self):
+        # reports written before the field existed
+        report = {
+            "loop": {"family": "latitude", "alpha": 0.39}, "segments": 50,
+            "mode": {"n": 1, "m": 0, "n_r": 0, "l": 1}, "solid_angle": 1.8,
+            "berry_phase": -0.9, "expected_phase": -0.9, "deviation": 0.0,
+        }
+        validate(report, "berry_report")
 
 
 class TestDecomposeCommand:

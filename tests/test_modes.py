@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from als.berry import berry_phase, latitude_loop
 from als.gstate import evaluate, inner_product
 from als.modes import (
+    ORDER_CAP,
     ModeIndex,
     alpha_to_beta,
     beta_to_alpha,
     euler_angles,
+    hlg_block,
     hlg_norm_squared,
     hlg_state,
     schwinger_state,
@@ -213,6 +216,49 @@ class TestModeConstruction:
                 keys = set(a.terms) | set(b.terms)
                 diff = max(abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) for k in keys)
                 assert diff <= 1e-13
+
+
+class TestHlgBlock:
+    ALPHA_GRID = np.linspace(0.0, math.pi / 2, 9)
+
+    def test_matches_projection_of_the_term_map(self):
+        # oracle: inner products with the normalised Hermite-Gauss products
+        # |N-k, k> = i^k hlg_state(N-k, k, 0) on the monomial layer.  From
+        # N = 9 the term map's own rounding shows: the projection's norm
+        # misses 1 by 9.9e-14 at N = 9 and 3.1e-13 at N = 10.
+        for order in range(11):
+            tol = 1e-13 if order <= 8 else 5e-13
+            products = [1j**k * hlg_state(order - k, k, 0.0) for k in range(order + 1)]
+            for n in range(order + 1):
+                for alpha in map(float, self.ALPHA_GRID):
+                    state = hlg_state(n, order - n, alpha)
+                    projected = np.array([inner_product(p, state) for p in products])
+                    err = np.abs(projected - hlg_block(n, order - n, alpha)).max()
+                    assert err <= tol, (n, order - n, alpha, err)
+
+    def test_unit_norm_and_unitary_laguerre_gauss_basis(self):
+        for order in range(ORDER_CAP + 1):
+            for n in range(order + 1):
+                for alpha in map(float, self.ALPHA_GRID):
+                    block = hlg_block(n, order - n, alpha)
+                    assert abs(np.linalg.norm(block) - 1.0) <= 1e-13
+            basis = np.array([hlg_block(order - k, k, math.pi / 4) for k in range(order + 1)])
+            assert np.abs(basis @ basis.conj().T - np.eye(order + 1)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n, m, alpha", [(-1, 0, 0.3), (15, 6, 0.3), (1, 0, -0.1), (1, 0, 2.0)])
+    def test_rejects_what_hlg_state_rejects(self, n, m, alpha):
+        with pytest.raises(ValueError) as expected:
+            hlg_state(n, m, alpha)
+        with pytest.raises(ValueError) as got:
+            hlg_block(n, m, alpha)
+        assert str(got.value) == str(expected.value)
+
+    def test_berry_phase_rejects_orders_above_the_cap(self):
+        with pytest.raises(ValueError) as expected:
+            hlg_state(ORDER_CAP + 1, 0, 0.0)
+        with pytest.raises(ValueError) as got:
+            berry_phase(latitude_loop(math.pi / 8, 50), ORDER_CAP + 1, 0)
+        assert str(got.value) == str(expected.value)
 
 
 class TestEulerAngles:
