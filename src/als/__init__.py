@@ -15,7 +15,6 @@ from .gstate import (
     evaluate,
     gaussian_moment,
     inner_product,
-    linear_combine,
     op_commutator,
 )
 from .modes import (
@@ -27,7 +26,6 @@ from .modes import (
     hlg_state,
     schwinger_state,
     wigner_decompose,
-    wigner_reconstruct,
 )
 from .operators import (
     casimir,
@@ -71,13 +69,11 @@ __all__ = [
     "hlg_state",
     "hs",
     "inner_product",
-    "linear_combine",
     "op_commutator",
     "rotate",
     "schwinger_state",
     "spin_axis",
     "wigner_decompose",
-    "wigner_reconstruct",
 ]
 
 __version__ = "0.1.0"

@@ -11,10 +11,11 @@ The library computes in natural units.  ``_in_units`` alone applies
 --omega (energies) and --rho-h (lengths, r^2, densities); --t is in units
 of 1/omega, so the phases of ``decompose`` do not depend on --omega.
 
-The library constrains alpha to [0, pi/2]; the CLI folds other values
-using the exact relabeling symmetries (alpha + pi is the same mode up to
-a global sign, alpha + pi/2 swaps the Cartesian indices) and records the
-folding in the sidecar.
+The library constrains alpha to [0, pi/2].  ``density`` and ``decompose``
+fold other values using the exact relabeling symmetries (alpha + pi is
+the same mode up to a global sign, alpha + pi/2 swaps the Cartesian
+indices) and record the folding in the sidecar; ``table`` and ``berry``
+reject them as usage errors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
-from .gstate import density_grid, inner_product, linear_combine
+from .gstate import GaussianPolyState, density_grid, inner_product
 from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_state, schwinger_state
 from .observables import energy, mean_lz, mean_r2, measure
 from .output import fmt, write_grid_csv, write_json, write_table_csv
@@ -122,10 +123,7 @@ def _resolve_mode(n, m, nr, l) -> ModeIndex:
     if twisted and None in (nr, l):
         raise click.UsageError("--nr and --l must be given together")
     with _usage_errors():
-        mode = ModeIndex(n, m) if cartesian else ModeIndex.from_twisted(nr, l)
-    if mode.n + mode.m > ORDER_CAP:
-        raise click.UsageError(f"mode order n+m = {mode.n + mode.m} exceeds the cap {ORDER_CAP}")
-    return mode
+        return ModeIndex(n, m) if cartesian else ModeIndex.from_twisted(nr, l)
 
 
 def _resolve_alpha(alpha, beta, sign_e) -> float:
@@ -287,7 +285,17 @@ def _grid_bounds(extent: float, points: int, rho_h: float) -> tuple[tuple[float,
     return bounds, dict(zip(("x_min", "x_max", "y_min", "y_max"), bounds), nx=points, ny=points)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: a request too large to allocate is a usage error (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MemoryError as exc:
+            raise click.UsageError(f"inputs too large: {exc}")
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="als")
 def main():
     """Asymmetric Landau states: densities, observables, exact checks."""
@@ -509,7 +517,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
 
     lg = hlg_state(mode_in.n, mode_in.m, 0.25 * math.pi)
     coeff_rows = []
-    states, amps = [], []
+    rebuilt = GaussianPolyState()
     sum_abs2 = 0.0
     for total in range(max_order + 1):
         for n_i in range(total + 1):
@@ -526,10 +534,8 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
                  c.real, c.imag, abs(c) ** 2, ct.real, ct.imag]
             )
             if abs(c) > 1e-14:
-                states.append(basis)
-                amps.append(ct)
+                rebuilt = rebuilt + ct * basis
 
-    rebuilt = linear_combine(amps, states)
     grid = density_grid(rebuilt, -extent, extent, -extent, extent, points, points)
     values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
     norm = _norm_check(grid, extent)

@@ -117,22 +117,6 @@ class PolyDiffOperator:
         return f"PolyDiffOperator({len(self.terms)} terms)"
 
 
-def linear_combine(coeffs, states) -> GaussianPolyState:
-    """Termwise linear combination sum_i coeffs[i] * states[i]."""
-    coeffs = list(coeffs)
-    states = list(states)
-    if len(coeffs) != len(states):
-        raise ValueError(
-            f"got {len(coeffs)} coefficients for {len(states)} states"
-        )
-    out: dict[Monomial, complex] = {}
-    for c, s in zip(coeffs, states):
-        c = complex(c)
-        for key, v in s.terms.items():
-            out[key] = out.get(key, 0j) + c * v
-    return GaussianPolyState(out)
-
-
 @lru_cache(maxsize=None)
 def _moment_1d(k: int) -> float:
     """integral u^k exp(-2 u^2) du over the real line (0 for odd k)."""

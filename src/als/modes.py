@@ -57,7 +57,7 @@ from math import comb, factorial
 import numpy as np
 
 from . import specfun
-from .gstate import GaussianPolyState, linear_combine
+from .gstate import GaussianPolyState
 from .operators import check_sign, rotate
 
 #: Limit on n + m; double precision degrades in the coefficient sums
@@ -75,6 +75,8 @@ class ModeIndex:
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
             raise ValueError(f"mode indices must be >= 0, got ({self.n}, {self.m})")
+        if self.n + self.m > ORDER_CAP:
+            raise ValueError(f"mode order n+m = {self.n + self.m} exceeds the cap {ORDER_CAP}")
 
     @property
     def l(self) -> int:
@@ -160,15 +162,6 @@ def _hermite_scaled(order: int) -> tuple[float, ...]:
     return tuple(c * 2.0 ** (0.5 * p) for p, c in enumerate(base))
 
 
-def _check_mode(n: int, m: int, alpha: float) -> None:
-    """Reject negative indices, an order above ORDER_CAP and a bad alpha."""
-    if n < 0 or m < 0:
-        raise ValueError(f"mode indices must be >= 0, got ({n}, {m})")
-    if n + m > ORDER_CAP:
-        raise ValueError(f"mode order n+m = {n + m} exceeds the cap {ORDER_CAP}")
-    check_alpha(alpha)
-
-
 def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
     """Mode psi_{n,m}(alpha) as a unit (N+1)-vector, N = n + m.
 
@@ -176,7 +169,8 @@ def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
     |N-k, k> = H_{N-k}(sqrt2 x) H_k(sqrt2 y) exp(-x^2 - y^2) /
     sqrt(pi 2^(N-1) (N-k)! k!), which is c_k sqrt((N-k)! k! / (n! m!)).
     """
-    _check_mode(n, m, alpha)
+    ModeIndex(n, m)
+    check_alpha(alpha)
     order = n + m
     scale = [
         math.sqrt(factorial(order - k) * factorial(k) / (factorial(n) * factorial(m)))
@@ -185,20 +179,14 @@ def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
     return np.array(hlg_coefficients(n, m, alpha)) * scale
 
 
-def hlg_state(
-    n: int,
-    m: int,
-    alpha: float,
-    *,
-    normalized: bool = True,
-) -> GaussianPolyState:
-    """Mode state psi_{n,m}(alpha) as an exact term map.
+def hlg_state(n: int, m: int, alpha: float) -> GaussianPolyState:
+    """Mode state psi_{n,m}(alpha) as an exact term map of unit norm.
 
-    Unit norm when ``normalized``; at alpha = 0 this is the
-    Hermite-Gauss product (including its (-i)^m phase), at alpha = pi/4
-    the twisted Laguerre-Gauss state.
+    At alpha = 0 this is the Hermite-Gauss product (including its (-i)^m
+    phase), at alpha = pi/4 the twisted Laguerre-Gauss state.
     """
-    _check_mode(n, m, alpha)
+    ModeIndex(n, m)
+    check_alpha(alpha)
     coeffs = hlg_coefficients(n, m, alpha)
     terms: dict[tuple[int, int], complex] = {}
     for k, ck in enumerate(coeffs):
@@ -214,10 +202,7 @@ def hlg_state(
                     continue
                 key = (p, q)
                 terms[key] = terms.get(key, 0j) + ck * cp * cq
-    state = GaussianPolyState(terms)
-    if normalized:
-        state = (1.0 / math.sqrt(hlg_norm_squared(n, m))) * state
-    return state
+    return (1.0 / math.sqrt(hlg_norm_squared(n, m))) * GaussianPolyState(terms)
 
 
 def euler_angles(phi: float, alpha: float) -> tuple[float, float, float]:
@@ -274,15 +259,3 @@ def wigner_decompose(
         mp = 0.5 * tmp
         out[mp] = specfun.wigner_D(0.5 * tj, mp, 0.5 * tm, A, B, C)
     return out
-
-
-def wigner_reconstruct(
-    j: float, m_l: float, A: float, B: float, C: float
-) -> GaussianPolyState:
-    """Assemble the rotated mode from its Wigner expansion coefficients."""
-    coeffs = wigner_decompose(j, m_l, A, B, C)
-    pairs = sorted(coeffs.items())
-    states = [
-        hlg_state(round(j + mp), round(j - mp), 0.0) for mp, _ in pairs
-    ]
-    return linear_combine([c for _, c in pairs], states)

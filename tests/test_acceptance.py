@@ -104,7 +104,7 @@ def test_criterion_6_orthonormality(rows):
 def test_criterion_7_wigner_reconstruction(rows):
     check(
         7, "rotation-matrix expansion",
-        ("reconstruction", worst(rows, "rotation expansion"), 1e-10),
+        ("coefficients vs overlaps", worst(rows, "rotation expansion"), 1e-10),
         ("unitarity", worst(rows, "unitarity"), 1e-12),
     )
 

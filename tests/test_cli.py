@@ -574,6 +574,15 @@ _BAD_INPUTS = [
     ["density", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--extent", "1e308"],
     ["table", "--nr", "0", "--l", "1", "--steps", "2", "--omega", "1e308"],
     ["decompose", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--max-order", "2", "--omega", "1e308"],
+    # sizes whose arrays (711 PiB) exceed any 64-bit address space: the
+    # allocation fails at once and nothing is allocated
+    ["table", "--nr", "0", "--l", "1", "--steps", "100000000000000000"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--points", "100000000000000000"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--max-order", "2", "--points", "100000000000000000"],
+    ["berry", "--nr", "0", "--l", "1", "--segments", "100000000000000000"],
+    # only density and decompose fold an alpha outside [0, pi/2]
+    ["table", "--nr", "0", "--l", "1", "--alpha-max", "2"],
+    ["berry", "--nr", "0", "--l", "1", "--alpha", "2"],
 ]
 
 

@@ -1,4 +1,4 @@
-"""Polynomial and rotation-matrix kernels against independent oracles."""
+"""Polynomial and rotation-matrix kernels, and the test oracles, against independent references."""
 
 import math
 from math import comb, factorial
@@ -6,7 +6,8 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from als.specfun import hermite, jacobi_eval, laguerre, wigner_D, wigner_small_d
+from als.specfun import hermite, wigner_D, wigner_small_d
+from oracles import jacobi_eval, laguerre
 
 rng = np.random.default_rng(101)
 
