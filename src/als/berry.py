@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import hlg_block
+from .modes import hlg_block, lg_basis
 from .operators import spin_axis
 
 #: Consecutive-vertex overlaps below this magnitude abort the phase product.
@@ -160,11 +160,9 @@ def berry_phase(path: SpherePath, n: int, m: int) -> float:
     order = n + m
     alphas, which = np.unique(verts[:, 1], return_inverse=True)
     modes = np.array([hlg_block(n, m, float(a)) for a in alphas])
-    # Rows: the Laguerre-Gauss modes (order - k, k), of angular momentum
-    # order - 2k; unitary, so overlaps in its coordinates are the same.
-    basis = np.array([hlg_block(order - k, k, 0.25 * math.pi) for k in range(order + 1)])
     lz = order - 2 * np.arange(order + 1)
-    states = (modes @ basis.conj().T)[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
+    # the basis is unitary, so overlaps in its coordinates are the same
+    states = (modes @ lg_basis(order).conj().T)[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
     overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
     coarse = np.flatnonzero(np.abs(overlaps) < MIN_OVERLAP)
     if coarse.size:

@@ -38,15 +38,32 @@ Monomial = tuple[int, int]
 OpTerm = tuple[int, int, int, int]
 
 
-class GaussianPolyState:
-    """Sparse polynomial term map over the isotropic Gaussian.
-
-    ``terms`` maps ``(p, q)`` monomial powers to complex coefficients.
-    Instances are treated as immutable values: every operation returns a
-    new state.
-    """
+class _TermMap:
+    """Immutable ``terms`` dict; +, - and scalar * return a new instance of the subclass."""
 
     __slots__ = ("terms",)
+
+    def __add__(self, other: _TermMap) -> _TermMap:
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0j) + c
+        return type(self)(out)
+
+    def __sub__(self, other: _TermMap) -> _TermMap:
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar) -> _TermMap:
+        s = complex(scalar)
+        return type(self)({k: s * c for k, c in self.terms.items()})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self.terms)} terms)"
+
+
+class GaussianPolyState(_TermMap):
+    """Polynomial over the isotropic Gaussian: ``terms`` maps ``(p, q)`` to the coefficient of x^p y^q."""
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean: dict[Monomial, complex] = {}
@@ -56,24 +73,8 @@ class GaussianPolyState:
                 clean[(int(p), int(q))] = c
         self.terms = clean
 
-    def __add__(self, other: "GaussianPolyState") -> "GaussianPolyState":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0j) + c
-        return GaussianPolyState(out)
 
-    def __sub__(self, other: "GaussianPolyState") -> "GaussianPolyState":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "GaussianPolyState":
-        s = complex(scalar)
-        return GaussianPolyState({k: s * c for k, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        return f"GaussianPolyState({len(self.terms)} terms)"
-
-
-class PolyDiffOperator:
+class PolyDiffOperator(_TermMap):
     """Linear differential operator with polynomial coefficients.
 
     ``terms`` maps ``(p, q, dx, dy)`` to complex coefficients, meaning
@@ -82,7 +83,7 @@ class PolyDiffOperator:
     in multiples of omega.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean: dict[OpTerm, complex] = {}
@@ -99,22 +100,6 @@ class PolyDiffOperator:
     def max_coeff(self) -> float:
         """Largest coefficient magnitude; 0 for the zero operator."""
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def __add__(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0j) + c
-        return PolyDiffOperator(out)
-
-    def __sub__(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "PolyDiffOperator":
-        s = complex(scalar)
-        return PolyDiffOperator({k: s * c for k, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        return f"PolyDiffOperator({len(self.terms)} terms)"
 
 
 @lru_cache(maxsize=None)

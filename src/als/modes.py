@@ -42,8 +42,8 @@ hold exactly (as an SU(2) identity, including half-integer j).
 
 Within one level N = n + m the modes are unit (N+1)-vectors over the
 normalised Hermite-Gauss products |N-k, k> (``hlg_block``).  The
-alpha = pi/4 vectors form the Laguerre-Gauss basis, which diagonalises
-Lz, so a rotation of the level is a phase per basis vector.
+alpha = pi/4 vectors form the Laguerre-Gauss basis (``lg_basis``): row k
+has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k)).
 """
 
 from __future__ import annotations
@@ -177,6 +177,11 @@ def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
         for k in range(order + 1)
     ]
     return np.array(hlg_coefficients(n, m, alpha)) * scale
+
+
+def lg_basis(order: int) -> np.ndarray:
+    """Laguerre-Gauss basis of the level: row k is hlg_block(order - k, k, pi/4)."""
+    return np.array([hlg_block(order - k, k, 0.25 * math.pi) for k in range(order + 1)])
 
 
 def hlg_state(n: int, m: int, alpha: float) -> GaussianPolyState:

@@ -1,8 +1,8 @@
 """Closed-form observables of the asymmetric modes.
 
-``measure`` is the one exact inner-product evaluation of energy, <r^2>
-and <Lz>; ``als table`` sets it beside the closed forms and the
-``observables`` suite of ``als verify`` certifies them against it.
+``measure`` evaluates energy, <r^2> and <Lz> by exact inner products for
+``als table``; the ``observables`` suite of ``als verify`` certifies the
+closed forms on level vectors (``operators.level_matrix``).
 
 In twisted labels (n_r, l), in natural units (omega = rho_h = hbar = 1):
 

@@ -120,17 +120,6 @@ def h_phys(beta: float, sign_e: int = -1) -> PolyDiffOperator:
     return PolyDiffOperator(terms)
 
 
-def pseudo_spin(i: int) -> PolyDiffOperator:
-    """Pseudo-angular-momentum component L_i = H_i / 2, i in {1, 2, 3}."""
-    if i == 1:
-        return 0.5 * h1()
-    if i == 2:
-        return 0.5 * h2()
-    if i == 3:
-        return 0.5 * h3()
-    raise ValueError(f"component index must be 1, 2 or 3, got {i}")
-
-
 @lru_cache(maxsize=None)
 def _rotation_weights(d: int) -> np.ndarray:
     """Signed double binomials W_d of the degree-d rotation, read-only.
@@ -189,6 +178,25 @@ def dilate(D: PolyDiffOperator, lx: float, ly: float) -> PolyDiffOperator:
     return PolyDiffOperator(
         {(p, q, a, b): c * lx ** (a - p) * ly ** (b - q) for (p, q, a, b), c in D.terms.items()}
     )
+
+
+def level_matrix(D: PolyDiffOperator, order: int) -> np.ndarray:
+    """Matrix of D from the Hs level ``order`` onto the Hermite-Gauss products.
+
+    Entry [nx, ny, k] is <nx, ny| D |order - k, k> (the products of
+    ``modes.hlg_block``); nx, ny run over D's whole image.  On each axis x
+    is (a + a^T)/2 and d/dx is a - a^T, with a[k-1, k] = sqrt(k).
+    """
+    size = order + 1 + max((sum(key) for key in D.terms), default=0)
+    a = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+    pos, der = 0.5 * (a + a.T), a - a.T
+    out = np.zeros((size, size, order + 1), dtype=complex)
+    # each factor moves an index by one, so the truncation at ``size`` is exact
+    for (p, q, dx, dy), c in D.terms.items():
+        mx = np.linalg.matrix_power(pos, p) @ np.linalg.matrix_power(der, dx)
+        my = np.linalg.matrix_power(pos, q) @ np.linalg.matrix_power(der, dy)
+        out += c * (mx[:, None, order::-1] * my[None, :, : order + 1])
+    return out
 
 
 def expectation(s: GaussianPolyState, D: PolyDiffOperator) -> complex:

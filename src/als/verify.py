@@ -6,7 +6,7 @@ Each suite re-derives one block of the library's guarantees and reports
 * ``algebra``     operator-coefficient identities (commutators, Casimir)
 * ``spectra``     eigenvalue residuals, orthonormality, and the dilation
                   identity U^-1 Hphys(beta) U = Hperp(alpha(beta))
-* ``observables`` closed forms vs exact inner products
+* ``observables`` closed forms vs expectations on level vectors
 * ``fields``      divergence/curl consistency of the boundary field model
 * ``wigner``      rotation-matrix expansion of the mode family
 * ``berry``       solid angles and geometric phases
@@ -31,16 +31,16 @@ from .modes import (
     ModeIndex,
     beta_to_alpha,
     euler_angles,
+    hlg_block,
     hlg_state,
+    lg_basis,
     schwinger_state,
     wigner_decompose,
 )
-from .observables import energy, mean_lz, mean_r2, measure
+from .observables import R2_OP, energy, mean_lz, mean_r2
 from .operators import (
     casimir,
     dilate,
-    eigen_residual,
-    expectation,
     h1,
     h2,
     h3,
@@ -48,7 +48,7 @@ from .operators import (
     h_perp,
     h_phys,
     hs,
-    pseudo_spin,
+    level_matrix,
     schwinger_operator,
 )
 from .specfun import wigner_small_d
@@ -78,12 +78,25 @@ class IdentityResult:
         return d
 
 
-def _modes_up_to(max_order: int) -> list[ModeIndex]:
-    return [
-        ModeIndex(n, total - n)
-        for total in range(max_order + 1)
-        for n in range(total + 1)
-    ]
+def _level(order: int, alpha: float) -> tuple[list[ModeIndex], np.ndarray]:
+    """Modes (n, order - n), n = 0..order, and their hlg_block vectors as columns."""
+    modes = [ModeIndex(n, order - n) for n in range(order + 1)]
+    return modes, np.array([hlg_block(md.n, md.m, alpha) for md in modes]).T
+
+
+def _eigen_residual(D: PolyDiffOperator, vecs: np.ndarray, lams) -> float:
+    """Largest ||D v - lam v|| over the level vectors in the columns of vecs, over D's whole image."""
+    r = level_matrix(D, len(vecs) - 1) @ vecs
+    ks = np.arange(len(vecs))
+    r[ks[::-1], ks] -= vecs * np.asarray(lams)
+    return float(np.linalg.norm(r, axis=(0, 1)).max())
+
+
+def _worst_expectation(matrix: np.ndarray, vecs: np.ndarray, closed) -> float:
+    """Largest |v^H D v - closed| over the columns v of vecs, given D's level_matrix."""
+    ks = np.arange(len(vecs))
+    values = np.einsum("ki,kl,li->i", vecs.conj(), matrix[ks[::-1], ks], vecs)
+    return float(np.abs(values - closed).max())
 
 
 def suite_algebra(max_order: int) -> list[IdentityResult]:
@@ -91,7 +104,7 @@ def suite_algebra(max_order: int) -> list[IdentityResult]:
     out: list[IdentityResult] = []
     h = {1: h1(), 2: h2(), 3: h3()}
     iso = hs()
-    spin = {i: pseudo_spin(i) for i in h}
+    spin = {i: 0.5 * op for i, op in h.items()}
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -148,53 +161,44 @@ def suite_algebra(max_order: int) -> list[IdentityResult]:
 def suite_spectra(max_order: int) -> list[IdentityResult]:
     t = 1e-10
     out: list[IdentityResult] = []
-    modes = _modes_up_to(max_order)
     alphas = [float(a) for a in np.linspace(0.0, math.pi / 2, 9)]
     ops = [(h_perp(a, -1), h_perp(a, +1), h_as(a, -1)) for a in alphas]
-
-    worst = {(-1): 0.0, (+1): 0.0}
-    worst_as = 0.0
-    for mode in modes:
-        for alpha, (electron, positron, asym) in zip(alphas, ops):
-            s = hlg_state(mode.n, mode.m, alpha)
-            worst[-1] = max(worst[-1], eigen_residual(s, electron, 2 * mode.n + 1))
-            worst[+1] = max(worst[+1], eigen_residual(s, positron, 2 * mode.m + 1))
-            worst_as = max(worst_as, eigen_residual(s, asym, mode.l))
-    out.append(IdentityResult("spectra", "Hperp eigenvalue 2(n+1/2), electron", worst[-1], t))
-    out.append(IdentityResult("spectra", "Hperp eigenvalue 2(m+1/2), positron", worst[+1], t))
-    out.append(IdentityResult("spectra", "Has eigenvalue -sign_e l", worst_as, t))
-
     cas = casimir()
-    worst_cas = 0.0
-    worst_norm = 0.0
-    for mode in modes:
-        hg = hlg_state(mode.n, mode.m, 0.0)
-        lam = 0.25 * ((mode.n + mode.m + 1) ** 2 - 1)
-        worst_cas = max(worst_cas, eigen_residual(hg, cas, lam))
-        # the unit state is the mode sum over sqrt(pi 2^(n+m-1) n! m!)
-        s = hlg_state(mode.n, mode.m, math.pi / 8)
-        worst_norm = max(worst_norm, abs(inner_product(s, s) - 1.0))
+
+    worst_e = worst_p = worst_as = worst_cas = worst_norm = worst_on = 0.0
+    for order in range(max_order + 1):
+        for alpha, (electron, positron, asym) in zip(alphas, ops):
+            modes, vecs = _level(order, alpha)
+            worst_e = max(worst_e, _eigen_residual(electron, vecs, [2 * md.n + 1 for md in modes]))
+            worst_p = max(worst_p, _eigen_residual(positron, vecs, [2 * md.m + 1 for md in modes]))
+            worst_as = max(worst_as, _eigen_residual(asym, vecs, [md.l for md in modes]))
+            # |v|^2 = sum_k |c_k|^2 (N-k)! k! / (n! m!): 1 is the paper's norm formula
+            worst_norm = max(worst_norm, float(np.abs(np.linalg.norm(vecs, axis=0) ** 2 - 1.0).max()))
+            # modes on different levels are orthogonal because their Hermite products are
+            worst_on = max(worst_on, float(np.abs(vecs.conj().T @ vecs - np.eye(order + 1)).max()))
+            if alpha == 0.0:
+                worst_cas = max(worst_cas, _eigen_residual(cas, vecs, 0.25 * ((order + 1) ** 2 - 1)))
+    out.append(IdentityResult("spectra", "Hperp eigenvalue 2(n+1/2), electron", worst_e, t))
+    out.append(IdentityResult("spectra", "Hperp eigenvalue 2(m+1/2), positron", worst_p, t))
+    out.append(IdentityResult("spectra", "Has eigenvalue -sign_e l", worst_as, t))
     out.append(IdentityResult("spectra", "Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis", worst_cas, t))
     out.append(IdentityResult("spectra", "norm^2 = pi 2^(n+m-1) n! m!", worst_norm, t))
-
-    worst_on = 0.0
-    for alpha in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8):
-        states = [hlg_state(md.n, md.m, alpha) for md in modes]
-        for i, a in enumerate(states):
-            for b in states[i:]:
-                ip = inner_product(a, b)
-                ref = 1.0 if a is b else 0.0
-                worst_on = max(worst_on, abs(ip - ref))
     out.append(IdentityResult("spectra", "orthonormality of the mode basis", worst_on, t))
 
     rng = np.random.default_rng(7)
     worst_sch = 0.0
-    for mode in _modes_up_to(min(max_order, 6)):
-        phi = float(rng.uniform(0, 2 * math.pi))
-        alpha = float(rng.uniform(0, math.pi / 2))
-        s = schwinger_state(mode.n, mode.m, alpha, phi)
-        lam = energy(mode.n_r, mode.l, -1)
-        worst_sch = max(worst_sch, eigen_residual(s, schwinger_operator(phi, alpha, -1), lam))
+    for order in range(max_order + 1):
+        basis = lg_basis(order)
+        lz = order - 2 * np.arange(order + 1)
+        for n in range(order + 1):
+            mode = ModeIndex(n, order - n)
+            phi = float(rng.uniform(0, 2 * math.pi))
+            alpha = float(rng.uniform(0, math.pi / 2))
+            # the rotation by phi is a phase in the Laguerre-Gauss basis
+            coords = np.exp(-1j * phi * lz) * (basis.conj() @ hlg_block(mode.n, mode.m, alpha))
+            sch = schwinger_operator(phi, alpha, -1)
+            lam = energy(mode.n_r, mode.l, -1)
+            worst_sch = max(worst_sch, _eigen_residual(sch, (basis.T @ coords)[:, None], lam))
     out.append(IdentityResult("spectra", "rotated-family eigenvalue 2 n_r + |l| + l + 1", worst_sch, t))
 
     worst_dil = 0.0
@@ -210,31 +214,30 @@ def suite_spectra(max_order: int) -> list[IdentityResult]:
 def suite_observables(max_order: int) -> list[IdentityResult]:
     t = 1e-10
     out: list[IdentityResult] = []
-    modes = _modes_up_to(max_order)
-    alphas = np.linspace(0.0, math.pi / 2, 9)
+    alphas = [float(a) for a in np.linspace(0.0, math.pi / 2, 9)]
+    electron = [h_perp(a, -1) for a in alphas]
     cas = casimir()
 
-    worst_lz = worst_r2 = worst_e = worst_cas = 0.0
-    for mode in modes:
-        for alpha in alphas:
-            s = hlg_state(mode.n, mode.m, float(alpha))
-            e, r2, lz = measure(s, float(alpha), -1)
-            worst_lz = max(worst_lz, abs(lz - mean_lz(mode.l, float(alpha))))
-            worst_r2 = max(worst_r2, abs(r2 - mean_r2(mode.n_r, mode.l)))
-            worst_e = max(worst_e, abs(e - energy(mode.n_r, mode.l, -1)))
-        hg = hlg_state(mode.n, mode.m, 0.0)
-        j = mode.j
-        worst_cas = max(worst_cas, abs(expectation(hg, cas).real - j * (j + 1)))
+    worst_lz = worst_r2 = worst_e = worst_cas = worst_deg = 0.0
+    for order in range(max_order + 1):
+        lz_matrix, r2_matrix = level_matrix(h3(), order), level_matrix(R2_OP, order)
+        for alpha, hp in zip(alphas, electron):
+            modes, vecs = _level(order, alpha)
+            worst_lz = max(worst_lz, _worst_expectation(lz_matrix, vecs, [mean_lz(md.l, alpha) for md in modes]))
+            worst_r2 = max(worst_r2, _worst_expectation(r2_matrix, vecs, [mean_r2(md.n_r, md.l) for md in modes]))
+            e = [energy(md.n_r, md.l, -1) for md in modes]
+            worst_e = max(worst_e, _worst_expectation(level_matrix(hp, order), vecs, e))
+            if alpha == 0.0:
+                j = 0.5 * order
+                worst_cas = max(worst_cas, _worst_expectation(level_matrix(cas, order), vecs, j * (j + 1)))
+        for md in modes:
+            e_minus = energy(md.n_r, md.l, -1)
+            e_plus = energy(md.n_r, md.l, +1)
+            worst_deg = max(worst_deg, abs(e_minus - (2 * md.n + 1)), abs(e_plus - (2 * md.m + 1)))
     out.append(IdentityResult("observables", "<Lz> = l sin(2 alpha)", worst_lz, t))
     out.append(IdentityResult("observables", "<r^2> = (2 n_r + |l| + 1)/2, alpha independent", worst_r2, t))
     out.append(IdentityResult("observables", "<Hperp> matches the closed-form energy", worst_e, t))
     out.append(IdentityResult("observables", "<Casimir> = j(j+1)", worst_cas, t))
-
-    worst_deg = 0.0
-    for mode in modes:
-        e_minus = energy(mode.n_r, mode.l, -1)
-        e_plus = energy(mode.n_r, mode.l, +1)
-        worst_deg = max(worst_deg, abs(e_minus - (2 * mode.n + 1)), abs(e_plus - (2 * mode.m + 1)))
     out.append(IdentityResult("observables", "energy degeneracy in m (electron) / n (positron)", worst_deg, t))
     return out
 

@@ -11,11 +11,18 @@
   which stays valid for integer parameters down to ``a, b = -k`` because
   binomials with an oversized lower index vanish; the unfolded defining
   sum of the mode family carries a Jacobi factor.
+* ``quadrature_moments(vec)`` integrates the norm and <r^2> of a level
+  vector over positions, by Gauss-Hermite quadrature on the normalised
+  Hermite functions of the stable three-term recurrence
+  (``hermite_functions``).
 
-Their own checks are in ``test_specfun.py``.
+The polynomials' own checks are in ``test_specfun.py``.
 """
 
+import math
 from math import comb
+
+import numpy as np
 
 from als.specfun import PolyCoeffs
 
@@ -54,3 +61,32 @@ def jacobi_eval(k: int, a: int, b: int, x: float) -> float:
         if c:
             total += c * um**s * up ** (k - s)
     return total
+
+
+def hermite_functions(kmax: int, u: np.ndarray) -> np.ndarray:
+    """Normalised Hermite functions h_0..h_kmax at u, by the stable recurrence."""
+    h = np.empty((kmax + 1, u.size))
+    h[0] = math.pi**-0.25 * np.exp(-0.5 * u * u)
+    if kmax:
+        h[1] = math.sqrt(2.0) * u * h[0]
+    for k in range(1, kmax):
+        h[k + 1] = math.sqrt(2.0 / (k + 1)) * u * h[k] - math.sqrt(k / (k + 1)) * h[k - 1]
+    return h
+
+
+def quadrature_moments(vec: np.ndarray) -> tuple[float, float]:
+    """<psi|psi> and <psi|r^2|psi> for psi = sum_k vec[k] |N-k, k>, N = len(vec) - 1.
+
+    In u = sqrt2 x and w = sqrt2 y the product |N-k, k> is h_{N-k}(u) h_k(w)
+    and r^2 = (u^2 + w^2)/2, so both integrands are exp(-u^2 - w^2) times a
+    polynomial of degree at most 2N + 2 per axis: N + 3 Gauss-Hermite nodes
+    per axis integrate them exactly.
+    """
+    order = len(vec) - 1
+    t, weights = np.polynomial.hermite.hermgauss(order + 3)
+    # the polynomial part h_k(t) exp(t^2/2), times the root of each node's
+    # weight so that |psi|^2 carries the whole weight
+    h = hermite_functions(order, t) * np.sqrt(weights * np.exp(t * t))
+    psi = (h[::-1].T * vec) @ h
+    dens = np.abs(psi) ** 2
+    return float(dens.sum()), float(0.5 * (dens * (t[:, None] ** 2 + t**2)).sum())

@@ -23,10 +23,15 @@ from als.modes import (
     schwinger_state,
     wigner_decompose,
 )
+from als.observables import mean_r2
 from als.specfun import hermite
-from oracles import jacobi_eval, laguerre
+from oracles import jacobi_eval, laguerre, quadrature_moments
 
-rng = np.random.default_rng(303)
+
+@pytest.fixture
+def rng():
+    """A generator per test, so its samples do not depend on which tests ran before."""
+    return np.random.default_rng(303)
 
 
 def direct_mode_sum(n, m, alpha, x, y):
@@ -144,7 +149,7 @@ class TestModeConstruction:
             assert set(s.terms) == {(0, 0)}
             assert s.terms[(0, 0)] == pytest.approx(math.sqrt(2 / math.pi), abs=1e-15)
 
-    def test_hermite_gauss_limit_phase(self):
+    def test_hermite_gauss_limit_phase(self, rng):
         # alpha = 0: normalized Hermite product carrying the (-i)^m phase
         for n, m in [(1, 0), (0, 1), (2, 3), (4, 2)]:
             s = hlg_state(n, m, 0.0)
@@ -156,7 +161,7 @@ class TestModeConstruction:
                 assert abs(evaluate(s, x, y) - ref) <= 1e-13
 
     @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (3, 2), (0, 4), (3, 3)])
-    def test_against_direct_defining_sum(self, n, m):
+    def test_against_direct_defining_sum(self, n, m, rng):
         for alpha in (math.pi / 4, math.pi / 8, 1.1, 0.2):
             s = hlg_state(n, m, alpha)
             for x, y in rng.uniform(-2, 2, size=(20, 2)):
@@ -183,7 +188,7 @@ class TestModeConstruction:
                     assert abs(inner_product(a, b) - ref) <= 1e-10
 
     @pytest.mark.parametrize("n,m", [(1, 0), (0, 1), (3, 0), (1, 3), (2, 2), (4, 1)])
-    def test_twisted_limit_closed_form(self, n, m):
+    def test_twisted_limit_closed_form(self, n, m, rng):
         # compare pointwise up to one global phase fixed at the first point
         s = hlg_state(n, m, math.pi / 4)
         pts = rng.uniform(-1.5, 1.5, size=(15, 2))
@@ -258,6 +263,17 @@ class TestHlgBlock:
             basis = np.array([hlg_block(order - k, k, math.pi / 4) for k in range(order + 1)])
             assert np.abs(basis @ basis.conj().T - np.eye(order + 1)).max() <= 1e-13
 
+    def test_norm_and_mean_r2_by_quadrature(self):
+        # position-space oracle: within one level r^2 is (N+1)/2 times the
+        # identity, so only an integral over positions checks <r^2>
+        for order in range(ORDER_CAP + 1):
+            for n in range(order + 1):
+                mode = ModeIndex(n, order - n)
+                for alpha in map(float, self.ALPHA_GRID):
+                    norm, r2 = quadrature_moments(hlg_block(n, order - n, alpha))
+                    assert abs(norm - 1.0) <= 1e-13, (n, order - n, alpha, norm)
+                    assert abs(r2 - mean_r2(mode.n_r, mode.l)) <= 1e-12, (n, order - n, alpha, r2)
+
     @pytest.mark.parametrize("n, m, alpha", [(-1, 0, 0.3), (15, 6, 0.3), (1, 0, -0.1), (1, 0, 2.0)])
     def test_rejects_what_hlg_state_rejects(self, n, m, alpha):
         with pytest.raises(ValueError) as expected:
@@ -275,7 +291,7 @@ class TestHlgBlock:
 
 
 class TestEulerAngles:
-    def test_defining_equations(self):
+    def test_defining_equations(self, rng):
         for _ in range(40):
             phi = float(rng.uniform(-math.pi, 2 * math.pi))
             alpha = float(rng.uniform(0, math.pi / 2))
@@ -315,7 +331,7 @@ class TestRotatedStates:
             keys = set(a.terms) | set(b.terms)
             assert max(abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) for k in keys) <= 1e-12
 
-    def test_norm_preserved(self):
+    def test_norm_preserved(self, rng):
         for _ in range(5):
             phi = float(rng.uniform(0, 2 * math.pi))
             s = schwinger_state(3, 1, 0.7, phi)
@@ -328,7 +344,7 @@ class TestWignerDecomposition:
         for mp, c in coeffs.items():
             assert abs(c - (1.0 if mp == 0.5 else 0.0)) <= 1e-14
 
-    def test_unitarity(self):
+    def test_unitarity(self, rng):
         for tj in range(1, 9):
             j = tj / 2
             A, B, C = rng.uniform(-math.pi, math.pi, size=3)
@@ -343,7 +359,7 @@ class TestWignerDecomposition:
             A, B, C = euler_angles(0.0, alpha)
             assert expansion_error(1.0, 1.0, (A, B, C), hlg_state(2, 0, alpha)) <= 1e-10
 
-    def test_reconstructs_rotated_modes_j_one(self):
+    def test_reconstructs_rotated_modes_j_one(self, rng):
         for _ in range(4):
             phi = float(rng.uniform(0, 2 * math.pi))
             alpha = float(rng.uniform(0, math.pi / 2))
@@ -352,7 +368,7 @@ class TestWignerDecomposition:
                 ref = schwinger_state(n, m, alpha, phi)
                 assert expansion_error(1.0, m_l, (A, B, C), ref) <= 1e-10
 
-    def test_reconstruction_all_ranks_to_four(self):
+    def test_reconstruction_all_ranks_to_four(self, rng):
         for tj in range(1, 9):
             j = tj / 2
             phi = float(rng.uniform(0, 2 * math.pi))

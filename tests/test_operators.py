@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from als.gstate import PolyDiffOperator, apply, inner_product, op_commutator
-from als.modes import beta_to_alpha, hlg_state, schwinger_state
+from als.modes import beta_to_alpha, hlg_block, hlg_state, schwinger_state
+from als.observables import R2_OP
 from als.operators import (
     casimir,
     dilate,
@@ -21,7 +22,7 @@ from als.operators import (
     h_perp,
     h_phys,
     hs,
-    pseudo_spin,
+    level_matrix,
     rotate,
     schwinger_operator,
     spin_axis,
@@ -103,7 +104,7 @@ class TestBuild:
 class TestCommutators:
     def test_pseudo_spin_algebra_all_pairs(self):
         eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-        spin = {i: pseudo_spin(i) for i in (1, 2, 3)}
+        spin = {1: 0.5 * h1(), 2: 0.5 * h2(), 3: 0.5 * h3()}
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 lhs = op_commutator(spin[i], spin[j])
@@ -347,6 +348,36 @@ class TestEigenResidual:
             assert eigen_residual(s, casimir(), lam) <= 1e-10
 
 
+class TestLevelMatrix:
+    # Oracle: apply() on the term maps, projected onto the products with
+    # hlg_state(nx, ny, 0) = (-i)^ny |nx, ny>.  The term maps are exact to
+    # 1e-13 only up to order 8, so only outputs on levels <= 8 are compared.
+    LOW = 8
+    PRODUCTS = {
+        (nx, total - nx): hlg_state(nx, total - nx, 0.0)
+        for total in range(LOW + 1)
+        for nx in range(total + 1)
+    }
+
+    @pytest.mark.parametrize(
+        "op",
+        [hs(), h1(), h2(), h3(), casimir(), R2_OP, h_perp(0.7, -1), h_perp(0.7, +1),
+         h_as(0.7, -1), schwinger_operator(1.1, 0.4, -1)],
+        ids=["hs", "h1", "h2", "h3", "casimir", "r2", "h_perp-", "h_perp+", "h_as", "schwinger"],
+    )
+    def test_matches_apply_on_term_maps(self, op):
+        worst = 0.0
+        for order in range(self.LOW + 1):
+            matrix = level_matrix(op, order)
+            for n in range(order + 1):
+                image = matrix @ hlg_block(n, order - n, 0.3)
+                ref = apply(op, hlg_state(n, order - n, 0.3))
+                for (nx, ny), product in self.PRODUCTS.items():
+                    got = image[nx, ny] if max(nx, ny) < len(image) else 0.0
+                    worst = max(worst, abs(got - (-1j) ** ny * inner_product(product, ref)))
+        assert worst <= 2e-12, worst
+
+
 class TestSpinAxis:
     def test_north_pole(self):
         assert spin_axis(0.7, math.pi / 4) == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
@@ -393,9 +424,9 @@ class TestSchwingerApply:
                 s = schwinger_state(n, m, alpha, phi)
                 axis = spin_axis(phi, alpha)
                 proj = (
-                    float(axis[0]) * pseudo_spin(1)
-                    + float(axis[1]) * pseudo_spin(2)
-                    + float(axis[2]) * pseudo_spin(3)
+                    float(axis[0]) * (0.5 * h1())
+                    + float(axis[1]) * (0.5 * h2())
+                    + float(axis[2]) * (0.5 * h3())
                 )
                 m_l = 0.5 * (n - m)
                 assert eigen_residual(s, proj, m_l) <= 1e-10

@@ -3,6 +3,7 @@
 import pytest
 
 from als import verify
+from als.modes import ORDER_CAP
 
 
 def test_repeated_suite_is_rejected():
@@ -10,12 +11,7 @@ def test_repeated_suite_is_rejected():
         verify.run(["algebra", "spectra", "algebra"], max_order=2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the monomial state layer loses precision above "
-    "order 12; <Hperp> and <Casimir> miss 1e-10 at order 13",
-)
-def test_observables_hold_at_order_13():
-    failed = [(r.identity, r.residual) for r in verify.suite_observables(13) if not r.passed]
-    assert not failed, failed
+def test_spectra_and_observables_hold_at_the_order_cap():
+    rows = verify.suite_spectra(ORDER_CAP) + verify.suite_observables(ORDER_CAP)
+    failed = [(r.identity, r.residual) for r in rows if not r.passed]
+    assert len(rows) == 13 and not failed, failed
