@@ -7,6 +7,7 @@ endings, sorted JSON keys, deterministic row order.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 
 import jsonschema
@@ -24,8 +25,20 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+@lru_cache(maxsize=None)
+def _validator(schema_name: str):
+    """One validator per shipped schema.  Unlike ``jsonschema.validate`` it does
+    not re-check the schema against its metaschema on every call; the tests
+    run ``check_schema`` on each shipped schema instead."""
+    schema = load_schema(schema_name)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def validate(obj: dict, schema_name: str) -> None:
-    jsonschema.validate(obj, load_schema(schema_name))
+    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate`` would."""
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(obj))
+    if error is not None:
+        raise error
 
 
 def write_json(path, obj: dict, schema_name: str | None = None) -> None:
@@ -46,16 +59,23 @@ def write_grid_csv(
 ) -> None:
     """Grid CSV: comment row with the grid spec, then ny rows of nx values.
 
-    Each row goes through one ``%``-template; ``'%.17g' % x`` and ``fmt(x)``
-    use the same float formatter, so the bytes are those of ``fmt``.
+    Each distinct value is formatted once, keyed on its bits (so ``-0.0`` and
+    ``0.0`` stay apart), and rows are joined from those strings.  The
+    densities ``als`` writes repeat most values through their parity and
+    mirror symmetries.  ``'%.17g' % x`` and ``fmt(x)`` use the same float
+    formatter, so the bytes are those of ``fmt``.
     """
+    grid = np.ascontiguousarray(grid, dtype=np.float64)
     ny, nx = grid.shape
-    row_fmt = ",".join(["%.17g"] * nx) + "\n"
+    # ravel first: NumPy 2.0 changed the shape of return_inverse for N-d input
+    bits, inverse = np.unique(grid.view(np.uint64).ravel(), return_inverse=True)
+    text = "%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())
+    text = np.array(text.split("\n")[:-1], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             "# " + ",".join([fmt(x_min), fmt(x_max), fmt(y_min), fmt(y_max), str(nx), str(ny)]) + "\n"
         )
-        fh.writelines(row_fmt % tuple(row.tolist()) for row in grid)
+        fh.writelines(",".join(text[row].tolist()) + "\n" for row in inverse.reshape(ny, nx))
 
 
 def write_table_csv(path, header: list[str], rows: list[list]) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -78,10 +78,17 @@ class IdentityResult:
         return d
 
 
-def _level(order: int, alpha: float) -> tuple[list[ModeIndex], np.ndarray]:
-    """Modes (n, order - n), n = 0..order, and their hlg_block vectors as columns."""
-    modes = [ModeIndex(n, order - n) for n in range(order + 1)]
-    return modes, np.array([hlg_block(md.n, md.m, alpha) for md in modes]).T
+@lru_cache(maxsize=None)
+def _level(order: int, alpha: float) -> tuple[tuple[ModeIndex, ...], np.ndarray]:
+    """Modes (n, order - n), n = 0..order, and their hlg_block vectors as columns.
+
+    Cached: the spectra and observables suites walk the same levels and
+    angles.  The array is read-only because every caller shares it.
+    """
+    modes = tuple(ModeIndex(n, order - n) for n in range(order + 1))
+    vecs = np.array([hlg_block(md.n, md.m, alpha) for md in modes]).T
+    vecs.setflags(write=False)
+    return modes, vecs
 
 
 def _eigen_residual(D: PolyDiffOperator, vecs: np.ndarray, lams) -> float:
