@@ -33,7 +33,7 @@ from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import GaussianPolyState, density_grid, inner_product
 from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_state, schwinger_state
-from .observables import energy, mean_lz, mean_r2, measure
+from .observables import energy, mean_lz, mean_r2, sweep
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 
 
@@ -402,9 +402,9 @@ def table(n, m, nr, l, alpha_min, alpha_max, steps, sign_e, omega, rho_h, out):
     ]
     e_c = _in_units(energy(mode.n_r, mode.l, sign_e), omega, "energy x omega")
     r_c = _in_units(mean_r2(mode.n_r, mode.l), rho_h * rho_h, "r^2 x rho_h^2")
+    alphas = [float(a) for a in np.linspace(alpha_min, alpha_max, steps)]
     rows = []
-    for a in map(float, np.linspace(alpha_min, alpha_max, steps)):
-        e_x, r_x, lz_x = measure(hlg_state(mode.n, mode.m, a), a, sign_e)
+    for a, (e_x, r_x, lz_x) in zip(alphas, sweep(mode.n, mode.m, alphas, sign_e)):
         e_x = _in_units(e_x, omega, "energy x omega")
         r_x = _in_units(r_x, rho_h * rho_h, "r^2 x rho_h^2")
         lz_c = mean_lz(mode.l, a)

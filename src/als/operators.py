@@ -180,6 +180,16 @@ def dilate(D: PolyDiffOperator, lx: float, ly: float) -> PolyDiffOperator:
     )
 
 
+@lru_cache(maxsize=None)
+def _axis_factor(size: int, p: int, d: int) -> np.ndarray:
+    """x^p (d/dx)^d on one axis, truncated to ``size`` oscillator states; read-only."""
+    a = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+    pos, der = 0.5 * (a + a.T), a - a.T
+    out = np.linalg.matrix_power(pos, p) @ np.linalg.matrix_power(der, d)
+    out.flags.writeable = False
+    return out
+
+
 def level_matrix(D: PolyDiffOperator, order: int) -> np.ndarray:
     """Matrix of D from the Hs level ``order`` onto the Hermite-Gauss products.
 
@@ -188,13 +198,10 @@ def level_matrix(D: PolyDiffOperator, order: int) -> np.ndarray:
     is (a + a^T)/2 and d/dx is a - a^T, with a[k-1, k] = sqrt(k).
     """
     size = order + 1 + max((sum(key) for key in D.terms), default=0)
-    a = np.diag(np.sqrt(np.arange(1.0, size)), 1)
-    pos, der = 0.5 * (a + a.T), a - a.T
     out = np.zeros((size, size, order + 1), dtype=complex)
     # each factor moves an index by one, so the truncation at ``size`` is exact
     for (p, q, dx, dy), c in D.terms.items():
-        mx = np.linalg.matrix_power(pos, p) @ np.linalg.matrix_power(der, dx)
-        my = np.linalg.matrix_power(pos, q) @ np.linalg.matrix_power(der, dy)
+        mx, my = _axis_factor(size, p, dx), _axis_factor(size, q, dy)
         out += c * (mx[:, None, order::-1] * my[None, :, : order + 1])
     return out
 

@@ -15,6 +15,9 @@
   vector over positions, by Gauss-Hermite quadrature on the normalised
   Hermite functions of the stable three-term recurrence
   (``hermite_functions``).
+* ``measured_observables(n, m, alpha, sign_e)`` is the per-state
+  (energy, <r^2>, <Lz>) of one mode's term map, by ``apply`` and
+  ``inner_product``; ``observables.sweep`` must reproduce it.
 
 The polynomials' own checks are in ``test_specfun.py``.
 """
@@ -24,6 +27,10 @@ from math import comb
 
 import numpy as np
 
+from als.gstate import apply, inner_product
+from als.modes import hlg_state
+from als.observables import R2_OP
+from als.operators import expectation, h3, h_perp
 from als.specfun import PolyCoeffs
 
 
@@ -90,3 +97,13 @@ def quadrature_moments(vec: np.ndarray) -> tuple[float, float]:
     psi = (h[::-1].T * vec) @ h
     dens = np.abs(psi) ** 2
     return float(dens.sum()), float(0.5 * (dens * (t[:, None] ** 2 + t**2)).sum())
+
+
+def measured_observables(n: int, m: int, alpha: float, sign_e: int) -> tuple[float, float, float]:
+    """Energy and <Lz> normalised, <r^2> not, on the term map of psi_{n,m}(alpha)."""
+    st = hlg_state(n, m, alpha)
+    return (
+        expectation(st, h_perp(alpha, sign_e)).real,
+        inner_product(st, apply(R2_OP, st)).real,
+        expectation(st, h3()).real,
+    )

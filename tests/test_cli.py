@@ -299,6 +299,19 @@ class TestTableCommand:
             assert row[idx["r2_closed_rhoH2"]] == 2.0
             assert abs(row[idx["r2_delta"]]) <= 1e-10
 
+    def test_order_ten_deltas_stay_at_rounding(self, tmp_path):
+        out = tmp_path / "table.csv"
+        result = runner.invoke(
+            main, ["table", "--nr", "1", "--l", "8", "--steps", "256", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        deltas = [k for k, name in enumerate(header) if name.endswith("_delta")]
+        assert len(deltas) == 3 and len(lines) == 257
+        worst = max(abs(float(ln.split(",")[k])) for ln in lines[1:] for k in deltas)
+        assert worst <= 5e-12, worst
+
     def test_energy_and_r2_constant_across_sweep(self, tmp_path):
         out = tmp_path / "table.csv"
         runner.invoke(

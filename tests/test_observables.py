@@ -7,8 +7,9 @@ import pytest
 
 from als.gstate import apply, inner_product
 from als.modes import ModeIndex, hlg_state
-from als.observables import R2_OP, energy, mean_lz, mean_r2
+from als.observables import R2_OP, energy, mean_lz, mean_r2, sweep
 from als.operators import expectation, h3, h_perp
+from oracles import measured_observables
 
 rng = np.random.default_rng(505)
 
@@ -86,3 +87,42 @@ class TestMeanLz:
                     (n - m) * math.sin(2 * float(alpha)), abs=1e-11
                 )
 
+
+class TestSweep:
+    ALPHAS = [0.0, math.pi / 8, math.pi / 4, math.pi / 2] + [
+        float(a) for a in np.random.default_rng(606).uniform(0, math.pi / 2, size=5)
+    ]
+
+    @pytest.mark.parametrize("sign_e", [-1, +1])
+    @pytest.mark.parametrize("order", range(9))
+    def test_matches_per_state_oracle(self, order, sign_e):
+        # The term-map oracle's own energy is off the closed form by up to
+        # 2e-12 at order 8, so its energy comparison allows for that noise;
+        # test_matches_closed_forms bounds sweep itself at 5e-13.
+        tols = (5e-12, 1e-12, 1e-12)
+        for n in range(order + 1):
+            rows = sweep(n, order - n, self.ALPHAS, sign_e)
+            assert len(rows) == len(self.ALPHAS)
+            for a, row in zip(self.ALPHAS, rows):
+                ref = measured_observables(n, order - n, a, sign_e)
+                for got, want, tol in zip(row, ref, tols):
+                    assert abs(got - want) <= tol, (n, a, got, want)
+
+    @pytest.mark.parametrize("sign_e", [-1, +1])
+    def test_matches_closed_forms(self, sign_e):
+        worst = 0.0
+        for order in range(9):
+            for n in range(order + 1):
+                mode = ModeIndex(n, order - n)
+                for a, row in zip(self.ALPHAS, sweep(n, order - n, self.ALPHAS, sign_e)):
+                    closed = (
+                        energy(mode.n_r, mode.l, sign_e), mean_r2(mode.n_r, mode.l), mean_lz(mode.l, a)
+                    )
+                    worst = max(worst, *(abs(x - y) for x, y in zip(row, closed)))
+        assert worst <= 5e-13, worst
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            sweep(1, 1, [0.0], 0)
+        with pytest.raises(ValueError):
+            sweep(1, 1, [2.0], -1)

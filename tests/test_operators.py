@@ -377,6 +377,14 @@ class TestLevelMatrix:
                     worst = max(worst, abs(got - (-1j) ** ny * inner_product(product, ref)))
         assert worst <= 2e-12, worst
 
+    def test_result_is_a_fresh_array(self):
+        first = level_matrix(h1(), 4)
+        ref = first.copy()
+        first[...] = 7.0
+        again = level_matrix(h1(), 4)
+        assert again is not first
+        assert np.array_equal(again, ref)
+
 
 class TestSpinAxis:
     def test_north_pole(self):
