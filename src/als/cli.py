@@ -32,9 +32,10 @@ from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import GaussianPolyState, density_grid, inner_product
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_state, schwinger_state
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, block_density, check_alpha, hlg_block, hlg_state, rotate_block
 from .observables import energy, mean_lz, mean_r2, sweep
 from .output import fmt, write_grid_csv, write_json, write_table_csv
+from .specfun import cell_centres
 
 
 class IOFailure(click.ClickException):
@@ -171,9 +172,7 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
         }
     ny, nx = grid.shape
     cell = 2 * extent / nx
-    xc = -extent + cell * (np.arange(nx) + 0.5)
-    yc = -extent + (2 * extent / ny) * (np.arange(ny) + 0.5)
-    X, Y = np.meshgrid(xc, yc)
+    X, Y = np.meshgrid(cell_centres(nx, -extent, extent), cell_centres(ny, -extent, extent))
     R = np.hypot(X, Y)
     peak = float(grid.max())
 
@@ -345,8 +344,8 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
     used = ModeIndex(nn, mm)
     bounds, grid_spec = _grid_bounds(extent, points, rho_h)
 
-    state = schwinger_state(used.n, used.m, a, phi)
-    grid = density_grid(state, -extent, extent, -extent, extent, points, points)
+    centres = cell_centres(points, -extent, extent)
+    grid = block_density(rotate_block(hlg_block(used.n, used.m, a), phi), centres, centres)
     norm = _norm_check(grid, extent)
     truncated = abs(norm - 1.0) > _TRUNCATION_TOL
     pattern = classify_pattern(grid, extent)

@@ -31,6 +31,8 @@ from math import comb, perm
 
 import numpy as np
 
+from .specfun import cell_centres
+
 # Coefficients below this magnitude are dropped from term maps.
 _PRUNE = 1e-300
 
@@ -261,20 +263,19 @@ def density_grid(
 
     The state is separable term by term, so with C[p, q] the monomial
     coefficients and T the per-axis tables of ``_axis_table``,
-    psi = Ty (Tx C)^T.
+    psi = Ty (Tx C)^T, formed in real arithmetic with ``einsum`` (no BLAS).
     """
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("grid ranges must have positive extent")
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    dx = (xmax - xmin) / nx
-    dy = (ymax - ymin) / ny
-    xc = xmin + dx * (np.arange(nx) + 0.5)
-    yc = ymin + dy * (np.arange(ny) + 0.5)
     pmax = max((p for p, _ in s.terms), default=0)
     qmax = max((q for _, q in s.terms), default=0)
     coeffs = np.zeros((pmax + 1, qmax + 1), dtype=complex)
     for (p, q), c in s.terms.items():
         coeffs[p, q] = c
-    vals = _axis_table(yc, qmax) @ (_axis_table(xc, pmax) @ coeffs).T
-    return vals.real**2 + vals.imag**2
+    tx = _axis_table(cell_centres(nx, xmin, xmax), pmax)
+    ty = _axis_table(cell_centres(ny, ymin, ymax), qmax)
+    re = np.einsum("jq,iq->ji", ty, np.einsum("ip,pq->iq", tx, coeffs.real))
+    im = np.einsum("jq,iq->ji", ty, np.einsum("ip,pq->iq", tx, coeffs.imag))
+    return re * re + im * im

@@ -43,7 +43,9 @@ hold exactly (as an SU(2) identity, including half-integer j).
 Within one level N = n + m the modes are unit (N+1)-vectors over the
 normalised Hermite-Gauss products |N-k, k> (``hlg_block``).  The
 alpha = pi/4 vectors form the Laguerre-Gauss basis (``lg_basis``): row k
-has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k)).
+has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k))
+(``rotate_block``).  ``block_density`` samples |psi|^2 of a level vector
+on a grid.
 """
 
 from __future__ import annotations
@@ -179,9 +181,46 @@ def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
     return np.array(hlg_coefficients(n, m, alpha)) * scale
 
 
+@lru_cache(maxsize=None)
 def lg_basis(order: int) -> np.ndarray:
-    """Laguerre-Gauss basis of the level: row k is hlg_block(order - k, k, pi/4)."""
-    return np.array([hlg_block(order - k, k, 0.25 * math.pi) for k in range(order + 1)])
+    """Laguerre-Gauss basis of the level, read-only: row k is hlg_block(order - k, k, pi/4)."""
+    basis = np.array([hlg_block(order - k, k, 0.25 * math.pi) for k in range(order + 1)])
+    basis.flags.writeable = False
+    return basis
+
+
+def rotate_block(vec: np.ndarray, phi: float) -> np.ndarray:
+    """Level vector of the state rotated by phi, as ``operators.rotate`` turns a term map.
+
+    In the Laguerre-Gauss basis the rotation is the phase exp(-i phi l_k),
+    l_k = N - 2k.  At phi = 0 the vector is returned as it is.
+    """
+    if phi == 0:
+        return vec
+    order = len(vec) - 1
+    basis = lg_basis(order)
+    lz = order - 2 * np.arange(order + 1)
+    # the phases have period 2 pi; fmod keeps phi * lz finite and every
+    # |phi| < 2 pi as it is
+    phase = np.exp(-1j * math.fmod(phi, 2.0 * math.pi) * lz)
+    return basis.T @ (phase * (basis.conj() @ vec))
+
+
+def block_density(vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|psi|^2 at (y_j, x_i), shape (len(y), len(x)), for the level vector vec.
+
+    psi = sum_k vec[k] phi_{N-k}(x) phi_k(y) over the Hermite-function
+    tables of ``specfun.hermite_functions``.  The real and imaginary parts
+    are contracted separately with ``einsum``, which calls no BLAS, so a
+    sign flip of every term (a mirror or the inversion of the level's
+    parity) gives the same bits.
+    """
+    order = len(vec) - 1
+    tx = specfun.hermite_functions(order, x)[::-1]  # row k: phi_{N-k}(x)
+    ty = specfun.hermite_functions(order, y)
+    re = np.einsum("kj,ki->ji", vec.real[:, None] * ty, tx)
+    im = np.einsum("kj,ki->ji", vec.imag[:, None] * ty, tx)
+    return re * re + im * im
 
 
 def hlg_state(n: int, m: int, alpha: float) -> GaussianPolyState:

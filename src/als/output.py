@@ -60,9 +60,10 @@ def write_grid_csv(
     """Grid CSV: comment row with the grid spec, then ny rows of nx values.
 
     Each distinct value is formatted once, keyed on its bits (so ``-0.0`` and
-    ``0.0`` stay apart), and rows are joined from those strings.  The
-    densities ``als`` writes repeat most values through their parity and
-    mirror symmetries.  ``'%.17g' % x`` and ``fmt(x)`` use the same float
+    ``0.0`` stay apart), and each distinct row is joined once, keyed on the
+    bytes of its row of value indices.  The densities ``als`` writes repeat
+    most values, and often whole rows, through their parity and mirror
+    symmetries.  ``'%.17g' % x`` and ``fmt(x)`` use the same float
     formatter, so the bytes are those of ``fmt``.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
@@ -71,11 +72,19 @@ def write_grid_csv(
     bits, inverse = np.unique(grid.view(np.uint64).ravel(), return_inverse=True)
     text = "%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())
     text = np.array(text.split("\n")[:-1], dtype=object)
+    joined: dict[bytes, str] = {}
+    lines = []
+    for row in inverse.reshape(ny, nx):
+        key = row.tobytes()
+        line = joined.get(key)
+        if line is None:
+            line = joined[key] = ",".join(text[row].tolist()) + "\n"
+        lines.append(line)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             "# " + ",".join([fmt(x_min), fmt(x_max), fmt(y_min), fmt(y_max), str(nx), str(ny)]) + "\n"
         )
-        fh.writelines(",".join(text[row].tolist()) + "\n" for row in inverse.reshape(ny, nx))
+        fh.writelines(lines)
 
 
 def write_table_csv(path, header: list[str], rows: list[list]) -> None:

@@ -1,4 +1,4 @@
-"""Hermite polynomials and SU(2) rotation matrix elements.
+"""Hermite polynomials and functions, grid points, SU(2) rotation matrix elements.
 
 Everything is evaluated in double precision from exact integer recurrences
 and factorial sums.  Coefficient growth bounds the practical range to
@@ -9,6 +9,10 @@ Conventions:
 
 * ``hermite`` returns the physicists' family,
   ``H_0 = 1``, ``H_1 = 2x``, ``H_{n+1} = 2x H_n - 2n H_{n-1}``.
+* ``hermite_functions`` tabulates phi_n(x) = 2^(1/4) h_n(sqrt2 x), with h_n
+  the normalised Hermite function, so that the normalised product state
+  ``|N-k, k>`` is phi_{N-k}(x) phi_k(y).  The values come from the stable
+  three-term recurrence (Bunck, BIT 49, 281, 2009), not from ``hermite``.
 * ``wigner_D`` uses z-y-z Euler angles,
 
       D^j_{m',m}(A, B, C) = exp(-i m' A) d^j_{m',m}(B) exp(-i m C),
@@ -22,6 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import factorial
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,32 @@ def hermite(n: int) -> PolyCoeffs:
             nxt[i] -= 2.0 * k * c
         prev, cur = cur, nxt
     return PolyCoeffs(tuple(cur))
+
+
+def hermite_functions(kmax: int, x: np.ndarray) -> np.ndarray:
+    """Table T[n, i] = phi_n(x_i) for n = 0..kmax, each phi_n of unit norm in x.
+
+    Started from exp(-x^2), so nothing overflows where x^2 is finite: far
+    out the Gaussian underflows to 0 and every row stays 0.  Each row is
+    odd or even in x bit for bit, since the recurrence only multiplies by x.
+    """
+    x = np.asarray(x, dtype=float)
+    table = np.empty((kmax + 1, x.size))
+    table[0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+    if kmax:
+        table[1] = 2.0 * x * table[0]
+    for k in range(1, kmax):
+        table[k + 1] = math.sqrt(4.0 / (k + 1)) * x * table[k] - math.sqrt(k / (k + 1)) * table[k - 1]
+    return table
+
+
+def cell_centres(n: int, lo: float, hi: float) -> np.ndarray:
+    """Centres of n equal cells over [lo, hi]: (lo + hi)/2 + (i - (n-1)/2) (hi - lo)/n.
+
+    Counted from the middle, so on a range symmetric about 0 the centres are
+    exactly antisymmetric, x_{n-1-i} = -x_i, and for odd n the middle one is 0.
+    """
+    return 0.5 * (lo + hi) + (np.arange(n) - 0.5 * (n - 1)) * ((hi - lo) / n)
 
 
 def _twice(value: float, name: str) -> int:

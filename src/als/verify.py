@@ -33,7 +33,7 @@ from .modes import (
     euler_angles,
     hlg_block,
     hlg_state,
-    lg_basis,
+    rotate_block,
     schwinger_state,
     wigner_decompose,
 )
@@ -195,17 +195,14 @@ def suite_spectra(max_order: int) -> list[IdentityResult]:
     rng = np.random.default_rng(7)
     worst_sch = 0.0
     for order in range(max_order + 1):
-        basis = lg_basis(order)
-        lz = order - 2 * np.arange(order + 1)
         for n in range(order + 1):
             mode = ModeIndex(n, order - n)
             phi = float(rng.uniform(0, 2 * math.pi))
             alpha = float(rng.uniform(0, math.pi / 2))
-            # the rotation by phi is a phase in the Laguerre-Gauss basis
-            coords = np.exp(-1j * phi * lz) * (basis.conj() @ hlg_block(mode.n, mode.m, alpha))
+            turned = rotate_block(hlg_block(mode.n, mode.m, alpha), phi)
             sch = schwinger_operator(phi, alpha, -1)
             lam = energy(mode.n_r, mode.l, -1)
-            worst_sch = max(worst_sch, _eigen_residual(sch, (basis.T @ coords)[:, None], lam))
+            worst_sch = max(worst_sch, _eigen_residual(sch, turned[:, None], lam))
     out.append(IdentityResult("spectra", "rotated-family eigenvalue 2 n_r + |l| + l + 1", worst_sch, t))
 
     worst_dil = 0.0

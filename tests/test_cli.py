@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ import als
 from als.cli import fold_alpha, main, parse_angle
 from als.modes import hlg_coefficients
 from als.output import load_schema, validate
+from als.specfun import cell_centres
+from oracles import lg_density
 
 runner = CliRunner()
 
@@ -253,6 +256,37 @@ class TestDensityCommand:
         sidecar = json.loads((tmp_path / "far.json").read_text())
         assert math.isfinite(sidecar["norm_check"])
         assert sidecar["truncation_warning"] is True
+
+    @pytest.mark.parametrize(
+        "nr, l, extent",
+        [(5, 8, 5.0), (0, 20, 7.0), (10, 0, 7.0), (5, 10, 7.0), (3, -12, 7.0)],
+    )
+    def test_laguerre_gauss_closed_form(self, nr, l, extent, tmp_path):
+        out = tmp_path / "lg.csv"
+        result = runner.invoke(
+            main,
+            ["density", "--nr", str(nr), f"--l={l}", "--alpha", "pi/4",
+             "--extent", str(extent), "--points", "256", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        _, grid = read_grid(out)
+        x = cell_centres(256, -extent, extent)
+        ref = lg_density(nr, l, x, x)
+        assert np.abs(grid - ref).max() <= 1e-13 * ref.max()
+
+    def test_overflowing_sqrt2_extent_is_empty(self, tmp_path):
+        # extent^2 is finite, (sqrt2 extent)^2 is not: nothing may overflow
+        out = tmp_path / "far.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main,
+                ["density", "--nr", "1", "--l", "2", "--alpha", "0.3",
+                 "--extent", "1.3e154", "--points", "64", "--out", str(out)],
+            )
+        assert result.exit_code == 0, result.output
+        sidecar = json.loads((tmp_path / "far.json").read_text())
+        assert sidecar["pattern"]["classification"] == "empty"
 
     def test_all_zero_grid_is_classified_empty(self, tmp_path):
         # every cell center lies where the mode has underflowed

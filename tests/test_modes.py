@@ -10,21 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from als.berry import berry_phase, latitude_loop
-from als.gstate import evaluate, inner_product
+from als.gstate import density_grid, evaluate, inner_product
 from als.modes import (
     ORDER_CAP,
     ModeIndex,
     alpha_to_beta,
     beta_to_alpha,
+    block_density,
     euler_angles,
     hlg_block,
     hlg_norm_squared,
     hlg_state,
+    rotate_block,
     schwinger_state,
     wigner_decompose,
 )
 from als.observables import mean_r2
-from als.specfun import hermite
+from als.specfun import cell_centres, hermite
 from oracles import jacobi_eval, laguerre, quadrature_moments
 
 
@@ -288,6 +290,46 @@ class TestHlgBlock:
         with pytest.raises(ValueError) as got:
             berry_phase(latitude_loop(math.pi / 8, 50), ORDER_CAP + 1, 0)
         assert str(got.value) == str(expected.value)
+
+
+class TestBlockDensity:
+    ALPHAS = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
+
+    def test_matches_the_monomial_density_grid(self):
+        # bridge to the term-map path; non-square and off-centre, so a
+        # swapped axis or a mirrored rotation shows
+        x, y = cell_centres(37, -3.0, 4.0), cell_centres(23, -2.0, 5.0)
+        for order in range(9):
+            for n in range(order + 1):
+                for alpha in self.ALPHAS:
+                    for phi in (0.0, 0.7, -2.1):
+                        got = block_density(rotate_block(hlg_block(n, order - n, alpha), phi), x, y)
+                        ref = density_grid(schwinger_state(n, order - n, alpha, phi), -3, 4, -2, 5, 37, 23)
+                        assert got.shape == (23, 37)
+                        assert np.abs(got - ref).max() <= 1e-12 * ref.max(), (n, order - n, alpha, phi)
+
+    def test_zero_rotation_keeps_the_vector(self):
+        vec = hlg_block(3, 2, 0.3)
+        assert rotate_block(vec, 0.0) is vec
+
+    def test_rotation_has_period_two_pi(self):
+        vec = hlg_block(4, 3, 0.3)
+        for phi in (0.7, -2.1):
+            turned = rotate_block(vec, phi)
+            assert abs(np.linalg.norm(turned) - 1.0) <= 1e-14
+            assert np.abs(rotate_block(vec, phi + 2 * math.pi) - turned).max() <= 1e-14
+        # a huge angle is reduced first, so its phases stay finite
+        assert np.array_equal(rotate_block(vec, 1e300), rotate_block(vec, math.fmod(1e300, 2 * math.pi)))
+
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 4])
+    @pytest.mark.parametrize("n, m", [(4, 2), (1, 4)])
+    def test_unrotated_density_mirrors_bit_for_bit(self, n, m, alpha):
+        # x -> -x flips the sign of every term of the real part, and of every
+        # term of the imaginary part, so |psi|^2 keeps its bits
+        x = cell_centres(1000, -5.0, 5.0)
+        grid = block_density(hlg_block(n, m, alpha), x, x)
+        assert np.array_equal(grid, grid[::-1])
+        assert np.array_equal(grid, grid[:, ::-1])
 
 
 class TestEulerAngles:

@@ -32,6 +32,10 @@ GRIDS = {
     "one_column": rng.standard_normal((9, 1)),
     "strided_view": rng.standard_normal((10, 7))[::2, ::-1],
     "float32": rng.standard_normal((8, 6)).astype(np.float32),
+    # rows 0, 2 and 5 are one row, and so are rows 1 and 4: each joined once
+    "repeated_rows": rng.standard_normal((3, 5))[[0, 1, 0, 2, 1, 0]],
+    # the same row but for the sign of one zero: two distinct rows
+    "rows_differing_in_signed_zero": np.array([[1.5, 0.0, 2.5], [1.5, -0.0, 2.5], [1.5, 0.0, 2.5]]),
 }
 
 

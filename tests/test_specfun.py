@@ -6,8 +6,8 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from als.specfun import hermite, wigner_D, wigner_small_d
-from oracles import jacobi_eval, laguerre
+from als.specfun import cell_centres, hermite, hermite_functions, wigner_D, wigner_small_d
+from oracles import jacobi_eval, laguerre, lg_density
 
 rng = np.random.default_rng(101)
 
@@ -62,6 +62,57 @@ class TestHermite:
                 assert abs(overlap - (1.0 if i == j else 0.0)) <= 1e-9
 
 
+class TestHermiteFunctions:
+    def test_against_hermite_polynomials(self):
+        # phi_n(x) = H_n(sqrt2 x) exp(-x^2) / sqrt(2^n n! sqrt(pi/2))
+        x = np.linspace(-4.0, 4.0, 41)
+        table = hermite_functions(20, x)
+        u = math.sqrt(2.0) * x
+        for n in range(21):
+            norm = math.sqrt(2.0**n * factorial(n) * math.sqrt(math.pi / 2)) * np.exp(x * x)
+            ref = hermite(n)(u) / norm
+            # the monomial sum rounds relative to its largest term
+            scale = sum(abs(c) * np.abs(u) ** p for p, c in enumerate(hermite(n).coeffs)) / norm
+            assert np.all(np.abs(table[n] - ref) <= 1e-14 * np.maximum(1.0, scale)), n
+
+    def test_orthonormal_by_quadrature(self):
+        # phi_m phi_n = exp(-2x^2) x polynomial of degree <= 40: exact with 21 nodes of exp(-t^2), t = sqrt2 x
+        t, w = np.polynomial.hermite.hermgauss(21)
+        table = hermite_functions(20, t / math.sqrt(2.0)) * np.sqrt(w * np.exp(t * t) / math.sqrt(2.0))
+        assert np.abs(table @ table.T - np.eye(21)).max() <= 1e-13
+
+    def test_parity_is_exact(self):
+        x = cell_centres(101, -7.0, 7.0)
+        table = hermite_functions(20, x)
+        for n in range(21):
+            assert np.array_equal(table[n][::-1], (-1) ** n * table[n])
+
+    def test_far_points_underflow_to_zero(self):
+        # x^2 is finite; (sqrt2 x)^2 and x^20 are not
+        x = np.array([-1.3e154, -1e20, 1e20, 1.3e154])
+        with np.errstate(over="raise", invalid="raise"):
+            table = hermite_functions(20, x)
+        assert not table.any()
+
+
+class TestCellCentres:
+    @pytest.mark.parametrize("n", [64, 256, 512, 1024])
+    def test_same_bits_as_counting_from_the_edge(self, n):
+        assert np.array_equal(cell_centres(n, -5.0, 5.0), -5.0 + (10.0 / n) * (np.arange(n) + 0.5))
+
+    @pytest.mark.parametrize("n, extent", [(1000, 5.0), (511, 5.0), (500, 4.3), (2, 1.0), (3, 1e154)])
+    def test_mirror_exactly(self, n, extent):
+        x = cell_centres(n, -extent, extent)
+        assert np.array_equal(x[::-1], -x)
+        assert np.all(np.diff(x) > 0)
+        if n % 2:
+            assert x[n // 2] == 0.0
+
+    def test_off_centre_range(self):
+        x = cell_centres(37, -3.0, 4.0)
+        assert np.abs(x - (-3.0 + (7.0 / 37) * (np.arange(37) + 0.5))).max() <= 1e-15
+
+
 class TestLaguerre:
     def test_degree_zero(self):
         assert laguerre(0, 3).coeffs == (1.0,)
@@ -97,6 +148,18 @@ class TestLaguerre:
                 norm_j = math.sqrt(factorial(j + k) / factorial(j))
                 overlap = float(np.dot(weights, nodes**k * li * lj)) / (norm_i * norm_j)
                 assert abs(overlap - (1.0 if i == j else 0.0)) <= 1e-9
+
+    @pytest.mark.parametrize("n_r, l", [(0, 3), (2, -1), (5, 8), (10, 0)])
+    def test_lg_density_value_recurrence(self, n_r, l):
+        # near the origin Horner's scheme on the coefficients does not cancel
+        x = np.linspace(-0.6, 0.6, 7)
+        u = 2.0 * (x[None, :] ** 2 + x[:, None] ** 2)
+        k = abs(l)
+        ref = 2.0 * factorial(n_r) / (math.pi * factorial(n_r + k)) * u**k * laguerre(n_r, k)(u) ** 2 * np.exp(-u)
+        assert np.abs(lg_density(n_r, l, x, x) - ref).max() <= 1e-13 * max(ref.max(), 1e-300)
+        # unit norm: the cell sum of a smooth, fast-decaying density is spectrally exact
+        x = np.linspace(-9.0, 9.0, 241)
+        assert abs(lg_density(n_r, l, x, x).sum() * (x[1] - x[0]) ** 2 - 1.0) <= 1e-12
 
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
