@@ -52,27 +52,21 @@ def wrap_phase(x: float) -> float:
 
 @dataclass(frozen=True)
 class SpherePath:
-    """Ordered (phi, alpha) vertices; closed paths repeat the first vertex.
+    """Closed loop of ordered (phi, alpha) vertices; the last repeats the first.
 
     Closure is judged in sphere coordinates (azimuth 2 phi mod 2 pi), so a
     seam crossing like (phi, pi/2) == (phi + pi/2, 0) closes a loop.
     """
 
     vertices: tuple[tuple[float, float], ...]
-    closed: bool = True
 
     def __post_init__(self):
         verts = tuple((float(p), float(a)) for p, a in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError("a path needs at least two vertices")
-        if self.closed:
-            first = spin_axis(*verts[0])
-            last = spin_axis(*verts[-1])
-            if np.linalg.norm(first - last) > _CLOSE_TOL:
-                raise ValueError(
-                    "closed path must end on its first vertex in sphere coordinates"
-                )
+        if np.linalg.norm(spin_axis(*verts[0]) - spin_axis(*verts[-1])) > _CLOSE_TOL:
+            raise ValueError("closed path must end on its first vertex in sphere coordinates")
 
     def points(self) -> np.ndarray:
         """Sphere points of all vertices, shape (len, 3); spin_axis's formula."""
@@ -81,7 +75,7 @@ class SpherePath:
         return np.stack((np.cos(2 * phi) * c2a, np.sin(2 * phi) * c2a, np.sin(2 * alpha)), axis=1)
 
     def reversed(self) -> "SpherePath":
-        return SpherePath(tuple(reversed(self.vertices)), self.closed)
+        return SpherePath(tuple(reversed(self.vertices)))
 
 
 def latitude_loop(alpha: float, segments: int) -> SpherePath:
@@ -129,8 +123,6 @@ def solid_angle(path: SpherePath) -> float:
     (pole, v_k, v_k+1) by the van Oosterom-Strackee formula, summed in
     vertex order.
     """
-    if not path.closed:
-        raise ValueError("solid angle is defined for closed paths only")
     pts = path.points()[:-1]
     if len(set(map(tuple, np.round(pts, 9).tolist()))) < 3:
         raise ValueError("need at least 3 distinct vertices on the sphere")
@@ -152,8 +144,6 @@ def berry_phase(path: SpherePath, n: int, m: int) -> float:
     Phi = -Arg prod <psi_k|psi_{k+1}> over the cycle of vertex states;
     converges to -(l/2) * solid_angle with l = n - m.
     """
-    if not path.closed:
-        raise ValueError("geometric phase is defined for closed paths only")
     verts = np.array(path.vertices[:-1])
     if len(verts) < 3:
         raise ValueError("need at least 3 path vertices")

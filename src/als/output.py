@@ -41,9 +41,9 @@ def validate(obj: dict, schema_name: str) -> None:
         raise error
 
 
-def write_json(path, obj: dict, schema_name: str | None = None) -> None:
-    if schema_name is not None:
-        validate(obj, schema_name)
+def write_json(path, obj: dict, schema_name: str) -> None:
+    """Validate obj against the named shipped schema, then write it."""
+    validate(obj, schema_name)
     text = json.dumps(obj, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")

@@ -38,16 +38,11 @@ class TestSpherePoint:
 class TestSpherePathValidation:
     def test_open_endpoints_rejected_for_closed(self):
         with pytest.raises(ValueError):
-            SpherePath(((0.0, 0.1), (0.5, 0.1), (1.0, 0.1)), closed=True)
+            SpherePath(((0.0, 0.1), (0.5, 0.1), (1.0, 0.1)))
 
     def test_seam_closure_accepted(self):
         # (phi, 0) and (phi - pi/2, pi/2) are the same sphere point
         SpherePath(((0.3, 0.0), (0.5, 0.3), (0.3 - 0.5 * math.pi, 0.5 * math.pi)))
-
-    def test_open_path_allowed_when_flagged(self):
-        p = SpherePath(((0.0, 0.1), (0.5, 0.1)), closed=False)
-        with pytest.raises(ValueError):
-            solid_angle(p)
 
 
 class TestSolidAngle:
@@ -175,11 +170,6 @@ class TestBerryPhase:
         loop = latitude_loop(math.pi / 8, 2000)
         expected = -0.5 * (n - m) * solid_angle(loop)
         assert abs(wrap_phase(berry_phase(loop, n, m) - expected)) <= 1e-11
-
-    def test_open_path_rejected(self):
-        p = SpherePath(((0.0, 0.1), (0.5, 0.1)), closed=False)
-        with pytest.raises(ValueError):
-            berry_phase(p, 1, 0)
 
     def test_coarse_path_resolution_error(self):
         # three equatorial orientations 2 pi / 3 apart; for n + m = 20 the
