@@ -161,9 +161,11 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
     radial nodes.  Striped patterns show >= 2 angular node runs, rings
     show none and stay azimuthally flat, a center-peaked structure with
     no angular nodes is a spot.  A grid that holds no density at all (the
-    mode lies between the cell centers or underflows) is empty.
+    mode lies between the cell centers or underflows) is empty.  A node
+    run is a rising edge of the "low" mask (below 2% of the maximum).
     """
-    if grid.max() == 0:
+    peak = float(grid.max())
+    if peak == 0:
         return {
             "classification": "empty",
             "angular_node_count": 0,
@@ -172,70 +174,43 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
         }
     ny, nx = grid.shape
     cell = 2 * extent / nx
-    X, Y = np.meshgrid(cell_centres(nx, -extent, extent), cell_centres(ny, -extent, extent))
-    R = np.hypot(X, Y)
-    peak = float(grid.max())
-
-    k_max = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    r_peak = float(R[k_max])
+    x, y = cell_centres(nx, -extent, extent), cell_centres(ny, -extent, extent)
+    R = np.hypot(x, y[:, None])
+    r_peak = float(R.flat[np.argmax(grid)])
 
     nbins = 64
-    edges = np.linspace(0.0, extent, nbins + 1)
-    idx = np.clip(np.digitize(R.ravel(), edges) - 1, 0, nbins - 1)
-    sums = np.bincount(idx, weights=grid.ravel(), minlength=nbins)
+    idx = np.clip(np.digitize(R.ravel(), np.linspace(0.0, extent, nbins + 1)) - 1, 0, nbins - 1)
     counts = np.maximum(np.bincount(idx, minlength=nbins), 1)
-    profile = sums / counts
+    profile = np.bincount(idx, weights=grid.ravel(), minlength=nbins) / counts
 
-    # radial nodes: low runs strictly inside the significant support
+    # radial nodes: low runs inside the significant support; a run from bin 0 is none
     radial_nodes = 0
     if profile.max() > 0:
         k_hi = int(np.nonzero(profile > 0.02 * profile.max())[0].max())
-        in_low = False
-        for k in range(k_hi + 1):
-            if profile[k] < 0.02 * profile.max():
-                if not in_low and k > 0:
-                    radial_nodes += 1
-                in_low = True
-            else:
-                in_low = False
+        low = profile[: k_hi + 1] < 0.02 * profile.max()
+        radial_nodes = int(np.count_nonzero(low[1:] & ~low[:-1]))
 
     center = float(np.mean(grid[R <= max(1.5 * cell, 1e-9)]))
-    rel_center = center / peak if peak > 0 else 0.0
-
+    common = {"radial_node_count": radial_nodes, "center_density": center / peak if peak > 0 else 0.0}
     if r_peak <= 2.0 * cell:
         # brightest point at the origin: no meaningful peak circle
-        return {
-            "classification": "spot",
-            "angular_node_count": 0,
-            "radial_node_count": int(radial_nodes),
-            "center_density": rel_center,
-        }
+        return {"classification": "spot", "angular_node_count": 0, **common}
 
     # angular scan on the circle of the global maximum (empty bins masked)
-    band = (np.abs(R - r_peak) < 1.5 * cell) & (R > 1e-9)
-    angles = np.arctan2(Y[band], X[band])
-    values = grid[band]
+    rows, cols = np.nonzero((np.abs(R - r_peak) < 1.5 * cell) & (R > 1e-9))
+    values = grid[rows, cols]
     nang = max(16, min(72, values.size // 5))
-    ang_bins = np.linspace(-math.pi, math.pi, nang + 1)
-    a_idx = np.clip(np.digitize(angles, ang_bins) - 1, 0, nang - 1)
-    a_sums = np.bincount(a_idx, weights=values, minlength=nang)
+    a_bins = np.linspace(-math.pi, math.pi, nang + 1)
+    a_idx = np.clip(np.digitize(np.arctan2(y[rows], x[cols]), a_bins) - 1, 0, nang - 1)
     a_counts = np.bincount(a_idx, minlength=nang)
     filled = a_counts > 0
-    ang = a_sums[filled] / a_counts[filled]
+    ang = np.bincount(a_idx, weights=values, minlength=nang)[filled] / a_counts[filled]
     ang_max = float(ang.max()) if ang.size else 0.0
-
     angular_nodes = 0
     if ang_max > 0:
+        # cyclic: a run may wrap past -pi; a ring low all round counts one
         low = ang < 0.02 * ang_max
-        runs = 0
-        prev = bool(low[-1])
-        for flag in low:
-            if flag and not prev:
-                runs += 1
-            prev = bool(flag)
-        if runs == 0 and low.all():
-            runs = 1
-        angular_nodes = runs
+        angular_nodes = int(np.count_nonzero(low & ~np.roll(low, 1))) or int(low.all())
 
     if angular_nodes >= 2:
         classification = "striped"
@@ -243,13 +218,7 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
         classification = "ring"
     else:
         classification = "mixed"
-
-    return {
-        "classification": classification,
-        "angular_node_count": int(angular_nodes),
-        "radial_node_count": int(radial_nodes),
-        "center_density": rel_center,
-    }
+    return {"classification": classification, "angular_node_count": angular_nodes, **common}
 
 
 # A basis weight further than this below 1 is flagged as truncated; a grid
@@ -429,6 +398,9 @@ def verify(suites, max_order, tol, out):
     s = report["summary"]
     click.echo(f"{s['passed']}/{s['total']} identities passed")
     if out is not None:
+        for r in report["results"]:
+            if not math.isfinite(r["residual"]):
+                r["residual"] = None  # JSON has no NaN or infinity
         with _io_errors():
             write_json(out, report, "verify_report")
         click.echo(f"wrote {out}")

@@ -278,16 +278,6 @@ def schwinger_state(n: int, m: int, alpha: float, phi: float) -> GaussianPolySta
     return rotate(hlg_state(n, m, alpha), phi)
 
 
-def _check_jm(j: float, m_l: float) -> tuple[int, int]:
-    tj = round(2 * j)
-    tm = round(2 * m_l)
-    if abs(2 * j - tj) > 1e-9 or abs(2 * m_l - tm) > 1e-9:
-        raise ValueError(f"j and m_l must be half-integers, got j={j}, m_l={m_l}")
-    if tj < 0 or abs(tm) > tj or (tj - tm) % 2:
-        raise ValueError(f"need |m_l| <= j with j - m_l integral, got j={j}, m_l={m_l}")
-    return tj, tm
-
-
 def wigner_decompose(
     j: float, m_l: float, A: float, B: float, C: float
 ) -> dict[float, complex]:
@@ -295,11 +285,11 @@ def wigner_decompose(
 
     Returns ``{m_l': D^j_{m_l', m_l}(A, B, C)}`` for m_l' = -j ... j; the
     coefficient multiplies the basis state psi_{j+m_l', j-m_l'}(alpha=0).
-    The rows are unitary: sum |coeff|^2 = 1.
+    The rows are unitary: sum |coeff|^2 = 1.  ``specfun.wigner_small_d``
+    checks j and m_l on every element.
     """
-    tj, tm = _check_jm(j, m_l)
-    out: dict[float, complex] = {}
-    for tmp in range(-tj, tj + 1, 2):
-        mp = 0.5 * tmp
-        out[mp] = specfun.wigner_D(0.5 * tj, mp, 0.5 * tm, A, B, C)
-    return out
+    tj = abs(round(2 * j))  # abs: a negative j still reaches that check
+    return {
+        0.5 * tmp: specfun.wigner_D(j, 0.5 * tmp, m_l, A, B, C)
+        for tmp in range(-tj, tj + 1, 2)
+    }

@@ -42,9 +42,12 @@ def validate(obj: dict, schema_name: str) -> None:
 
 
 def write_json(path, obj: dict, schema_name: str) -> None:
-    """Validate obj against the named shipped schema, then write it."""
+    """Validate obj against the named shipped schema, then write it.
+
+    A NaN or infinite value raises ``ValueError``: JSON has no such token.
+    """
     validate(obj, schema_name)
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 

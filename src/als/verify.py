@@ -53,9 +53,6 @@ from .operators import (
 )
 from .specfun import wigner_small_d
 
-SUITES = ("algebra", "spectra", "observables", "fields", "wigner", "berry")
-
-
 @dataclass(frozen=True)
 class IdentityResult:
     suite: str
@@ -375,6 +372,7 @@ _SUITE_FUNCS = {
     "wigner": suite_wigner,
     "berry": suite_berry,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run(suites=None, max_order: int = 10, tol: float | None = None) -> dict:

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import als
 from als.cli import fold_alpha, main, parse_angle
-from als.modes import hlg_coefficients
+from als.modes import ORDER_CAP, hlg_coefficients
 from als.output import load_schema, validate
 from als.specfun import cell_centres
+from als.verify import SUITES
 from oracles import lg_density
 
 runner = CliRunner()
@@ -308,6 +309,37 @@ class TestDensityCommand:
             "center_density": 0.0,
         }
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["--nr", "0", "--l", "3", "--alpha", "0"], ("striped", 2, 0, 0.014843290142277664)),
+            (["--n", "4", "--m", "2", "--alpha", "0"], ("striped", 4, 0, 0.47258978513414274)),
+            (["--nr", "0", "--l", "3", "--alpha", "pi/4"], ("ring", 0, 0, 1.681183174939585e-07)),
+            (["--nr", "2", "--l", "2", "--alpha", "pi/4"], ("ring", 0, 2, 0.000457684224030907)),
+            (["--nr", "5", "--l", "8", "--alpha", "pi/4", "--extent", "7"], ("ring", 0, 1, 1.213761007331728e-16)),
+            (["--nr", "2", "--l", "0", "--alpha", "pi/4"], ("spot", 0, 2, 1.0)),
+            (["--nr", "0", "--l", "0", "--alpha", "0"], ("spot", 0, 0, 1.0)),
+            (["--nr", "1", "--l", "3", "--alpha", "pi/8", "--phi", "0.7"], ("striped", 2, 0, 0.022635655669579147)),
+            (["--nr", "1", "--l", "-2", "--alpha", "1.2", "--points", "333"], ("striped", 2, 0, 0.8586913143899013)),
+            (["--nr", "0", "--l", "1", "--alpha", "pi/8", "--points", "64"], ("mixed", 0, 2, 0.0383249018848757)),
+            (["--nr", "3", "--l", "3", "--alpha", "pi/4", "--points", "6"], ("unresolved", 0, 2, 0.7418836374208533)),
+            (["--nr", "10", "--l", "0", "--alpha", "0", "--extent", "1e20", "--points", "8"], ("empty", 0, 0, 0.0)),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v[0],
+    )
+    def test_pattern_block(self, args, expected, tmp_path):
+        # the whole sidecar pattern, recorded on 128^2 cells unless --points says otherwise
+        points = [] if "--points" in args else ["--points", "128"]
+        result = runner.invoke(main, ["density", *args, *points, "--out", str(tmp_path / "d.csv")])
+        assert result.exit_code == 0, result.output
+        classification, angular, radial, center = expected
+        assert json.loads((tmp_path / "d.json").read_text())["pattern"] == {
+            "classification": classification,
+            "angular_node_count": angular,
+            "radial_node_count": radial,
+            "center_density": pytest.approx(center, rel=1e-9, abs=1e-24),
+        }
+
 
 class TestTableCommand:
     def test_observable_columns(self, tmp_path):
@@ -335,16 +367,17 @@ class TestTableCommand:
 
     def test_order_ten_deltas_stay_at_rounding(self, tmp_path):
         out = tmp_path / "table.csv"
-        result = runner.invoke(
-            main, ["table", "--nr", "1", "--l", "8", "--steps", "256", "--out", str(out)]
-        )
-        assert result.exit_code == 0, result.output
-        lines = out.read_text().splitlines()
-        header = lines[0].split(",")
-        deltas = [k for k, name in enumerate(header) if name.endswith("_delta")]
-        assert len(deltas) == 3 and len(lines) == 257
-        worst = max(abs(float(ln.split(",")[k])) for ln in lines[1:] for k in deltas)
-        assert worst <= 5e-12, worst
+        for charge in ("electron", "positron"):
+            result = runner.invoke(
+                main, ["table", "--nr", "1", "--l", "8", "--steps", "256", "--charge", charge, "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            lines = out.read_text().splitlines()
+            header = lines[0].split(",")
+            deltas = [k for k, name in enumerate(header) if name.endswith("_delta")]
+            assert len(deltas) == 3 and len(lines) == 257
+            worst = max(abs(float(ln.split(",")[k])) for ln in lines[1:] for k in deltas)
+            assert worst <= 5e-12, (charge, worst)
 
     def test_energy_and_r2_constant_across_sweep(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -395,6 +428,14 @@ class TestVerifyCommand:
         validate(report, "verify_report")
         assert report["summary"]["all_pass"]
         assert report["summary"]["total"] >= 12
+
+    def test_every_suite_passes_at_the_order_cap(self, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--max-order", str(ORDER_CAP), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        validate(report, "verify_report")
+        assert report["suites"] == list(SUITES) and report["summary"]["all_pass"]
 
     def test_spectra_suite_passes(self, tmp_path):
         result = runner.invoke(main, ["verify", "--suites", "spectra", "--max-order", "6"])

@@ -331,6 +331,13 @@ class TestBlockDensity:
         assert np.array_equal(grid, grid[::-1])
         assert np.array_equal(grid, grid[:, ::-1])
 
+    @pytest.mark.parametrize("n, m, alpha, phi", [(4, 1, math.pi / 8, 0.7), (2, 5, 0.3, -2.1)])
+    def test_rotated_density_is_inversion_symmetric_bit_for_bit(self, n, m, alpha, phi):
+        # (x, y) -> (-x, -y) multiplies every term by the level's parity (-1)^N
+        x = cell_centres(1000, -5.0, 5.0)
+        grid = block_density(rotate_block(hlg_block(n, m, alpha), phi), x, x)
+        assert np.array_equal(grid.view(np.uint64), grid[::-1, ::-1].view(np.uint64))
+
 
 class TestEulerAngles:
     def test_defining_equations(self, rng):

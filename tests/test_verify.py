@@ -1,6 +1,7 @@
 """The verify runner and the reach of its suites."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -65,10 +66,19 @@ def test_nan_level_fails_every_row_that_samples_it(nan_level_3):
     }
 
 
-def test_nan_level_makes_the_command_fail(nan_level_3):
-    result = CliRunner().invoke(main, ["verify", "--suites", "spectra", "--max-order", "3"])
+def test_nan_level_makes_the_command_fail(nan_level_3, tmp_path):
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["verify", "--suites", "spectra", "--max-order", "3", "--out", str(out)])
     assert result.exit_code == 1, result.output
-    assert "FAIL" in result.output
+    assert "FAIL" in result.output and "residual nan" in result.output
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    failed = {r["identity"]: r["residual"] for r in report["results"] if not r["pass"]}
+    assert set(failed) == LEVEL_ROWS & {r["identity"] for r in report["results"]}
+    assert failed and all(residual is None for residual in failed.values())
 
 
 def test_nan_field_sample_fails_its_row(monkeypatch):
