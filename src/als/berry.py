@@ -69,10 +69,8 @@ class SpherePath:
             raise ValueError("closed path must end on its first vertex in sphere coordinates")
 
     def points(self) -> np.ndarray:
-        """Sphere points of all vertices, shape (len, 3); spin_axis's formula."""
-        phi, alpha = np.array(self.vertices).T
-        c2a = np.cos(2 * alpha)
-        return np.stack((np.cos(2 * phi) * c2a, np.sin(2 * phi) * c2a, np.sin(2 * alpha)), axis=1)
+        """Sphere points of all vertices, shape (len, 3)."""
+        return spin_axis(*np.array(self.vertices).T)
 
     def reversed(self) -> "SpherePath":
         return SpherePath(tuple(reversed(self.vertices)))
@@ -121,11 +119,12 @@ def solid_angle(path: SpherePath) -> float:
     Positive for counterclockwise traversal seen from the +z pole.  Each
     edge contributes the signed solid angle of the spherical triangle
     (pole, v_k, v_k+1) by the van Oosterom-Strackee formula, summed in
-    vertex order.
+    vertex order.  A loop with fewer than 3 distinct points (at 9-digit
+    rounding), such as one pinned at the pole, encloses nothing: 0.0.
     """
     pts = path.points()[:-1]
     if len(set(map(tuple, np.round(pts, 9).tolist()))) < 3:
-        raise ValueError("need at least 3 distinct vertices on the sphere")
+        return 0.0
     nxt = np.roll(pts, -1, axis=0)
     pole = np.broadcast_to([0.0, 0.0, 1.0], pts.shape)
     num = _row_dots(pole, np.cross(pts, nxt))

@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
-from .gstate import GaussianPolyState, density_grid, inner_product
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, block_density, check_alpha, hlg_block, hlg_state, rotate_block
+from .gstate import inner_product
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, rotate_block
 from .observables import energy, mean_lz, mean_r2, sweep
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 from .specfun import cell_centres
@@ -314,7 +314,7 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
     bounds, grid_spec = _grid_bounds(extent, points, rho_h)
 
     centres = cell_centres(points, -extent, extent)
-    grid = block_density(rotate_block(hlg_block(used.n, used.m, a), phi), centres, centres)
+    grid = level_density([rotate_block(hlg_block(used.n, used.m, a), phi)], centres, centres)
     norm = _norm_check(grid, extent)
     truncated = abs(norm - 1.0) > _TRUNCATION_TOL
     pattern = classify_pattern(grid, extent)
@@ -436,11 +436,7 @@ def berry(n, m, nr, l, family, alpha, beta, sign_e, phi0, segments, out):
             phi0 = 0.0 if phi0 is None else phi0
             path = polar_loop(phi0, segments)
             loop_desc = {"family": "polar", "phi0": phi0}
-        pts = path.points()
-        if np.max(np.linalg.norm(pts - pts[0], axis=1)) < 1e-12:
-            omega_loop = 0.0  # loop pinned at one point encloses nothing
-        else:
-            omega_loop = solid_angle(path)
+        omega_loop = solid_angle(path)
         phase = berry_phase(path, mode.n, mode.m)
     expected = -0.5 * mode.l * omega_loop
     winding = round((phase - expected) / (2.0 * math.pi))
@@ -488,13 +484,12 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
 
     lg = hlg_state(mode_in.n, mode_in.m, 0.25 * math.pi)
     coeff_rows = []
-    rebuilt = GaussianPolyState()
+    levels = [np.zeros(order + 1, dtype=complex) for order in range(max_order + 1)]
     sum_abs2 = 0.0
     for total in range(max_order + 1):
         for n_i in range(total + 1):
             m_i = total - n_i
-            basis = hlg_state(n_i, m_i, a)
-            c = inner_product(basis, lg)
+            c = inner_product(hlg_state(n_i, m_i, a), lg)
             mode_i = ModeIndex(n_i, m_i)
             eps_i = energy(mode_i.n_r, mode_i.l, sign_e)
             angle = _in_units(eps_i, t, "energy x t")
@@ -505,9 +500,10 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
                  c.real, c.imag, abs(c) ** 2, ct.real, ct.imag]
             )
             if abs(c) > 1e-14:
-                rebuilt = rebuilt + ct * basis
+                levels[total] += ct * hlg_block(n_i, m_i, a)
 
-    grid = density_grid(rebuilt, -extent, extent, -extent, extent, points, points)
+    centres = cell_centres(points, -extent, extent)
+    grid = level_density(levels, centres, centres)
     values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
     norm = _norm_check(grid, extent)
     truncated = sum_abs2 < 1.0 - _TRUNCATION_TOL

@@ -44,8 +44,8 @@ Within one level N = n + m the modes are unit (N+1)-vectors over the
 normalised Hermite-Gauss products |N-k, k> (``hlg_block``).  The
 alpha = pi/4 vectors form the Laguerre-Gauss basis (``lg_basis``): row k
 has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k))
-(``rotate_block``).  ``block_density`` samples |psi|^2 of a level vector
-on a grid.
+(``rotate_block``).  ``level_density`` samples |psi|^2 of any set of level
+vectors on a grid; every grid the CLI writes goes through it.
 """
 
 from __future__ import annotations
@@ -206,20 +206,25 @@ def rotate_block(vec: np.ndarray, phi: float) -> np.ndarray:
     return basis.T @ (phase * (basis.conj() @ vec))
 
 
-def block_density(vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|psi|^2 at (y_j, x_i), shape (len(y), len(x)), for the level vector vec.
+def level_density(levels, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|psi|^2 at (y_j, x_i), shape (len(y), len(x)), for psi given as level vectors.
 
-    psi = sum_k vec[k] phi_{N-k}(x) phi_k(y) over the Hermite-function
-    tables of ``specfun.hermite_functions``.  The real and imaginary parts
-    are contracted separately with ``einsum``, which calls no BLAS, so a
-    sign flip of every term (a mirror or the inversion of the level's
-    parity) gives the same bits.
+    A vector v of length N + 1, for any set of levels N, holds the
+    coefficients of |N-k, k> = phi_{N-k}(x) phi_k(y), as ``hlg_block`` does.
+    Gathered by x-order p, psi = sum_p phi_p(x) sum_q C[p, q] phi_q(y) over
+    the tables of ``specfun.hermite_functions``, p summed from high to low.
+    The real and imaginary parts are contracted separately with ``einsum``,
+    which calls no BLAS, so a sign flip of every term (a mirror or the
+    inversion of the level's parity) gives the same bits.
     """
-    order = len(vec) - 1
-    tx = specfun.hermite_functions(order, x)[::-1]  # row k: phi_{N-k}(x)
-    ty = specfun.hermite_functions(order, y)
-    re = np.einsum("kj,ki->ji", vec.real[:, None] * ty, tx)
-    im = np.einsum("kj,ki->ji", vec.imag[:, None] * ty, tx)
+    top = max(map(len, levels)) - 1
+    coeffs = np.zeros((top + 1, top + 1), dtype=complex)  # row r: x-order top - r
+    for vec in levels:
+        coeffs[top + 1 - len(vec) :, : len(vec)] += np.diag(vec)
+    tx = specfun.hermite_functions(top, x)[::-1]
+    ty = specfun.hermite_functions(top, y)
+    re = np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", coeffs.real, ty), tx)
+    im = np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", coeffs.imag, ty), tx)
     return re * re + im * im
 
 

@@ -223,12 +223,10 @@ def eigen_residual(s: GaussianPolyState, D: PolyDiffOperator, lam: complex) -> f
     return math.sqrt(max(inner_product(r, r).real, 0.0) / nrm2)
 
 
-def spin_axis(phi: float, alpha: float) -> np.ndarray:
-    """Unit axis on the mode sphere singled out by (phi, alpha)."""
-    c2a = math.cos(2 * alpha)
-    return np.array(
-        [math.cos(2 * phi) * c2a, math.sin(2 * phi) * c2a, math.sin(2 * alpha)]
-    )
+def spin_axis(phi, alpha) -> np.ndarray:
+    """Unit axis on the mode sphere singled out by (phi, alpha), shape (..., 3) for arrays."""
+    c2a = np.cos(2 * alpha)
+    return np.stack((np.cos(2 * phi) * c2a, np.sin(2 * phi) * c2a, np.sin(2 * alpha)), axis=-1)
 
 
 def schwinger_operator(phi: float, alpha: float, sign_e: int) -> PolyDiffOperator:

@@ -19,9 +19,10 @@ from als.cli import classify_pattern
 from als.fields import (
     FieldModel, GaugeParams, b_field, curl, divergence, gauge_fix, transformed_potential, vector_potential,
 )
-from als.gstate import density_grid, op_commutator
-from als.modes import ModeIndex, hlg_state
+from als.gstate import op_commutator
+from als.modes import ModeIndex, hlg_block, level_density
 from als.operators import h_as, h_perp
+from als.specfun import cell_centres
 
 ALPHA_GRID = np.linspace(0.0, math.pi / 2, 9)
 
@@ -163,13 +164,14 @@ def test_criterion_10_boundary_fields():
 def test_criterion_11_density_panels():
     extent, points = 6.0, 256
     cell = (2 * extent / points) ** 2
+    centres = cell_centres(points, -extent, extent)
     alphas = [0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4]
     problems = []
     classes = {}
     for n_r, l in ((0, 3), (2, 2)):
         mode = ModeIndex.from_twisted(n_r, l)
         for alpha in alphas:
-            g = density_grid(hlg_state(mode.n, mode.m, alpha), -extent, extent, -extent, extent, points, points)
+            g = level_density([hlg_block(mode.n, mode.m, alpha)], centres, centres)
             if not np.all(g >= 0):
                 problems.append(f"negative density at {(n_r, l, alpha)}")
             norm = float(g.sum() * cell)

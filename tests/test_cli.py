@@ -19,7 +19,7 @@ from als.modes import ORDER_CAP, hlg_coefficients
 from als.output import load_schema, validate
 from als.specfun import cell_centres
 from als.verify import SUITES
-from oracles import lg_density
+from oracles import hermite_functions, jacobi_eval, lg_density
 
 runner = CliRunner()
 
@@ -521,6 +521,19 @@ class TestBerryCommand:
         assert report["solid_angle"] == 0.0
         assert abs(report["berry_phase"]) <= 1e-8
 
+    @pytest.mark.parametrize("latitude", [["--beta", "0.4999999999"], ["--alpha", "0.785398163297448"]])
+    def test_latitude_next_to_the_pole(self, latitude, tmp_path):
+        # a valid latitude whose loop shrinks below 9-digit resolution
+        # encloses nothing; it is not a usage error
+        out = tmp_path / "berry.json"
+        result = runner.invoke(
+            main, ["berry", "--nr", "0", "--l", "3", *latitude, "--segments", "200", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert report["solid_angle"] == 0.0
+        assert abs(report["berry_phase"]) <= 1e-8
+
     def test_too_few_segments_is_usage_error(self):
         result = runner.invoke(main, ["berry", "--nr", "0", "--l", "1", "--segments", "2"])
         assert result.exit_code == 2
@@ -617,6 +630,38 @@ class TestDecomposeCommand:
         assert columns["2"]["re_c_t"] == columns["1"]["re_c_t"]
         assert columns["2"]["im_c_t"] == columns["1"]["im_c_t"]
         assert [float(e) for e in columns["2"]["energy_omega"]] == [2 * float(e) for e in columns["1"]["energy_omega"]]
+
+    @pytest.mark.parametrize("args", [
+        ["--nr", "5", "--l", "10", "--alpha", "pi/8"],
+        ["--nr", "0", "--l", "20", "--alpha", "0.3", "--t", "0.5"],
+    ])
+    def test_density_matches_its_coefficients_at_the_cap(self, args, tmp_path):
+        # |sum_t c_t psi_t|^2 from the written coefficients, with each psi_t
+        # the paper's finite sum (the unfolded Jacobi prefactors) over the
+        # oracle's Hermite functions h_n(sqrt2 x), phi_n(x) = 2^(1/4) h_n(sqrt2 x)
+        prefix = str(tmp_path / "dec")
+        result = runner.invoke(
+            main, ["decompose", *args, "--max-order", str(ORDER_CAP), "--points", "96", "--out-prefix", prefix]
+        )
+        assert result.exit_code == 0, result.output
+        (x_min, x_max, _, _), grid = read_grid(f"{prefix}_density.csv")
+        alpha = parse_angle(args[args.index("--alpha") + 1])
+        x = cell_centres(96, x_min, x_max)
+        h = hermite_functions(ORDER_CAP, math.sqrt(2.0) * x)
+        psi = np.zeros(grid.shape, dtype=complex)
+        for row in (tmp_path / "dec_coefficients.csv").read_text().splitlines()[1:]:
+            n, m, _, _, _, _, _, _, re_ct, im_ct = row.split(",")
+            n, m, ct = int(n), int(m), complex(float(re_ct), float(im_ct))
+            if abs(ct) <= 1e-14:
+                continue
+            for k in range(n + m + 1):
+                c_k = 1j**k * math.cos(alpha) ** (n - k) * math.sin(alpha) ** (m - k)
+                c_k *= jacobi_eval(k, n - k, m - k, -math.cos(2 * alpha))
+                scale = math.sqrt(2.0 * math.factorial(n + m - k) * math.factorial(k) / (math.factorial(n) * math.factorial(m)))
+                psi += ct * c_k * scale * np.outer(h[k], h[n + m - k])
+        ref = np.abs(psi) ** 2
+        err = np.abs(grid - ref).max() / ref.max()
+        assert err <= 1e-13, err
 
     def test_truncation_warning_recorded(self, tmp_path):
         prefix = str(tmp_path / "dec")

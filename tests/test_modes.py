@@ -16,11 +16,11 @@ from als.modes import (
     ModeIndex,
     alpha_to_beta,
     beta_to_alpha,
-    block_density,
     euler_angles,
     hlg_block,
     hlg_norm_squared,
     hlg_state,
+    level_density,
     rotate_block,
     schwinger_state,
     wigner_decompose,
@@ -303,10 +303,21 @@ class TestBlockDensity:
             for n in range(order + 1):
                 for alpha in self.ALPHAS:
                     for phi in (0.0, 0.7, -2.1):
-                        got = block_density(rotate_block(hlg_block(n, order - n, alpha), phi), x, y)
+                        got = level_density([rotate_block(hlg_block(n, order - n, alpha), phi)], x, y)
                         ref = density_grid(schwinger_state(n, order - n, alpha, phi), -3, 4, -2, 5, 37, 23)
                         assert got.shape == (23, 37)
                         assert np.abs(got - ref).max() <= 1e-12 * ref.max(), (n, order - n, alpha, phi)
+        # two levels, given in either order and with a gap between them,
+        # against the summed term map
+        a, b = 0.6 - 0.3j, 0.2 + 0.7j
+        for first, second in (((1, 0), (0, 2)), ((3, 2), (0, 1)), ((2, 2), (6, 1))):
+            for alpha in self.ALPHAS:
+                for phi in (0.0, 0.7):
+                    levels = [a * rotate_block(hlg_block(*first, alpha), phi), b * rotate_block(hlg_block(*second, alpha), phi)]
+                    state = a * schwinger_state(*first, alpha, phi) + b * schwinger_state(*second, alpha, phi)
+                    got = level_density(levels, x, y)
+                    ref = density_grid(state, -3, 4, -2, 5, 37, 23)
+                    assert np.abs(got - ref).max() <= 1e-12 * ref.max(), (first, second, alpha, phi)
 
     def test_zero_rotation_keeps_the_vector(self):
         vec = hlg_block(3, 2, 0.3)
@@ -327,7 +338,7 @@ class TestBlockDensity:
         # x -> -x flips the sign of every term of the real part, and of every
         # term of the imaginary part, so |psi|^2 keeps its bits
         x = cell_centres(1000, -5.0, 5.0)
-        grid = block_density(hlg_block(n, m, alpha), x, x)
+        grid = level_density([hlg_block(n, m, alpha)], x, x)
         assert np.array_equal(grid, grid[::-1])
         assert np.array_equal(grid, grid[:, ::-1])
 
@@ -335,7 +346,7 @@ class TestBlockDensity:
     def test_rotated_density_is_inversion_symmetric_bit_for_bit(self, n, m, alpha, phi):
         # (x, y) -> (-x, -y) multiplies every term by the level's parity (-1)^N
         x = cell_centres(1000, -5.0, 5.0)
-        grid = block_density(rotate_block(hlg_block(n, m, alpha), phi), x, x)
+        grid = level_density([rotate_block(hlg_block(n, m, alpha), phi)], x, x)
         assert np.array_equal(grid.view(np.uint64), grid[::-1, ::-1].view(np.uint64))
 
 
