@@ -3,8 +3,12 @@
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from als.output import fmt, load_schema, validate, write_grid_csv
+from als.modes import hlg_block, level_density, rotate_block
+from als.output import _BLOCK_CELLS, _format17, fmt, load_schema, validate, write_grid_csv
+from als.specfun import cell_centres
 
 
 def reference_grid_csv(path, grid, x_min, x_max, y_min, y_max):
@@ -21,6 +25,7 @@ def reference_grid_csv(path, grid, x_min, x_max, y_min, y_max):
 rng = np.random.default_rng(7)
 
 _x = (np.arange(24) - 11.5) * 0.25  # cell centres, symmetric about 0
+_c256 = cell_centres(256, -5.0, 5.0)
 
 GRIDS = {
     "random_64x48": rng.standard_normal((64, 48)) * 10.0 ** rng.uniform(-300, 300, (64, 48)),
@@ -36,6 +41,15 @@ GRIDS = {
     "repeated_rows": rng.standard_normal((3, 5))[[0, 1, 0, 2, 1, 0]],
     # the same row but for the sign of one zero: two distinct rows
     "rows_differing_in_signed_zero": np.array([[1.5, 0.0, 2.5], [1.5, -0.0, 2.5], [1.5, 0.0, 2.5]]),
+    # exact ties at 17 digits (2**-25 = 2.98023223876953125e-08) and non-finite cells
+    "ties_and_nonfinite": np.array(
+        [[2.0**-25, -(2.0**-25), np.nan, np.inf], [-np.inf, 3 * 2.0**-26, 0.5, -0.0], [np.nan, 2.0**-25, 1e-300, 1e300]]
+    ),
+    # a rotated order-10 density as `als density` renders it
+    "level_density_256": level_density([rotate_block(hlg_block(4, 6, 0.3), 0.7)], _c256, _c256),
+    # more distinct rows than one block of cells, and more distinct values
+    # than one block of values: both blocked loops run more than once
+    "more_rows_than_a_block": rng.standard_normal((2 * _BLOCK_CELLS // 512 + 1, 512)),
 }
 
 
@@ -46,6 +60,57 @@ def test_matches_per_value_writer(name, tmp_path):
     write_grid_csv(tmp_path / "new.csv", grid, *bounds)
     reference_grid_csv(tmp_path / "ref.csv", grid, *bounds)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_blocked_grid_spans_blocks():
+    grid = GRIDS["more_rows_than_a_block"]
+    assert len(grid) > 2 * (_BLOCK_CELLS // grid.shape[1])
+    assert len(np.unique(grid)) > _BLOCK_CELLS
+
+
+def _kernel_text(values):
+    """The text _format17 makes for each value; each must be followed by a comma."""
+    values = np.asarray(values, dtype=np.float64)
+    text, size = _format17(values)
+    assert np.array_equal(text[np.arange(len(values)), size], np.full(len(values), ord(",")))
+    return [bytes(row[:n]).decode() for row, n in zip(text, size)]
+
+
+def _assert_matches_formatter(values):
+    expected = ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+    assert _kernel_text(values) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_kernel_matches_formatter_on_bit_patterns(patterns):
+    _assert_matches_formatter(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=64))
+def test_kernel_matches_formatter_on_floats(values):
+    _assert_matches_formatter(values)
+
+
+def _ties():
+    """Exact ties at 17 digits: m * 2**-k whose exact decimal m * 5**k has 18 digits."""
+    return [m * 2.0**-k for k in range(1, 60) for m in range(1, 200, 2) if len(str(m * 5**k)) == 18]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_kernel_sweep(sign):
+    """Every decimal exponent from -324 to 308 with 1 to 17 kept digits (the
+    layout edges X = -5, -4, 16 and 17 among them), each exponent's
+    neighbours of 10**X, the extremes and the exact ties."""
+    kept = ["123456789012345678"[:n] for n in range(1, 18)] + ["9" * 17, "10000000000000001"]
+    values = [float(f"{d[0]}.{d[1:]}e{x}") for x in range(-324, 309) for d in kept]
+    powers = [10.0**x for x in range(-307, 309)]
+    values += powers + np.nextafter(powers, 0).tolist() + np.nextafter(powers, np.inf).tolist()
+    values += [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 1e-280, 1e280]
+    ties = _ties()
+    assert 2.0**-25 in ties and "%.17g" % 2.0**-25 == "2.9802322387695312e-08"  # half to even
+    _assert_matches_formatter(sign * np.array(values + ties))
 
 
 def test_symmetric_grid_repeats_values():
