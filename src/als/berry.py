@@ -95,6 +95,11 @@ def polar_loop(phi0: float, segments: int) -> SpherePath:
     """
     if segments < 4:
         raise ValueError("need at least 4 segments")
+    # the sphere point depends on 2 phi0 and the vertex states change only
+    # by a global sign under phi0 -> phi0 + pi, so the loop's solid angle and
+    # phase have period pi; fmod is exact, keeps every |phi0| < pi as it is,
+    # and stops phi0 + pi/2 - t from rounding the return arc away
+    phi0 = math.fmod(phi0, math.pi)
     half = segments // 2
     up = [(phi0, a) for a in np.linspace(0.0, 0.5 * math.pi, half + 1)]
     back = [

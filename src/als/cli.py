@@ -339,7 +339,7 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
 
     with _io_errors():
         write_grid_csv(out, values, *bounds)
-        write_json((out[:-4] if out.endswith(".csv") else out) + ".json", sidecar, "density_sidecar")
+        write_json((out[:-4] if out.endswith(".csv") else out) + ".json", sidecar)
     note = (" (undersampled)" if norm > 1.0 else " (truncated)") if truncated else ""
     click.echo(f"wrote {out} (norm check {norm:.9f}, pattern {pattern['classification']}){note}")
 
@@ -402,7 +402,7 @@ def verify(suites, max_order, tol, out):
             if not math.isfinite(r["residual"]):
                 r["residual"] = None  # JSON has no NaN or infinity
         with _io_errors():
-            write_json(out, report, "verify_report")
+            write_json(out, report)
         click.echo(f"wrote {out}")
     if not s["all_pass"]:
         sys.exit(1)
@@ -456,7 +456,7 @@ def berry(n, m, nr, l, family, alpha, beta, sign_e, phi0, segments, out):
     )
     if out is not None:
         with _io_errors():
-            write_json(out, report, "berry_report")
+            write_json(out, report)
         click.echo(f"wrote {out}")
 
 
@@ -524,7 +524,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
     with _io_errors():
         write_table_csv(f"{out_prefix}_coefficients.csv", header, coeff_rows)
         write_grid_csv(f"{out_prefix}_density.csv", values, *bounds)
-        write_json(f"{out_prefix}.json", sidecar, "decompose_sidecar")
+        write_json(f"{out_prefix}.json", sidecar)
     note = " (truncated)" if truncated else ""
     click.echo(f"wrote {out_prefix}_* (sum |c|^2 = {sum_abs2:.9f}{note})")
 

@@ -1,19 +1,22 @@
-"""Deterministic CSV/JSON writers and the shipped sidecar schemas.
+"""Deterministic CSV/JSON writers.
 
 Files are bit-stable across runs: 17-significant-digit floats, LF line
 endings, sorted JSON keys, deterministic row order.  The grid CSV writer
 makes the bytes of ``%.17g`` with a numpy kernel (``_format17``) and calls
 the per-value formatter only for the values whose digits the kernel cannot
 prove.
+
+The JSON schemas shipped in ``als/schemas`` document the sidecar and report
+formats.  Nothing here checks them: each command builds a fixed shape whose
+bounds its option types already enforce, and the tests validate every kind
+of file against its schema.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
 
-import jsonschema
 import numpy as np
 
 
@@ -22,34 +25,11 @@ def fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def load_schema(name: str) -> dict:
-    """Load one of the shipped JSON schemas by stem name."""
-    path = resources.files("als.schemas").joinpath(f"{name}.schema.json")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-@lru_cache(maxsize=None)
-def _validator(schema_name: str):
-    """One validator per shipped schema.  Unlike ``jsonschema.validate`` it does
-    not re-check the schema against its metaschema on every call; the tests
-    run ``check_schema`` on each shipped schema instead."""
-    schema = load_schema(schema_name)
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
-def validate(obj: dict, schema_name: str) -> None:
-    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate`` would."""
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(obj))
-    if error is not None:
-        raise error
-
-
-def write_json(path, obj: dict, schema_name: str) -> None:
-    """Validate obj against the named shipped schema, then write it.
+def write_json(path, obj: dict) -> None:
+    """Write obj as sorted, indented JSON.
 
     A NaN or infinite value raises ``ValueError``: JSON has no such token.
     """
-    validate(obj, schema_name)
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")

@@ -26,13 +26,20 @@
 * ``measured_observables(n, m, alpha, sign_e)`` is the per-state
   (energy, <r^2>, <Lz>) of one mode's term map, by ``apply`` and
   ``inner_product``; ``observables.sweep`` must reproduce it.
+* ``validate(obj, name)`` checks a sidecar or report against the schema
+  ``name`` shipped in ``als/schemas``.  The package itself never checks
+  them; ``schema(name)`` reads one as package data of the imported ``als``,
+  so an install that left the schemas out fails here.
 
 The polynomials' own checks are in ``test_specfun.py``.
 """
 
+import json
 import math
+from importlib import resources
 from math import comb, factorial
 
+import jsonschema
 import numpy as np
 
 from als.gstate import apply, inner_product
@@ -126,3 +133,14 @@ def measured_observables(n: int, m: int, alpha: float, sign_e: int) -> tuple[flo
         inner_product(st, apply(R2_OP, st)).real,
         expectation(st, h3()).real,
     )
+
+
+def schema(name: str) -> dict:
+    """The shipped JSON schema ``als/schemas/<name>.schema.json``."""
+    path = resources.files("als.schemas").joinpath(f"{name}.schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def validate(obj: dict, name: str) -> None:
+    """Raise ``jsonschema.ValidationError`` unless obj matches the shipped schema."""
+    jsonschema.validate(obj, schema(name))

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -16,10 +19,9 @@ from hypothesis import strategies as st
 import als
 from als.cli import fold_alpha, main, parse_angle
 from als.modes import ORDER_CAP, hlg_coefficients
-from als.output import load_schema, validate
 from als.specfun import cell_centres
 from als.verify import SUITES
-from oracles import hermite_functions, jacobi_eval, lg_density
+from oracles import hermite_functions, jacobi_eval, lg_density, schema, validate
 
 runner = CliRunner()
 
@@ -109,6 +111,20 @@ class TestDensityCommand:
         assert abs(sidecar["norm_check"] - 1.0) <= 1e-6
         assert sidecar["pattern"]["classification"] == "ring"
         assert sidecar["pattern"]["radial_node_count"] == 0
+
+    def test_folded_alpha_is_recorded(self, tmp_path):
+        # alpha = 2 folds to 2 - pi/2 with the Cartesian indices swapped
+        out = tmp_path / "folded.csv"
+        result = runner.invoke(
+            main,
+            ["density", "--nr", "1", "--l", "2", "--alpha", "2.0", "--points", "32", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        sidecar = json.loads((tmp_path / "folded.json").read_text())
+        validate(sidecar, "density_sidecar")
+        assert sidecar["alpha_input"] == 2.0 and sidecar["alpha"] == pytest.approx(2.0 - math.pi / 2)
+        assert sidecar["mode_input"] == {"n": 3, "m": 1}
+        assert (sidecar["mode"]["n"], sidecar["mode"]["m"]) == (1, 3)
 
     def test_gaussian_spot(self, tmp_path):
         out = tmp_path / "spot.csv"
@@ -506,7 +522,27 @@ class TestBerryCommand:
         )
         assert result.exit_code == 0, result.output
         report = json.loads(out.read_text())
+        validate(report, "berry_report")
         assert abs(abs(report["solid_angle"]) - math.pi) <= 1e-8
+
+    @pytest.mark.parametrize("phi0", [1e16, -1e16, 1e17, 1e300])
+    def test_polar_loop_at_a_huge_meridian(self, phi0, tmp_path):
+        # the loop has period pi in phi0; unreduced, phi0 + pi/2 - t rounds
+        # and the return arc collapses (+pi at 1e16, too coarse at 1e17)
+        reports = []
+        for arg in (phi0, math.fmod(phi0, math.pi)):
+            out = tmp_path / f"berry{len(reports)}.json"
+            result = runner.invoke(
+                main,
+                ["berry", "--nr", "0", "--l", "1", "--loop", "polar", f"--phi0={arg!r}",
+                 "--segments", "200", "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            reports.append(json.loads(out.read_text()))
+        huge, reduced = reports
+        assert huge["loop"]["phi0"] == phi0
+        assert (huge["solid_angle"], huge["berry_phase"]) == (reduced["solid_angle"], reduced["berry_phase"])
+        assert abs(huge["solid_angle"] + math.pi) <= 1e-12
 
     def test_beta_latitude_at_pole(self, tmp_path):
         # beta = 1/2 (electron) pins the loop at the sphere pole: zero phase
@@ -808,6 +844,33 @@ def test_exit_code_contract(call):
             _assert_finite(path)
 
 
+def test_commands_do_not_import_jsonschema(tmp_path):
+    """The schemas are checked by the tests; no command loads a validator."""
+    script = f"""
+import sys
+from als.cli import main
+out = {str(tmp_path)!r}
+for args in (
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--out", out + "/d.csv"],
+    ["table", "--nr", "0", "--l", "1", "--steps", "2", "--out", out + "/t.csv"],
+    ["verify", "--suites", "algebra", "--max-order", "1", "--out", out + "/v.json"],
+    ["berry", "--nr", "0", "--l", "1", "--segments", "20", "--out", out + "/b.json"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--max-order", "1", "--points", "8",
+     "--out-prefix", out + "/x"],
+):
+    main(args, standalone_mode=False)
+assert "jsonschema" not in sys.modules, "a command imported jsonschema"
+"""
+    # the child imports the same als as this process
+    src = str(Path(als.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "b.json", "d.csv", "d.json", "t.csv", "v.json", "x.json", "x_coefficients.csv", "x_density.csv",
+    ]
+
+
 def test_version_matches_package():
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
@@ -817,5 +880,4 @@ def test_version_matches_package():
 class TestSchemas:
     def test_all_schemas_load(self):
         for name in ("density_sidecar", "verify_report", "berry_report", "decompose_sidecar"):
-            schema = load_schema(name)
-            assert schema["type"] == "object"
+            assert schema(name)["type"] == "object"

@@ -1,4 +1,4 @@
-"""Grid CSV writer: byte equality with the per-value formatter; schema validation."""
+"""Grid CSV writer: byte equality with the per-value formatter; the shipped schemas."""
 
 import jsonschema
 import numpy as np
@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from als.modes import hlg_block, level_density, rotate_block
-from als.output import _BLOCK_CELLS, _format17, fmt, load_schema, validate, write_grid_csv
+from als.output import _BLOCK_CELLS, _format17, fmt, write_grid_csv
 from als.specfun import cell_centres
+from oracles import schema
 
 
 def reference_grid_csv(path, grid, x_min, x_max, y_min, y_max):
@@ -119,37 +120,8 @@ def test_symmetric_grid_repeats_values():
     assert len(np.unique(grid)) * 4 == grid.size
 
 
-def _valid_berry_report():
-    return {
-        "loop": {"family": "latitude", "alpha": 0.3},
-        "mode": {"n": 0, "m": 1, "n_r": 0, "l": 1},
-        "segments": 50,
-        "solid_angle": 1.0,
-        "berry_phase": -0.5,
-        "expected_phase": -0.5,
-        "deviation": 0.0,
-    }
-
-
-@pytest.mark.parametrize("key, value", [("segments", None), ("segments", "50"), ("mode", {"n": 0})])
-def test_validate_raises_the_jsonschema_error(key, value):
-    """A missing key (value None) or a wrong type raises what jsonschema.validate raises."""
-    report = _valid_berry_report()
-    validate(report, "berry_report")
-    if value is None:
-        del report[key]
-    else:
-        report[key] = value
-    with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(report, load_schema("berry_report"))
-    with pytest.raises(jsonschema.ValidationError) as raised:
-        validate(report, "berry_report")
-    assert str(raised.value) == str(expected.value)
-    assert raised.value.message == expected.value.message
-
-
 @pytest.mark.parametrize("name", ["density_sidecar", "verify_report", "berry_report", "decompose_sidecar"])
 def test_shipped_schema_is_valid(name):
-    """validate skips the metaschema check that jsonschema.validate makes on every call."""
-    schema = load_schema(name)
-    jsonschema.validators.validator_for(schema).check_schema(schema)
+    """Each shipped schema is itself valid under its metaschema."""
+    shipped = schema(name)
+    jsonschema.validators.validator_for(shipped).check_schema(shipped)

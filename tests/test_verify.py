@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from als import fields, verify
 from als.cli import main
 from als.modes import ORDER_CAP
+from oracles import validate
 
 #: The spectra and observables rows that sample the modes of a level.
 LEVEL_ROWS = {
@@ -76,6 +77,7 @@ def test_nan_level_makes_the_command_fail(nan_level_3, tmp_path):
         raise ValueError(f"{token} is not JSON")
 
     report = json.loads(out.read_text(), parse_constant=reject)
+    validate(report, "verify_report")
     failed = {r["identity"]: r["residual"] for r in report["results"] if not r["pass"]}
     assert set(failed) == LEVEL_ROWS & {r["identity"] for r in report["results"]}
     assert failed and all(residual is None for residual in failed.values())
