@@ -29,13 +29,16 @@ removes the longitudinal component, leaving the fixed transverse
 potential B0 * (-beta y, (1 - beta) x, 0) inside, which is divergence
 free (Coulomb gauge).
 
+Every function broadcasts over arrays of points: x, y and z may be
+numbers or arrays, and a vector comes back with its three components on
+the first axis, shape (3,) + the broadcast shape of the coordinates.
+
 This module is diagnostic only: the quantum side consumes the fixed
 gauge directly and nothing here feeds state construction except beta.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,87 +72,76 @@ class GaugeParams:
     c: float
 
 
-def theta_eps(z: float, eps: float) -> float:
+def theta_eps(z, eps: float):
     """Smooth ramp replacing the hard step at z = 0."""
-    return 0.5 * (1.0 + math.tanh(z / eps))
+    return 0.5 * (1.0 + np.tanh(z / eps))
 
 
-def delta_eps(z: float, eps: float) -> float:
+def delta_eps(z, eps: float):
     """Derivative of the ramp (regularized surface delta)."""
-    t = abs(z) / eps
+    t = np.abs(z) / eps
     # sech(t) written overflow-safe
-    sech = 2.0 * math.exp(-t) / (1.0 + math.exp(-2.0 * t))
+    sech = 2.0 * np.exp(-t) / (1.0 + np.exp(-2.0 * t))
     return 0.5 * sech * sech / eps
 
 
-def b_field(model: FieldModel, x: float, y: float, z: float) -> np.ndarray:
+def _vector(*components) -> np.ndarray:
+    """The components stacked on the first axis, each broadcast to the points' shape."""
+    return np.stack(np.broadcast_arrays(*components))
+
+
+def b_field(model: FieldModel, x, y, z) -> np.ndarray:
     """Regularized boundary field; exactly divergence free."""
     th = theta_eps(z, model.eps)
     de = delta_eps(z, model.eps)
-    return model.b0 * np.array(
-        [-(1.0 - model.beta) * x * de, -model.beta * y * de, th]
-    )
+    return model.b0 * _vector(-(1.0 - model.beta) * x * de, -model.beta * y * de, th)
 
 
-def _partial(f, i: int, k: int, p: tuple) -> float:
+def _partial(f, i: int, k: int, p: tuple):
     """Central difference of component i of f along coordinate k at p."""
     hi = p[:k] + (p[k] + FD_STEP,) + p[k + 1:]
     lo = p[:k] + (p[k] - FD_STEP,) + p[k + 1:]
     return (f(*hi)[i] - f(*lo)[i]) / (2 * FD_STEP)
 
 
-def divergence(f, x: float, y: float, z: float) -> float:
+def divergence(f, x, y, z):
     """Central-difference divergence of the vector function f(x, y, z)."""
     p = (x, y, z)
     return _partial(f, 0, 0, p) + _partial(f, 1, 1, p) + _partial(f, 2, 2, p)
 
 
-def curl(f, x: float, y: float, z: float) -> np.ndarray:
+def curl(f, x, y, z) -> np.ndarray:
     """Central-difference curl of the vector function f(x, y, z)."""
     p = (x, y, z)
-    return np.array([
+    return _vector(
         _partial(f, 2, 1, p) - _partial(f, 1, 2, p),
         _partial(f, 0, 2, p) - _partial(f, 2, 0, p),
         _partial(f, 1, 0, p) - _partial(f, 0, 1, p),
-    ])
+    )
 
 
-def vector_potential(
-    params: GaugeParams, model: FieldModel, x: float, y: float, z: float
-) -> np.ndarray:
+def vector_potential(params: GaugeParams, model: FieldModel, x, y, z) -> np.ndarray:
     """Member of the quadratic gauge family with curl equal to b_field."""
     th = theta_eps(z, model.eps)
     de = delta_eps(z, model.eps)
     d = params.b + model.beta
-    return model.b0 * np.array(
-        [
-            th * (params.a * x + params.b * y),
-            th * ((1.0 + params.b) * x + params.c * y),
-            de * (0.5 * params.a * x * x + d * x * y + 0.5 * params.c * y * y),
-        ]
+    return model.b0 * _vector(
+        th * (params.a * x + params.b * y),
+        th * ((1.0 + params.b) * x + params.c * y),
+        de * (0.5 * params.a * x * x + d * x * y + 0.5 * params.c * y * y),
     )
 
 
-def grad_chi(
-    params: GaugeParams, model: FieldModel, x: float, y: float, z: float
-) -> np.ndarray:
+def grad_chi(params: GaugeParams, model: FieldModel, x, y, z) -> np.ndarray:
     """Gradient of the gauge function chi that fixes the member ``params``."""
     th = theta_eps(z, model.eps)
     de = delta_eps(z, model.eps)
     d = params.b + model.beta
     quad = 0.5 * params.a * x * x + d * x * y + 0.5 * params.c * y * y
-    return -model.b0 * np.array(
-        [
-            th * (params.a * x + d * y),
-            th * (d * x + params.c * y),
-            de * quad,
-        ]
-    )
+    return -model.b0 * _vector(th * (params.a * x + d * y), th * (d * x + params.c * y), de * quad)
 
 
-def transformed_potential(
-    params: GaugeParams, model: FieldModel, x: float, y: float, z: float
-) -> np.ndarray:
+def transformed_potential(params: GaugeParams, model: FieldModel, x, y, z) -> np.ndarray:
     """A + grad(chi) from the member ``params``; equals the gauge_fix member."""
     return vector_potential(params, model, x, y, z) + grad_chi(params, model, x, y, z)
 

@@ -41,6 +41,7 @@ so Hphys has the mode spectrum of Hperp; ``dilate`` forms the left side.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -190,19 +191,37 @@ def _axis_factor(size: int, p: int, d: int) -> np.ndarray:
     return out
 
 
-def level_matrix(D: PolyDiffOperator, order: int) -> np.ndarray:
-    """Matrix of D from the Hs level ``order`` onto the Hermite-Gauss products.
+def level_matrix(ops: Sequence[PolyDiffOperator], order: int) -> np.ndarray:
+    """Matrices of a stack of operators from the Hs level ``order`` onto the Hermite-Gauss products.
 
-    Entry [nx, ny, k] is <nx, ny| D |order - k, k> (the products of
-    ``modes.hlg_block``); nx, ny run over D's whole image.  On each axis x
-    is (a + a^T)/2 and d/dx is a - a^T, with a[k-1, k] = sqrt(k).
+    Entry [i, nx, ny, k] is <nx, ny| ops[i] |order - k, k> (the products of
+    ``modes.hlg_block``); nx, ny run over the whole image of every operator
+    in the stack, and one operator is a stack of one.  On each axis x is
+    (a + a^T)/2 and d/dx is a - a^T, with a[k-1, k] = sqrt(k).  Each
+    normal-ordered term's product matrix, which is real, is formed once per
+    call and shared by the stack; each operator sums the real and the
+    imaginary parts of its coefficients times those products, in the order
+    of its terms.
     """
-    size = order + 1 + max((sum(key) for key in D.terms), default=0)
-    out = np.zeros((size, size, order + 1), dtype=complex)
+    size = order + 1 + max((sum(key) for D in ops for key in D.terms), default=0)
     # each factor moves an index by one, so the truncation at ``size`` is exact
-    for (p, q, dx, dy), c in D.terms.items():
+    products = {}
+    for p, q, dx, dy in {key for D in ops for key in D.terms}:
         mx, my = _axis_factor(size, p, dx), _axis_factor(size, q, dy)
-        out += c * (mx[:, None, order::-1] * my[None, :, : order + 1])
+        products[p, q, dx, dy] = mx[:, None, order::-1] * my[None, :, : order + 1]
+    out = np.zeros((len(ops), size, size, order + 1), dtype=complex)
+    total, scaled = np.empty((2, size, size, order + 1))
+    for D, matrix in zip(ops, out):
+        for part, weights in (
+            (matrix.real, [(c.real, products[key]) for key, c in D.terms.items() if c.real]),
+            (matrix.imag, [(c.imag, products[key]) for key, c in D.terms.items() if c.imag]),
+        ):
+            if weights:
+                (w, term), *rest = weights
+                np.multiply(term, w, out=total)
+                for w, term in rest:
+                    total += np.multiply(term, w, out=scaled)
+                part[...] = total
     return out
 
 

@@ -110,19 +110,24 @@ def _level(order: int, alpha: float) -> tuple[tuple[ModeIndex, ...], np.ndarray]
     return modes, vecs
 
 
-def _eigen_residuals(D: PolyDiffOperator, vecs: np.ndarray, lams) -> np.ndarray:
-    """||D v - lam v|| for each level vector v in the columns of vecs, over D's whole image."""
-    r = level_matrix(D, len(vecs) - 1) @ vecs
-    ks = np.arange(len(vecs))
-    r[ks[::-1], ks] -= vecs * np.asarray(lams)
-    return np.linalg.norm(r, axis=(0, 1))
+def _levels(order: int) -> tuple[tuple[ModeIndex, ...], np.ndarray]:
+    """The modes of a level and their vectors at every angle of ``_ALPHAS``, shape (angles, N + 1, N + 1)."""
+    return _level(order, _ALPHAS[0])[0], np.stack([_level(order, alpha)[1] for alpha in _ALPHAS])
 
 
-def _expectation_errors(matrix: np.ndarray, vecs: np.ndarray, closed) -> np.ndarray:
-    """|v^H D v - closed| for each column v of vecs, given D's level_matrix."""
-    ks = np.arange(len(vecs))
-    values = np.einsum("ki,kl,li->i", vecs.conj(), matrix[ks[::-1], ks], vecs)
-    return np.abs(values - closed)
+def _eigen_residuals(matrices: np.ndarray, vecs: np.ndarray, lams) -> np.ndarray:
+    """||D v - lam v|| over D's whole image for each column v of vecs, shape (..., K).
+
+    matrices (..., size, size, N + 1) is a ``level_matrix`` stack; vecs
+    (..., N + 1, K) and lams, which broadcast against vecs, line up with
+    its leading axes.
+    """
+    # one small product per image row nx: a (size, N + 1) block of the
+    # matrix is small enough that BLAS keeps it on one thread
+    r = matrices @ vecs[..., None, :, :]
+    ks = np.arange(matrices.shape[-1])
+    r[..., ks[::-1], ks, :] -= vecs * lams
+    return np.linalg.norm(r, axis=(-3, -2))
 
 
 def suite_algebra(max_order: int) -> list[IdentityResult]:
@@ -166,36 +171,37 @@ def suite_algebra(max_order: int) -> list[IdentityResult]:
 
 def suite_spectra(max_order: int) -> list[IdentityResult]:
     rows = _Rows("spectra", 1e-10)
-    ops = [(h_perp(a, -1), h_perp(a, +1), h_as(a, -1)) for a in _ALPHAS]
-    cas = casimir()
-
-    for order in range(max_order + 1):
-        for alpha, (electron, positron, asym) in zip(_ALPHAS, ops):
-            modes, vecs = _level(order, alpha)
-            for name, D, lams in (
-                ("Hperp eigenvalue 2(n+1/2), electron", electron, [2 * md.n + 1 for md in modes]),
-                ("Hperp eigenvalue 2(m+1/2), positron", positron, [2 * md.m + 1 for md in modes]),
-                ("Has eigenvalue -sign_e l", asym, [md.l for md in modes]),
-            ):
-                rows.add(name, _eigen_residuals(D, vecs, lams))
-            if alpha == 0.0:
-                residuals = _eigen_residuals(cas, vecs, 0.25 * ((order + 1) ** 2 - 1))
-                rows.add("Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis", residuals)
-            # |v|^2 = sum_k |c_k|^2 (N-k)! k! / (n! m!): 1 is the paper's norm formula
-            rows.add("norm^2 = pi 2^(n+m-1) n! m!", np.abs(np.linalg.norm(vecs, axis=0) ** 2 - 1.0))
-            # modes on different levels are orthogonal because their Hermite products are
-            rows.add("orthonormality of the mode basis", np.abs(vecs.conj().T @ vecs - np.eye(order + 1)))
-
+    # three Hamiltonians at every angle, one stack of (3, angles) per level
+    hamiltonians = [f(a, sign) for f, sign in ((h_perp, -1), (h_perp, +1), (h_as, -1)) for a in _ALPHAS]
+    cas = [casimir()]
     rng = np.random.default_rng(7)
+
     for order in range(max_order + 1):
-        for n in range(order + 1):
-            mode = ModeIndex(n, order - n)
-            phi = float(rng.uniform(0, 2 * math.pi))
-            alpha = float(rng.uniform(0, math.pi / 2))
-            turned = rotate_block(hlg_block(mode.n, mode.m, alpha), phi)[:, None]
-            sch = schwinger_operator(phi, alpha, -1)
-            lam = energy(mode.n_r, mode.l, -1)
-            rows.add("rotated-family eigenvalue 2 n_r + |l| + l + 1", _eigen_residuals(sch, turned, lam))
+        modes, vecs = _levels(order)
+        # eigenvalues by (Hamiltonian, angle, level row, mode column)
+        lams = np.array([[2 * md.n + 1, 2 * md.m + 1, md.l] for md in modes]).T[:, None, None, :]
+        matrices = level_matrix(hamiltonians, order)
+        matrices = matrices.reshape(3, len(_ALPHAS), *matrices.shape[1:])
+        electron, positron, asym = _eigen_residuals(matrices, vecs, lams)
+        rows.add("Hperp eigenvalue 2(n+1/2), electron", electron)
+        rows.add("Hperp eigenvalue 2(m+1/2), positron", positron)
+        rows.add("Has eigenvalue -sign_e l", asym)
+        residuals = _eigen_residuals(level_matrix(cas, order)[0], vecs[0], 0.25 * ((order + 1) ** 2 - 1))
+        rows.add("Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis", residuals)
+        # |v|^2 = sum_k |c_k|^2 (N-k)! k! / (n! m!): 1 is the paper's norm formula
+        rows.add("norm^2 = pi 2^(n+m-1) n! m!", np.abs(np.linalg.norm(vecs, axis=1) ** 2 - 1.0))
+        # modes on different levels are orthogonal because their Hermite products are
+        gram = vecs.conj().transpose(0, 2, 1) @ vecs
+        rows.add("orthonormality of the mode basis", np.abs(gram - np.eye(order + 1)))
+
+        # each mode at its own random (phi, alpha), in the order the draws come
+        draws = rng.uniform((0.0, 0.0), (2 * math.pi, math.pi / 2), size=(order + 1, 2)).tolist()
+        turned = np.array(
+            [rotate_block(hlg_block(md.n, md.m, alpha), phi) for md, (phi, alpha) in zip(modes, draws)]
+        )
+        sch = level_matrix([schwinger_operator(phi, alpha, -1) for phi, alpha in draws], order)
+        lams = np.array([energy(md.n_r, md.l, -1) for md in modes])[:, None, None]
+        rows.add("rotated-family eigenvalue 2 n_r + |l| + l + 1", _eigen_residuals(sch, turned[:, :, None], lams))
 
     for beta in (0.2, 0.35, 0.5):
         for sign in (-1, 1):
@@ -207,25 +213,26 @@ def suite_spectra(max_order: int) -> list[IdentityResult]:
 
 def suite_observables(max_order: int) -> list[IdentityResult]:
     rows = _Rows("observables", 1e-10)
-    electron = [h_perp(a, -1) for a in _ALPHAS]
-    cas = casimir()
+    # Lz and r^2 serve every angle, the electron Hperp one angle each
+    ops = [h3(), R2_OP, casimir()] + [h_perp(a, -1) for a in _ALPHAS]
 
     for order in range(max_order + 1):
-        lz_matrix, r2_matrix, cas_matrix = (level_matrix(D, order) for D in (h3(), R2_OP, cas))
-        for alpha, hp in zip(_ALPHAS, electron):
-            modes, vecs = _level(order, alpha)
-            lz = [mean_lz(md.l, alpha) for md in modes]
-            r2 = [mean_r2(md.n_r, md.l) for md in modes]
-            e = [energy(md.n_r, md.l, -1) for md in modes]
-            for name, matrix, closed in (
-                ("<Lz> = l sin(2 alpha)", lz_matrix, lz),
-                ("<r^2> = (2 n_r + |l| + 1)/2, alpha independent", r2_matrix, r2),
-                ("<Hperp> matches the closed-form energy", level_matrix(hp, order), e),
-            ):
-                rows.add(name, _expectation_errors(matrix, vecs, closed))
-            if alpha == 0.0:
-                j = 0.5 * order
-                rows.add("<Casimir> = j(j+1)", _expectation_errors(cas_matrix, vecs, j * (j + 1)))
+        modes, vecs = _levels(order)
+        ks = np.arange(order + 1)
+        # each operator from the level onto itself; v^H (D v) for every mode and angle
+        blocks = level_matrix(ops, order)[:, ks[::-1], ks]
+        conj = vecs.conj()
+        lz, r2 = (conj * (blocks[:2, None] @ vecs)).sum(axis=-2)
+        electron = (conj * (blocks[3:] @ vecs)).sum(axis=-2)
+        cas = (conj[0] * (blocks[2] @ vecs[0])).sum(axis=0)
+        lz_closed = [[mean_lz(md.l, alpha) for md in modes] for alpha in _ALPHAS]
+        r2_closed = [mean_r2(md.n_r, md.l) for md in modes]
+        e_closed = [energy(md.n_r, md.l, -1) for md in modes]
+        rows.add("<Lz> = l sin(2 alpha)", np.abs(lz - lz_closed))
+        rows.add("<r^2> = (2 n_r + |l| + 1)/2, alpha independent", np.abs(r2 - r2_closed))
+        rows.add("<Hperp> matches the closed-form energy", np.abs(electron - e_closed))
+        j = 0.5 * order
+        rows.add("<Casimir> = j(j+1)", np.abs(cas - j * (j + 1)))
         for md in modes:
             e_minus = energy(md.n_r, md.l, -1)
             e_plus = energy(md.n_r, md.l, +1)
@@ -240,10 +247,12 @@ def suite_fields(max_order: int) -> list[IdentityResult]:
     t_exact = 1e-9
     rows = _Rows("fields", 1e-6 / eps)
 
-    pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)) for _ in range(200)]
+    # each row evaluates all its sample points in one call; the draws keep
+    # the order of one (x, y, z) point at a time
+    pts = rng.uniform((-1.0, -1.0, -0.3), (1.0, 1.0, 0.3), size=(200, 3)).T
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
         model = fields_mod.FieldModel(beta=beta, b0=1.0, eps=eps)
-        divergences = [fields_mod.divergence(partial(fields_mod.b_field, model), *p) for p in pts]
+        divergences = fields_mod.divergence(partial(fields_mod.b_field, model), *pts)
         rows.add(f"div B = 0 at beta={beta}", np.abs(divergences))
 
     model = fields_mod.FieldModel(beta=0.35, b0=1.0, eps=eps)
@@ -252,32 +261,22 @@ def suite_fields(max_order: int) -> list[IdentityResult]:
         for _ in range(3)
     ]
     potentials = [partial(fields_mod.vector_potential, params, model) for params in params_sets]
-    for A in potentials:
-        for p in pts[:60]:
-            curl = fields_mod.curl(A, *p)
-            rows.add("curl A = B across the gauge family", np.abs(curl - fields_mod.b_field(model, *p)))
-
-    for p in pts[:60]:
-        a1 = fields_mod.curl(potentials[0], *p)
-        a2 = fields_mod.curl(potentials[1], *p)
-        rows.add("equal d-b gives equal curl", np.abs(a1 - a2))
+    curls = [fields_mod.curl(A, *pts[:, :60]) for A in potentials]
+    field = fields_mod.b_field(model, *pts[:, :60])
+    for curl in curls:
+        rows.add("curl A = B across the gauge family", np.abs(curl - field))
+    rows.add("equal d-b gives equal curl", np.abs(curls[0] - curls[1]))
 
     fixed = partial(fields_mod.transformed_potential, params_sets[0], model)
-    for p in pts[:100]:
-        ref = fields_mod.vector_potential(fields_mod.gauge_fix(model), model, *p)
-        rows.add("A + grad(chi) matches the fixed potential", np.abs(fixed(*p) - ref), t_exact)
+    ref = fields_mod.vector_potential(fields_mod.gauge_fix(model), model, *pts[:, :100])
+    rows.add("A + grad(chi) matches the fixed potential", np.abs(fixed(*pts[:, :100]) - ref), t_exact)
 
-    for _ in range(50):
-        x, y = rng.uniform(-1, 1, 2)
-        z = rng.uniform(12 * eps, 20 * eps)
-        ap = fixed(float(x), float(y), float(z))
-        ref = np.array([-model.beta * y, (1 - model.beta) * x, 0.0])
-        rows.add("fixed potential inside the solenoid", np.abs(ap - ref), t_exact)
+    x, y, z = rng.uniform((-1.0, -1.0, 12 * eps), (1.0, 1.0, 20 * eps), size=(50, 3)).T
+    ref = np.stack([-model.beta * y, (1 - model.beta) * x, np.zeros_like(x)])
+    rows.add("fixed potential inside the solenoid", np.abs(fixed(x, y, z) - ref), t_exact)
 
-    for _ in range(50):
-        x, y = rng.uniform(-1, 1, 2)
-        z = rng.uniform(3 * eps, 10 * eps)
-        rows.add("div A' = 0 inside (Coulomb gauge)", abs(fields_mod.divergence(fixed, x, y, z)), t_exact)
+    x, y, z = rng.uniform((-1.0, -1.0, 3 * eps), (1.0, 1.0, 10 * eps), size=(50, 3)).T
+    rows.add("div A' = 0 inside (Coulomb gauge)", np.abs(fields_mod.divergence(fixed, x, y, z)), t_exact)
     return rows.results()
 
 

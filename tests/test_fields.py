@@ -1,9 +1,12 @@
 """Boundary field model: divergence, curl, gauge family and fixing."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from als.fields import (
+    FD_STEP,
     FieldModel,
     GaugeParams,
     b_field,
@@ -163,3 +166,52 @@ class TestGaugeFix:
         tol = 1e-6 * model.b0 / model.eps
         for p in random_points(40):
             assert np.max(np.abs(curl(shifted, *p) - curl(f0, *p))) <= tol
+
+
+class TestArrayPoints:
+    """Every function broadcasts over arrays of points, as per-point calls give."""
+
+    MODEL = FieldModel(beta=0.3, b0=1.5, eps=EPS)
+    PARAMS = GaugeParams(a=0.2, b=-0.4, c=0.7)
+    FUNCS = {
+        "theta_eps": lambda x, y, z: theta_eps(z, EPS),
+        "delta_eps": lambda x, y, z: delta_eps(z, EPS),
+        "b_field": partial(b_field, MODEL),
+        "vector_potential": partial(vector_potential, PARAMS, MODEL),
+        "grad_chi": partial(grad_chi, PARAMS, MODEL),
+        "transformed_potential": partial(transformed_potential, PARAMS, MODEL),
+    }
+
+    def points(self):
+        return rng.uniform((-1, -1, -0.5), (1, 1, 0.5), size=(300, 3)).T
+
+    @staticmethod
+    def per_point(f, x, y, z):
+        # components on the first axis, points on the last
+        return np.moveaxis(np.array([f(*map(float, p)) for p in zip(x, y, z)]), 0, -1)
+
+    @pytest.mark.parametrize("name", FUNCS)
+    def test_values(self, name):
+        f = self.FUNCS[name]
+        x, y, z = self.points()
+        got = f(x, y, z)
+        assert got.shape == (300,) or got.shape == (3, 300)
+        np.testing.assert_allclose(got, self.per_point(f, x, y, z), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("name", ["b_field", "vector_potential", "transformed_potential"])
+    def test_stencils(self, name):
+        # each difference quotient amplifies a relative change of 1e-15 in
+        # the values it differences by |f| / FD_STEP
+        f = self.FUNCS[name]
+        x, y, z = self.points()
+        scale = 1e-15 * np.max(np.abs(f(x, y, z))) / FD_STEP
+        for stencil in (divergence, curl):
+            got = stencil(f, x, y, z)
+            ref = self.per_point(lambda *p: stencil(f, *p), x, y, z)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=scale)
+
+    def test_grid_of_points_keeps_its_shape(self):
+        x, y = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(-1, 1, 5))
+        assert b_field(self.MODEL, x, y, 0.1).shape == (3, 5, 4)
+        assert curl(self.FUNCS["vector_potential"], x, y, 0.1).shape == (3, 5, 4)
+        assert divergence(self.FUNCS["b_field"], x, y, 0.1).shape == (5, 4)

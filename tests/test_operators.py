@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from als.gstate import PolyDiffOperator, apply, inner_product, op_commutator
-from als.modes import beta_to_alpha, hlg_block, hlg_state, schwinger_state
+from als.modes import ORDER_CAP, beta_to_alpha, hlg_block, hlg_state, schwinger_state
 from als.observables import R2_OP
 from als.operators import (
     casimir,
@@ -359,16 +359,16 @@ class TestLevelMatrix:
         for nx in range(total + 1)
     }
 
+    OPS = [hs(), h1(), h2(), h3(), casimir(), R2_OP, h_perp(0.7, -1), h_perp(0.7, +1),
+           h_as(0.7, -1), schwinger_operator(1.1, 0.4, -1)]
+
     @pytest.mark.parametrize(
-        "op",
-        [hs(), h1(), h2(), h3(), casimir(), R2_OP, h_perp(0.7, -1), h_perp(0.7, +1),
-         h_as(0.7, -1), schwinger_operator(1.1, 0.4, -1)],
-        ids=["hs", "h1", "h2", "h3", "casimir", "r2", "h_perp-", "h_perp+", "h_as", "schwinger"],
+        "op", OPS, ids=["hs", "h1", "h2", "h3", "casimir", "r2", "h_perp-", "h_perp+", "h_as", "schwinger"],
     )
     def test_matches_apply_on_term_maps(self, op):
         worst = 0.0
         for order in range(self.LOW + 1):
-            matrix = level_matrix(op, order)
+            (matrix,) = level_matrix([op], order)
             for n in range(order + 1):
                 image = matrix @ hlg_block(n, order - n, 0.3)
                 ref = apply(op, hlg_state(n, order - n, 0.3))
@@ -377,11 +377,27 @@ class TestLevelMatrix:
                     worst = max(worst, abs(got - (-1j) ** ny * inner_product(product, ref)))
         assert worst <= 2e-12, worst
 
+    @pytest.mark.parametrize("order", [*range(LOW + 1), ORDER_CAP])
+    def test_stack_matches_one_operator_calls(self, order):
+        # a stack is as wide as its widest operator's image; each operator's
+        # own matrix is its top-left corner, with zeros beyond
+        stack = level_matrix(self.OPS, order)
+        assert stack.shape == (len(self.OPS), order + 5, order + 5, order + 1)
+        for op, matrix in zip(self.OPS, stack):
+            (alone,) = level_matrix([op], order)
+            size = len(alone)
+            assert np.array_equal(matrix[:size, :size], alone)
+            assert not matrix[size:].any() and not matrix[:, size:].any()
+
+    def test_empty_terms_and_empty_stack(self):
+        assert level_matrix([], 3).shape == (0, 4, 4, 4)
+        assert not level_matrix([PolyDiffOperator()], 2).any()
+
     def test_result_is_a_fresh_array(self):
-        first = level_matrix(h1(), 4)
+        first = level_matrix([h1()], 4)
         ref = first.copy()
         first[...] = 7.0
-        again = level_matrix(h1(), 4)
+        again = level_matrix([h1()], 4)
         assert again is not first
         assert np.array_equal(again, ref)
 

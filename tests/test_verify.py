@@ -1,6 +1,5 @@
 """The verify runner and the reach of its suites."""
 
-import itertools
 import json
 import math
 
@@ -84,15 +83,106 @@ def test_nan_level_makes_the_command_fail(nan_level_3, tmp_path):
 
 
 def test_nan_field_sample_fails_its_row(monkeypatch):
-    calls = itertools.count()
     b_field = fields.b_field
 
     def poisoned(model, x, y, z):
-        # one call inside the finite differences of the second sample point
-        return np.full(3, math.nan) if next(calls) == 6 else b_field(model, x, y, z)
+        # the second sample point of the beta = 0 divergence reads NaN
+        out = b_field(model, x, y, z)
+        if model.beta == 0.0:
+            out[:, 1] = math.nan
+        return out
 
     monkeypatch.setattr(fields, "b_field", poisoned)
     rows = {r.identity: r for r in verify.suite_fields(0)}
     row = rows.pop("div B = 0 at beta=0.0")
     assert not row.passed and math.isnan(row.residual)
     assert all(r.passed for r in rows.values())
+
+
+#: Every row of ``verify.run(max_order=10)``, in order: (suite, identity, tolerance).
+REPORT_ROWS = [
+    ("algebra", "[L1,L1] = i eps L_k", 1e-12),
+    ("algebra", "[L1,L2] = i eps L_k", 1e-12),
+    ("algebra", "[L1,L3] = i eps L_k", 1e-12),
+    ("algebra", "[L2,L1] = i eps L_k", 1e-12),
+    ("algebra", "[L2,L2] = i eps L_k", 1e-12),
+    ("algebra", "[L2,L3] = i eps L_k", 1e-12),
+    ("algebra", "[L3,L1] = i eps L_k", 1e-12),
+    ("algebra", "[L3,L2] = i eps L_k", 1e-12),
+    ("algebra", "[L3,L3] = i eps L_k", 1e-12),
+    ("algebra", "[Hs,H1] = 0", 1e-12),
+    ("algebra", "[Hs,H2] = 0", 1e-12),
+    ("algebra", "[Hs,H3] = 0", 1e-12),
+    ("algebra", "[H1,H3] = -2i H2", 1e-12),
+    ("algebra", "[H3,H2] = -2i H1", 1e-12),
+    ("algebra", "[H2,H1] = -2i H3", 1e-12),
+    ("algebra", "Casimir = Hs^2/4 - 1/4", 1e-12),
+    ("algebra", "[Hperp,Has] = 0 at alpha=0.0000", 1e-12),
+    ("algebra", "[Hperp,Has] = 0 at alpha=0.3927", 1e-12),
+    ("algebra", "[Hperp,Has] = 0 at alpha=0.7854", 1e-12),
+    ("algebra", "[Casimir, H(phi=4.863, alpha=0.689)] = 0", 1e-12),
+    ("algebra", "[Casimir, H(phi=5.395, alpha=1.095)] = 0", 1e-12),
+    ("spectra", "Hperp eigenvalue 2(n+1/2), electron", 1e-10),
+    ("spectra", "Hperp eigenvalue 2(m+1/2), positron", 1e-10),
+    ("spectra", "Has eigenvalue -sign_e l", 1e-10),
+    ("spectra", "Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis", 1e-10),
+    ("spectra", "norm^2 = pi 2^(n+m-1) n! m!", 1e-10),
+    ("spectra", "orthonormality of the mode basis", 1e-10),
+    ("spectra", "rotated-family eigenvalue 2 n_r + |l| + l + 1", 1e-10),
+    ("spectra", "ellipticity form on dilated modes", 1e-12),
+    ("observables", "<Lz> = l sin(2 alpha)", 1e-10),
+    ("observables", "<r^2> = (2 n_r + |l| + 1)/2, alpha independent", 1e-10),
+    ("observables", "<Hperp> matches the closed-form energy", 1e-10),
+    ("observables", "<Casimir> = j(j+1)", 1e-10),
+    ("observables", "energy degeneracy in m (electron) / n (positron)", 1e-10),
+    ("fields", "div B = 0 at beta=0.0", 1e-6 / 0.1),
+    ("fields", "div B = 0 at beta=0.25", 1e-6 / 0.1),
+    ("fields", "div B = 0 at beta=0.5", 1e-6 / 0.1),
+    ("fields", "div B = 0 at beta=0.75", 1e-6 / 0.1),
+    ("fields", "div B = 0 at beta=1.0", 1e-6 / 0.1),
+    ("fields", "curl A = B across the gauge family", 1e-6 / 0.1),
+    ("fields", "equal d-b gives equal curl", 1e-6 / 0.1),
+    ("fields", "A + grad(chi) matches the fixed potential", 1e-9),
+    ("fields", "fixed potential inside the solenoid", 1e-9),
+    ("fields", "div A' = 0 inside (Coulomb gauge)", 1e-9),
+    ("wigner", "rotation expansion reproduces the rotated modes", 1e-10),
+    ("wigner", "unitarity of expansion rows", 1e-12),
+    ("wigner", "Euler angles solve their defining equations", 1e-12),
+    ("wigner", "d(-B) equals transposed d(B)", 1e-12),
+    ("berry", "latitude solid angle matches the cap formula", 1e-4),
+    ("berry", "l=3 latitude phase = -(3/2) Omega", 1e-3),
+    ("berry", "quadratic error decay across segment counts", 0.5),
+    ("berry", "l=0 loop has zero phase", 1e-8),
+    ("berry", "pole-pinned loop has zero phase", 1e-8),
+    ("berry", "reversal flips the solid angle", 1e-10),
+    ("berry", "reversal flips the phase", 1e-10),
+    ("berry", "polar loop phase = -(l/2) Omega", 1e-3),
+]
+
+
+def test_report_rows_are_pinned():
+    report = verify.run(max_order=10)
+    assert [(r["suite"], r["identity"], r["tolerance"]) for r in report["results"]] == REPORT_ROWS
+    assert report["summary"]["all_pass"]
+
+
+@pytest.mark.parametrize("alphas", [verify._ALPHAS, verify._ALPHAS[:2]], ids=["nine", "two"])
+def test_level_suites_build_a_fixed_number_of_stacks_per_order(monkeypatch, alphas):
+    # spectra: the Hamiltonians at every angle, the Casimir and the rotated
+    # family; observables: one stack of its operators
+    calls = []
+    level_matrix = verify.level_matrix
+
+    def counted(ops, order):
+        calls.append(order)
+        return level_matrix(ops, order)
+
+    monkeypatch.setattr(verify, "level_matrix", counted)
+    monkeypatch.setattr(verify, "_ALPHAS", alphas)
+    order = 4
+    spectra = verify.suite_spectra(order)
+    assert sorted(calls) == [n for n in range(order + 1) for _ in range(3)]
+    calls.clear()
+    observables = verify.suite_observables(order)
+    assert calls == list(range(order + 1))
+    assert all(r.passed for r in spectra + observables)
