@@ -32,7 +32,7 @@ from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import inner_product
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, rotate_block
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, radial_profile, rotate_block
 from .observables import energy, mean_lz, mean_r2, sweep
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 from .specfun import cell_centres
@@ -152,19 +152,28 @@ def fold_alpha(alpha: float, n: int, m: int) -> tuple[float, int, int, bool]:
     return a, n, m, folded
 
 
-def classify_pattern(grid: np.ndarray, extent: float) -> dict:
+_RADII = 1025  # samples of the radial profile
+
+
+def classify_pattern(vec: np.ndarray, grid: np.ndarray, extent: float) -> dict:
     """Node-count heuristic separating striped, ring and spot densities.
 
-    Works on a symmetric cell-centered grid over [-extent, extent]^2.
-    The circle through the global maximum is scanned for angular minima
-    (nodal lines crossing it); the annular-mean profile is scanned for
-    radial nodes.  Striped patterns show >= 2 angular node runs, rings
-    show none and stay azimuthally flat, a center-peaked structure with
-    no angular nodes is a spot.  A grid that holds no density at all (the
-    mode lies between the cell centers or underflows) is empty.  A node
-    run is a rising edge of the "low" mask (below 2% of the maximum).
+    ``grid`` is the density of the level vector ``vec`` on a symmetric
+    cell-centered grid over [-extent, extent]^2.  Radial nodes come from
+    the vector: the exact angular mean of the density (``radial_profile``)
+    is sampled at _RADII radii out to the grid's edge or to sqrt(N+1) + 4,
+    beyond which it is below 1e-21 of its maximum.  The circle through the
+    brightest cell is scanned for angular minima (nodal lines crossing it).
+    Striped patterns show >= 2 angular node runs, rings show none and stay
+    azimuthally flat, a center-peaked structure with no angular nodes is a
+    spot.  A grid that holds no density at all (the mode lies between the
+    cell centers or underflows) is empty.  A node run is a rising edge of
+    the "low" mask (below 2% of the maximum).  Besides one argmax, the grid
+    is read only at the cells of the peak circle and of the centre, which
+    the two 1-D axes of cell centres locate.
     """
-    peak = float(grid.max())
+    peak_at = int(np.argmax(grid))
+    peak = float(grid.flat[peak_at])
     if peak == 0:
         return {
             "classification": "empty",
@@ -175,29 +184,27 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
     ny, nx = grid.shape
     cell = 2 * extent / nx
     x, y = cell_centres(nx, -extent, extent), cell_centres(ny, -extent, extent)
-    R = np.hypot(x, y[:, None])
-    r_peak = float(R.flat[np.argmax(grid)])
+    r_peak = float(np.hypot(x[peak_at % nx], y[peak_at // nx]))
 
-    nbins = 64
-    idx = np.clip(np.digitize(R.ravel(), np.linspace(0.0, extent, nbins + 1)) - 1, 0, nbins - 1)
-    counts = np.maximum(np.bincount(idx, minlength=nbins), 1)
-    profile = np.bincount(idx, weights=grid.ravel(), minlength=nbins) / counts
-
-    # radial nodes: low runs inside the significant support; a run from bin 0 is none
+    # radial nodes: low runs inside the significant support; a run from r = 0 is none
+    radii = np.linspace(0.0, min(extent, math.sqrt(len(vec)) + 4.0), _RADII)
+    profile = radial_profile(vec, radii)
     radial_nodes = 0
     if profile.max() > 0:
         k_hi = int(np.nonzero(profile > 0.02 * profile.max())[0].max())
         low = profile[: k_hi + 1] < 0.02 * profile.max()
         radial_nodes = int(np.count_nonzero(low[1:] & ~low[:-1]))
 
-    center = float(np.mean(grid[R <= max(1.5 * cell, 1e-9)]))
-    common = {"radial_node_count": radial_nodes, "center_density": center / peak if peak > 0 else 0.0}
+    reach = max(1.5 * cell, 1e-9)
+    rows, cols = np.flatnonzero(np.abs(y) <= 2 * reach), np.flatnonzero(np.abs(x) <= 2 * reach)
+    center = float(np.mean(grid[np.ix_(rows, cols)][np.hypot(x[cols], y[rows, None]) <= reach]))
+    common = {"radial_node_count": radial_nodes, "center_density": center / peak}
     if r_peak <= 2.0 * cell:
         # brightest point at the origin: no meaningful peak circle
         return {"classification": "spot", "angular_node_count": 0, **common}
 
     # angular scan on the circle of the global maximum (empty bins masked)
-    rows, cols = np.nonzero((np.abs(R - r_peak) < 1.5 * cell) & (R > 1e-9))
+    rows, cols = _ring_cells(x, y, r_peak, 1.5 * cell, extent)
     values = grid[rows, cols]
     nang = max(16, min(72, values.size // 5))
     a_bins = np.linspace(-math.pi, math.pi, nang + 1)
@@ -219,6 +226,31 @@ def classify_pattern(grid: np.ndarray, extent: float) -> dict:
     else:
         classification = "mixed"
     return {"classification": classification, "angular_node_count": angular_nodes, **common}
+
+
+def _ring_cells(x: np.ndarray, y: np.ndarray, radius: float, width: float, extent: float):
+    """(rows, cols), in row-major order, of the cells whose centre (x_i, y_j)
+    passes |hypot(x_i, y_j) - radius| < width and hypot > 1e-9.
+
+    Each row's candidates are the columns whose |x| lies within a band one
+    width wider on each side, found on the axis scaled by 1/extent (so no
+    square overflows); the exact test then runs on the candidates alone.
+    """
+    xs, ys = x / extent, y / extent
+    lo, hi = (radius - 2 * width) / extent, (radius + 2 * width) / extent
+    outer = np.sqrt(np.maximum(hi * hi - ys * ys, 0.0))
+    inner = np.sqrt(np.maximum(max(lo, 0.0) ** 2 - ys * ys, 0.0))
+    # two segments of columns per row: -outer <= x < -inner, then inner <= x <= outer
+    starts = np.stack([np.searchsorted(xs, -outer), np.searchsorted(xs, inner)], axis=1).ravel()
+    ends = np.stack([np.searchsorted(xs, -inner), np.searchsorted(xs, outer, "right")], axis=1).ravel()
+    lengths = np.maximum(ends - starts, 0)
+    segment = np.repeat(np.arange(len(starts)), lengths)
+    # column = segment start + place within the segment
+    cols = starts[segment] + np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows = segment // 2
+    r = np.hypot(x[cols], y[rows])
+    keep = (np.abs(r - radius) < width) & (r > 1e-9)
+    return rows[keep], cols[keep]
 
 
 # A basis weight further than this below 1 is flagged as truncated; a grid
@@ -314,10 +346,11 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
     bounds, grid_spec = _grid_bounds(extent, points, rho_h)
 
     centres = cell_centres(points, -extent, extent)
-    grid = level_density([rotate_block(hlg_block(used.n, used.m, a), phi)], centres, centres)
+    vec = rotate_block(hlg_block(used.n, used.m, a), phi)
+    grid = level_density([vec], centres, centres)
     norm = _norm_check(grid, extent)
     truncated = abs(norm - 1.0) > _TRUNCATION_TOL
-    pattern = classify_pattern(grid, extent)
+    pattern = classify_pattern(vec, grid, extent)
     if norm > 1.0 + _TRUNCATION_TOL:
         # an undersampled grid can make a ring look like a spot
         pattern["classification"] = "unresolved"

@@ -46,6 +46,7 @@ alpha = pi/4 vectors form the Laguerre-Gauss basis (``lg_basis``): row k
 has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k))
 (``rotate_block``).  ``level_density`` samples |psi|^2 of any set of level
 vectors on a grid; every grid the CLI writes goes through it.
+``radial_profile`` gives the angular mean of |psi|^2 of one level vector.
 """
 
 from __future__ import annotations
@@ -215,7 +216,9 @@ def level_density(levels, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the tables of ``specfun.hermite_functions``, p summed from high to low.
     The real and imaginary parts are contracted separately with ``einsum``,
     which calls no BLAS, so a sign flip of every term (a mirror or the
-    inversion of the level's parity) gives the same bits.
+    inversion of the level's parity) gives the same bits.  Each part skips
+    its all-zero rows: entry k of a single mode is i^k times a real number,
+    so half the rows of each part are zero, and a zero row only adds zeros.
     """
     top = max(map(len, levels)) - 1
     coeffs = np.zeros((top + 1, top + 1), dtype=complex)  # row r: x-order top - r
@@ -223,9 +226,30 @@ def level_density(levels, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         coeffs[top + 1 - len(vec) :, : len(vec)] += np.diag(vec)
     tx = specfun.hermite_functions(top, x)[::-1]
     ty = specfun.hermite_functions(top, y)
-    re = np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", coeffs.real, ty), tx)
-    im = np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", coeffs.imag, ty), tx)
+    parts = []
+    for part in (coeffs.real, coeffs.imag):
+        rows = np.flatnonzero(part.any(axis=1))
+        parts.append(np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", part[rows], ty), tx[rows]))
+    re, im = parts
     return re * re + im * im
+
+
+def radial_profile(vec: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Angular mean of |psi|^2 on the circles of radius r, for a level vector.
+
+    In the Laguerre-Gauss weights w = B.conj() v, B = ``lg_basis(N)``, the
+    rows of different Lz do not interfere under the angular mean, and each
+    |LG_k|^2 is round, so the mean is sum_k |w_k|^2 |LG_k(r, 0)|^2 exactly,
+    with LG_k(r, 0) = sum_q B[k, q] phi_{N-q}(r) phi_q(0) on the Hermite
+    tables.
+    Contracted with ``einsum``, which calls no BLAS.
+    """
+    order = len(vec) - 1
+    basis = lg_basis(order)
+    w = np.einsum("kq,q->k", basis.conj(), vec)
+    on_axis = basis * specfun.hermite_functions(order, np.zeros(1))[:, 0]
+    lg = np.einsum("kq,qi->ki", on_axis, specfun.hermite_functions(order, r)[::-1])
+    return np.einsum("k,ki->i", w.real**2 + w.imag**2, lg.real**2 + lg.imag**2)
 
 
 def hlg_state(n: int, m: int, alpha: float) -> GaussianPolyState:

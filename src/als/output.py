@@ -4,7 +4,9 @@ Files are bit-stable across runs: 17-significant-digit floats, LF line
 endings, sorted JSON keys, deterministic row order.  The grid CSV writer
 makes the bytes of ``%.17g`` with a numpy kernel (``_format17``) and calls
 the per-value formatter only for the values whose digits the kernel cannot
-prove.
+prove, once per bit pattern.  It finds repeated rows, and rows repeated in
+reverse, from their bits, so a symmetric density formats about a quarter
+of its cells.
 
 The JSON schemas shipped in ``als/schemas`` document the sidecar and report
 formats.  Nothing here checks them: each command builds a fixed shape whose
@@ -109,18 +111,28 @@ def _format17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(text, size)``: row i of the uint8 array ``text`` holds the
     ``size[i]`` bytes of values[i] and then a ``,``.  The values are formatted
     in blocks of _BLOCK_CELLS, which bounds the memory of the temporaries.
+    The values the kernel leaves (zeros among them) are formatted by
+    ``'%.17g' % x`` once per distinct bit pattern.
     """
     text = np.empty((len(values), _WIDTH), np.uint8)
     size = np.empty(len(values), np.intp)
+    fallback = [np.empty(0, np.intp)]
     for start in range(0, len(values), _BLOCK_CELLS):
         block = slice(start, start + _BLOCK_CELLS)
-        _format_block(values[block], text[block], size[block])
+        fallback.append(start + _format_block(values[block], text[block], size[block]))
+    fallback = np.concatenate(fallback)
+    patterns, inverse = np.unique(values[fallback].view(np.uint64), return_inverse=True)
+    strings = ["%.17g," % value for value in patterns.view(np.float64).tolist()]
+    pattern_text = np.frombuffer("".join(s.ljust(_WIDTH) for s in strings).encode(), np.uint8)
+    _void_rows(text)[fallback] = _void_rows(pattern_text.reshape(-1, _WIDTH))[inverse]
+    size[fallback] = np.array([len(s) - 1 for s in strings], np.intp)[inverse]
     return text, size
 
 
-def _format_block(values: np.ndarray, text: np.ndarray, size: np.ndarray) -> None:
+def _format_block(values: np.ndarray, text: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Write the bytes of ``'%.17g' % x`` and a ``,`` into row i of text, and
-    their number less the comma into size[i], for each x = values[i].
+    their number less the comma into size[i], for each x = values[i] the
+    kernel can prove; return the indices of the others.
 
     For |x| in [_KERNEL_MIN, _KERNEL_MAX], with k = floor(log10|x|) and
     q = 16 - k, Dekker's error-free product gives p + e = |x|*hi exactly, and
@@ -130,7 +142,7 @@ def _format_block(values: np.ndarray, text: np.ndarray, size: np.ndarray) -> Non
     D is the correctly rounded value when frac(t) is more than _TIE_MARGIN
     from 1/2, and k is the decimal exponent when 10**16 <= p + floor(t) and
     D < 10**17 (a log10 off by one next to a power of ten fails this).
-    Every other value falls back to ``'%.17g' % x``: zeros, NaN, infinities,
+    Every other value is left to ``'%.17g' % x``: zeros, NaN, infinities,
     magnitudes outside the range, exact ties and off-by-one exponents.
     """
     mag = np.abs(values)
@@ -189,10 +201,7 @@ def _format_block(values: np.ndarray, text: np.ndarray, size: np.ndarray) -> Non
 
     fallback = np.ones(len(values), bool)
     fallback[kernel] = False
-    for i in np.flatnonzero(fallback).tolist():
-        s = ("%.17g," % values[i]).encode()
-        text[i, : len(s)] = np.frombuffer(s, np.uint8)
-        size[i] = len(s) - 1
+    return np.flatnonzero(fallback)
 
 
 def write_grid_csv(
@@ -206,36 +215,59 @@ def write_grid_csv(
     """Grid CSV: comment row with the grid spec, then ny rows of nx values.
 
     The bytes are those of formatting every cell with ``%.17g`` (``fmt``).
-    Each distinct row is built once, keyed on its bits (so ``-0.0`` and
-    ``0.0`` stay apart): the densities ``als`` writes repeat most values, and
-    often whole rows, through their parity and mirror symmetries.  The
-    distinct values of the distinct rows are formatted at once by
-    ``_format17``, and each block of at most ``_BLOCK_CELLS`` cells of the
-    distinct rows is gathered from those bytes, with a comma after each cell
-    and a newline after each row.
+    Rows are keyed on their bits (so ``-0.0`` and ``0.0`` stay apart), and
+    the densities ``als`` writes repeat most of them through their mirror
+    and inversion symmetries.  A row equal to an earlier row reuses its
+    line; a row equal to an earlier row reversed reuses that row's cells in
+    reverse; a palindromic row formats only its first ceil(nx/2) cells.
+    Only the cells left, those of the other rows, are formatted, at once,
+    by ``_format17``.  Each block of at most ``_BLOCK_CELLS`` cells of the
+    distinct lines is gathered from those bytes, with a comma after each
+    cell and a newline after each row.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     ny, nx = grid.shape
     bits = grid.view(np.uint64)
-    number: dict[bytes, int] = {}
-    row_of = [number.setdefault(row.tobytes(), len(number)) for row in bits]
-    distinct = bits[np.unique(row_of, return_index=True)[1]]
-    # ravel first: NumPy 2.0 changed the shape of return_inverse for N-d input
-    values, inverse = np.unique(distinct.ravel(), return_inverse=True)
-    inverse = inverse.reshape(distinct.shape)
-    text, size = _format17(values.view(np.float64))
+    half = (nx + 1) // 2
+    # the cells of a distinct line, by kind: 0, a row of formatted values;
+    # 1, an earlier such row reversed; 2, a formatted left half and its mirror
+    orders = np.stack([np.arange(nx), np.arange(nx)[::-1], np.r_[np.arange(half), np.arange(nx // 2)[::-1]]])
+    line_of: dict[bytes, int] = {}
+    row_of, base, kind, taken, halved = [], [], [], [], []
+    offset = 0  # the formatted values so far: whole rows and left halves
+    for j, row in enumerate(bits):
+        key = row.tobytes()
+        if key not in line_of:
+            mirror = row[::-1].tobytes()
+            if mirror in line_of:
+                base.append(base[line_of[mirror]])
+                kind.append(1)
+            else:
+                halved.append(mirror == key)
+                base.append(offset)
+                kind.append(2 if halved[-1] else 0)
+                taken.append(j)
+                offset += half if halved[-1] else nx
+            line_of[key] = len(base) - 1
+        row_of.append(line_of[key])
+    formatted = np.ones((len(taken), nx), bool)
+    formatted[np.array(halved, bool), half:] = False
+    values = grid[np.array(taken, np.intp)][formatted]
+    base, kind = np.array(base, np.intp), np.array(kind, np.intp)
+    text, size = _format17(values)
     width = int(size.max(initial=0)) + 1
     text = _void_rows(np.ascontiguousarray(text[:, :width]))
-    lines = []
-    step = max(1, _BLOCK_CELLS // nx)
-    for r in range(0, len(inverse), step):
-        cells = inverse[r : r + step]
+    keep = _void_rows(np.arange(width) <= np.arange(width)[:, None])  # row s: the first s + 1 bytes
+    lines = [b"\n"] * len(base)  # the line of a row of no cells
+    step = max(1, _BLOCK_CELLS // max(nx, 1))
+    for r in range(0, len(base) if nx else 0, step):
+        cells = base[r : r + step, None] + orders[kind[r : r + step]]
         cell_text = text[cells].view(np.uint8).reshape(*cells.shape, width)
         cell_size = size[cells]
         cell_text[np.arange(len(cells)), -1, cell_size[:, -1]] = ord("\n")
-        data = cell_text[np.arange(width) <= cell_size[..., None]].tobytes()
+        data = cell_text[keep[cell_size].view(bool).reshape(cell_text.shape)].tobytes()
         ends = np.cumsum((cell_size + 1).sum(axis=1)).tolist()
-        lines.extend(data[a:b] for a, b in zip([0] + ends[:-1], ends))
+        lines[r : r + step] = (data[a:b] for a, b in zip([0] + ends[:-1], ends))
     with open(path, "wb") as fh:
         fh.write(
             ("# " + ",".join([fmt(x_min), fmt(x_max), fmt(y_min), fmt(y_max), str(nx), str(ny)]) + "\n").encode()

@@ -171,13 +171,14 @@ def test_criterion_11_density_panels():
     for n_r, l in ((0, 3), (2, 2)):
         mode = ModeIndex.from_twisted(n_r, l)
         for alpha in alphas:
-            g = level_density([hlg_block(mode.n, mode.m, alpha)], centres, centres)
+            vec = hlg_block(mode.n, mode.m, alpha)
+            g = level_density([vec], centres, centres)
             if not np.all(g >= 0):
                 problems.append(f"negative density at {(n_r, l, alpha)}")
             norm = float(g.sum() * cell)
             if abs(norm - 1.0) > 1e-6:
                 problems.append(f"norm {norm} at {(n_r, l, alpha)}")
-            classes[(n_r, l, alpha)] = classify_pattern(g, extent)["classification"]
+            classes[(n_r, l, alpha)] = classify_pattern(vec, g, extent)["classification"]
         if classes[(n_r, l, 0.0)] != "striped":
             problems.append(f"({n_r},{l}) at alpha=0 classified {classes[(n_r, l, 0.0)]}")
         if classes[(n_r, l, math.pi / 4)] != "ring":

@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import als
-from als.cli import fold_alpha, main, parse_angle
-from als.modes import ORDER_CAP, hlg_coefficients
+from als.cli import classify_pattern, fold_alpha, main, parse_angle
+from als.modes import ORDER_CAP, ModeIndex, hlg_block, hlg_coefficients, level_density
 from als.specfun import cell_centres
 from als.verify import SUITES
 from oracles import hermite_functions, jacobi_eval, lg_density, schema, validate
@@ -332,13 +332,13 @@ class TestDensityCommand:
             (["--n", "4", "--m", "2", "--alpha", "0"], ("striped", 4, 0, 0.47258978513414274)),
             (["--nr", "0", "--l", "3", "--alpha", "pi/4"], ("ring", 0, 0, 1.681183174939585e-07)),
             (["--nr", "2", "--l", "2", "--alpha", "pi/4"], ("ring", 0, 2, 0.000457684224030907)),
-            (["--nr", "5", "--l", "8", "--alpha", "pi/4", "--extent", "7"], ("ring", 0, 1, 1.213761007331728e-16)),
+            (["--nr", "5", "--l", "8", "--alpha", "pi/4", "--extent", "7"], ("ring", 0, 5, 1.213761007331728e-16)),
             (["--nr", "2", "--l", "0", "--alpha", "pi/4"], ("spot", 0, 2, 1.0)),
             (["--nr", "0", "--l", "0", "--alpha", "0"], ("spot", 0, 0, 1.0)),
             (["--nr", "1", "--l", "3", "--alpha", "pi/8", "--phi", "0.7"], ("striped", 2, 0, 0.022635655669579147)),
             (["--nr", "1", "--l", "-2", "--alpha", "1.2", "--points", "333"], ("striped", 2, 0, 0.8586913143899013)),
-            (["--nr", "0", "--l", "1", "--alpha", "pi/8", "--points", "64"], ("mixed", 0, 2, 0.0383249018848757)),
-            (["--nr", "3", "--l", "3", "--alpha", "pi/4", "--points", "6"], ("unresolved", 0, 2, 0.7418836374208533)),
+            (["--nr", "0", "--l", "1", "--alpha", "pi/8", "--points", "64"], ("mixed", 0, 0, 0.0383249018848757)),
+            (["--nr", "3", "--l", "3", "--alpha", "pi/4", "--points", "6"], ("unresolved", 0, 3, 0.7418836374208533)),
             (["--nr", "10", "--l", "0", "--alpha", "0", "--extent", "1e20", "--points", "8"], ("empty", 0, 0, 0.0)),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v[0],
@@ -355,6 +355,32 @@ class TestDensityCommand:
             "radial_node_count": radial,
             "center_density": pytest.approx(center, rel=1e-9, abs=1e-24),
         }
+
+    @pytest.mark.parametrize("points, extent", [(128, 5.0), (64, 7.0), (128, 40.0)])
+    def test_radial_nodes_read_n_r_for_every_laguerre_gauss_mode(self, points, extent):
+        # the expected value is the quantum number itself: n_r rings
+        centres = cell_centres(points, -extent, extent)
+        misread = []
+        for order in range(ORDER_CAP + 1):
+            for n in range(order + 1):
+                mode = ModeIndex(n, order - n)
+                vec = hlg_block(n, order - n, math.pi / 4)
+                grid = level_density([vec], centres, centres)
+                if classify_pattern(vec, grid, extent)["radial_node_count"] != mode.n_r:
+                    misread.append((mode.n_r, mode.l))
+        assert not misread
+
+    def test_radial_nodes_far_beyond_the_support(self, tmp_path):
+        # the profile is sampled out to sqrt(N + 1) + 4, not to --extent,
+        # so a wide grid does not step over the nodes
+        out = tmp_path / "d.csv"
+        result = runner.invoke(
+            main,
+            ["density", "--nr", "5", "--l", "8", "--alpha", "pi/4", "--extent", "200",
+             "--points", "16", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "d.json").read_text())["pattern"]["radial_node_count"] == 5
 
 
 class TestTableCommand:

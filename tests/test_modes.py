@@ -21,13 +21,15 @@ from als.modes import (
     hlg_norm_squared,
     hlg_state,
     level_density,
+    radial_profile,
     rotate_block,
     schwinger_state,
     wigner_decompose,
 )
 from als.observables import mean_r2
-from als.specfun import cell_centres, hermite
-from oracles import jacobi_eval, laguerre, quadrature_moments
+from als.specfun import cell_centres, hermite, hermite_functions
+from oracles import jacobi_eval, laguerre, lg_density, quadrature_moments
+from oracles import hermite_functions as oracle_hermite_functions
 
 
 @pytest.fixture
@@ -348,6 +350,54 @@ class TestBlockDensity:
         x = cell_centres(1000, -5.0, 5.0)
         grid = level_density([rotate_block(hlg_block(n, m, alpha), phi)], x, x)
         assert np.array_equal(grid.view(np.uint64), grid[::-1, ::-1].view(np.uint64))
+
+
+    @pytest.mark.parametrize("top", [0, 1, 7, 20])
+    def test_skipping_zero_rows_keeps_the_bits(self, top, rng):
+        # against the contraction over every row, zero rows included
+        x, y = cell_centres(41, -5.0, 5.0), cell_centres(30, -4.0, 6.0)
+        cases = [[rotate_block(hlg_block(n, top - n, alpha), phi)] for n in range(top + 1)
+                 for alpha in (0.0, math.pi / 4, 0.3) for phi in (0.0, 0.7)]
+        cases.append([rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1) for k in range(top + 1)])
+        cases.append([rng.standard_normal(top + 1)])  # a real vector: every imaginary row is zero
+        tx, ty = hermite_functions(top, x)[::-1], hermite_functions(top, y)
+        for levels in cases:
+            coeffs = np.zeros((top + 1, top + 1), dtype=complex)
+            for vec in levels:
+                coeffs[top + 1 - len(vec) :, : len(vec)] += np.diag(vec)
+            re = np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", coeffs.real, ty), tx)
+            im = np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", coeffs.imag, ty), tx)
+            assert np.array_equal(level_density(levels, x, y), re * re + im * im)
+
+
+class TestRadialProfile:
+    def test_laguerre_gauss_modes_against_the_closed_form(self):
+        r = np.linspace(0.0, 9.0, 301)
+        for order in range(ORDER_CAP + 1):
+            for n in range(order + 1):
+                mode = ModeIndex(n, order - n)
+                ref = lg_density(mode.n_r, mode.l, r, np.zeros(1))[0]
+                got = radial_profile(hlg_block(n, order - n, math.pi / 4), r)
+                assert np.abs(got - ref).max() <= 1e-13 * ref.max(), (n, order - n)
+
+    @pytest.mark.parametrize("order", [0, 3, 8, 15])
+    def test_angular_mean_of_any_level_vector(self, order, rng):
+        # |psi|^2 on a circle is a trigonometric polynomial of degree <= 2N,
+        # so 2N + 1 equally spaced angles give its mean exactly; psi from
+        # the oracle's Hermite functions, phi_n(x) = 2^(1/4) h_n(sqrt2 x)
+        r = np.linspace(0.0, 7.0, 57)
+        theta = 2 * math.pi * np.arange(2 * order + 1) / (2 * order + 1)
+        x, y = np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()
+        hx = 2**0.25 * oracle_hermite_functions(order, math.sqrt(2.0) * x)
+        hy = 2**0.25 * oracle_hermite_functions(order, math.sqrt(2.0) * y)
+        vectors = [rotate_block(hlg_block(n, order - n, alpha), phi) for n in range(order + 1)
+                   for alpha, phi in ((0.0, 0.0), (0.3, 0.7), (math.pi / 2, -2.1))]
+        vec = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+        vectors.append(vec / np.linalg.norm(vec))
+        for vec in vectors:
+            psi = np.einsum("k,ki,ki->i", vec, hx[::-1], hy)
+            ref = (np.abs(psi) ** 2).reshape(len(r), -1).mean(axis=1)
+            assert np.abs(radial_profile(vec, r) - ref).max() <= 1e-13 * ref.max()
 
 
 class TestEulerAngles:

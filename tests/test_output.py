@@ -26,7 +26,13 @@ def reference_grid_csv(path, grid, x_min, x_max, y_min, y_max):
 rng = np.random.default_rng(7)
 
 _x = (np.arange(24) - 11.5) * 0.25  # cell centres, symmetric about 0
+_x25 = cell_centres(25, -3.0, 3.0)
 _c256 = cell_centres(256, -5.0, 5.0)
+_inverted = rng.standard_normal((4, 10))
+_inverted = np.vstack([_inverted, _inverted[::-1, ::-1]])
+_mostly_zeros = np.where(rng.random((64, 80)) < 0.96, 0.0, rng.standard_normal((64, 80)))
+_mostly_zeros[rng.random((64, 80)) < 0.03] = -0.0
+_mostly_zeros[::7, ::3] = 5e-324 * rng.integers(1, 4, (10, 27))
 
 GRIDS = {
     "random_64x48": rng.standard_normal((64, 48)) * 10.0 ** rng.uniform(-300, 300, (64, 48)),
@@ -51,6 +57,17 @@ GRIDS = {
     # more distinct rows than one block of cells, and more distinct values
     # than one block of values: both blocked loops run more than once
     "more_rows_than_a_block": rng.standard_normal((2 * _BLOCK_CELLS // 512 + 1, 512)),
+    # no cells: four empty lines, or the header alone
+    "zero_columns": np.zeros((4, 0)),
+    "zero_rows": np.zeros((0, 5)),
+    # row j is row ny-1-j reversed, as a rotated density is, but no row is a palindrome
+    "inversion_symmetric": _inverted,
+    # palindromic rows of odd width, no two alike
+    "odd_palindromes": np.exp(-(_x25[None, :] ** 2) * (1 + np.arange(25)[:, None] / 7)),
+    # the reverse of row 0 but for the sign of one zero, then the exact reverse
+    "reverse_but_a_signed_zero": np.array([[1.5, 0.0, 2.5, 3.0], [3.0, 2.5, -0.0, 1.5], [3.0, 2.5, 0.0, 1.5]]),
+    # at least 90% zeros of either sign, with subnormals and a few normal values
+    "mostly_zeros": _mostly_zeros,
 }
 
 
@@ -112,6 +129,21 @@ def test_kernel_sweep(sign):
     ties = _ties()
     assert 2.0**-25 in ties and "%.17g" % 2.0**-25 == "2.9802322387695312e-08"  # half to even
     _assert_matches_formatter(sign * np.array(values + ties))
+
+
+def test_grids_have_the_structure_they_name():
+    inverted = GRIDS["inversion_symmetric"]
+    assert np.array_equal(inverted, inverted[::-1, ::-1])
+    assert not any(np.array_equal(row, row[::-1]) for row in inverted)
+    palindromes = GRIDS["odd_palindromes"]
+    assert palindromes.shape[1] % 2 and np.array_equal(palindromes, palindromes[:, ::-1])
+    assert len({row.tobytes() for row in palindromes}) == len(palindromes)
+    signed = GRIDS["reverse_but_a_signed_zero"]
+    assert np.array_equal(signed[1], signed[0][::-1]) and signed[1].tobytes() != signed[0][::-1].tobytes()
+    assert signed[2].tobytes() == signed[0][::-1].tobytes()
+    zeros = GRIDS["mostly_zeros"]
+    assert np.mean(zeros == 0) >= 0.9 and np.signbit(zeros[zeros == 0]).any()
+    assert np.count_nonzero((zeros != 0) & (np.abs(zeros) < 2.2e-308)) > 100
 
 
 def test_symmetric_grid_repeats_values():
