@@ -12,14 +12,11 @@ from .gstate import (
     apply,
     compose,
     density_grid,
-    evaluate,
-    gaussian_moment,
     inner_product,
     op_commutator,
 )
 from .modes import (
     ModeIndex,
-    alpha_to_beta,
     beta_to_alpha,
     euler_angles,
     hlg_block,
@@ -47,7 +44,6 @@ __all__ = [
     "GaussianPolyState",
     "PolyDiffOperator",
     "ModeIndex",
-    "alpha_to_beta",
     "apply",
     "beta_to_alpha",
     "casimir",
@@ -56,9 +52,7 @@ __all__ = [
     "dilate",
     "eigen_residual",
     "euler_angles",
-    "evaluate",
     "expectation",
-    "gaussian_moment",
     "h1",
     "h2",
     "h3",

@@ -403,13 +403,14 @@ def table(n, m, nr, l, alpha_min, alpha_max, steps, sign_e, omega, rho_h, out):
     ]
     e_c = _in_units(energy(mode.n_r, mode.l, sign_e), omega, "energy x omega")
     r_c = _in_units(mean_r2(mode.n_r, mode.l), rho_h * rho_h, "r^2 x rho_h^2")
-    alphas = [float(a) for a in np.linspace(alpha_min, alpha_max, steps)]
+    alphas = np.linspace(alpha_min, alpha_max, steps)
+    e_x, r_x, lz_x = np.array(sweep(mode.n, mode.m, alphas, sign_e)).T
+    e_x = _in_units(e_x, omega, "energy x omega")
+    r_x = _in_units(r_x, rho_h * rho_h, "r^2 x rho_h^2")
     rows = []
-    for a, (e_x, r_x, lz_x) in zip(alphas, sweep(mode.n, mode.m, alphas, sign_e)):
-        e_x = _in_units(e_x, omega, "energy x omega")
-        r_x = _in_units(r_x, rho_h * rho_h, "r^2 x rho_h^2")
+    for a, e, r, lz in zip(alphas.tolist(), e_x.tolist(), r_x.tolist(), lz_x.tolist()):
         lz_c = mean_lz(mode.l, a)
-        rows.append([a, e_c, e_x, e_x - e_c, r_c, r_x, r_x - r_c, lz_c, lz_x, lz_x - lz_c])
+        rows.append([a, e_c, e, e - e_c, r_c, r, r - r_c, lz_c, lz, lz - lz_c])
     with _io_errors():
         write_table_csv(out, header, rows)
     click.echo(f"wrote {out} ({steps} rows)")
@@ -512,7 +513,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
     alpha_in = _resolve_alpha(alpha, beta, sign_e)
     # folding only moves the analysis angle; the basis runs over all modes
     # anyway, so the index relabeling is absorbed by the coefficient table
-    a, _, _, _ = fold_alpha(alpha_in, mode_in.n, mode_in.m)
+    a, _, _, folded = fold_alpha(alpha_in, mode_in.n, mode_in.m)
     bounds, grid_spec = _grid_bounds(extent, points, rho_h)
 
     lg = hlg_state(mode_in.n, mode_in.m, 0.25 * math.pi)
@@ -553,6 +554,8 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
         "norm_check": norm,
         "units": {"omega": omega, "rho_h": rho_h},
     }
+    if folded:
+        sidecar["alpha_input"] = alpha_in
     header = ["n", "m", "l", "n_r", "energy_omega", "re_c", "im_c", "abs2_c", "re_c_t", "im_c_t"]
     with _io_errors():
         write_table_csv(f"{out_prefix}_coefficients.csv", header, coeff_rows)

@@ -114,16 +114,6 @@ def _moment_1d(k: int) -> float:
     return _moment_1d(k - 2) * (k - 1) / 4.0
 
 
-def gaussian_moment(p: int, q: int) -> float:
-    """Moment of the squared Gaussian:
-
-    integral x^p y^q exp(-2x^2 - 2y^2) dx dy.
-    """
-    if p < 0 or q < 0:
-        raise ValueError(f"moment powers must be >= 0, got ({p}, {q})")
-    return _moment_1d(p) * _moment_1d(q)
-
-
 @lru_cache(maxsize=None)
 def _moment_table(kmax: int) -> np.ndarray:
     """Read-only array of _moment_1d(k) for k = 0..kmax (odd k give 0)."""
@@ -164,25 +154,16 @@ def inner_product(a: GaussianPolyState, b: GaussianPolyState) -> complex:
     return complex(0.0 + np.cumsum(re)[-1], 0.0 + np.cumsum(im)[-1])
 
 
-def _diff_x(poly: dict[Monomial, complex]) -> dict[Monomial, complex]:
-    # d/dx acting on P * exp(-x^2 - y^2): P -> dP/dx - 2 x P
+def _diff(poly: dict[Monomial, complex], axis: int) -> dict[Monomial, complex]:
+    # d/dx (axis 0) or d/dy (axis 1) acting on P * exp(-x^2 - y^2): P -> dP/du - 2 u P
+    dp, dq = (0, 1) if axis else (1, 0)
     out: dict[Monomial, complex] = {}
     for (p, q), c in poly.items():
-        if p:
-            key = (p - 1, q)
-            out[key] = out.get(key, 0j) + p * c
-        key = (p + 1, q)
-        out[key] = out.get(key, 0j) - 2.0 * c
-    return out
-
-
-def _diff_y(poly: dict[Monomial, complex]) -> dict[Monomial, complex]:
-    out: dict[Monomial, complex] = {}
-    for (p, q), c in poly.items():
-        if q:
-            key = (p, q - 1)
-            out[key] = out.get(key, 0j) + q * c
-        key = (p, q + 1)
+        k = q if axis else p
+        if k:
+            key = (p - dp, q - dq)
+            out[key] = out.get(key, 0j) + k * c
+        key = (p + dp, q + dq)
         out[key] = out.get(key, 0j) - 2.0 * c
     return out
 
@@ -192,10 +173,9 @@ def apply(D: PolyDiffOperator, s: GaussianPolyState) -> GaussianPolyState:
     out: dict[Monomial, complex] = {}
     for (p, q, dx, dy), c in D.terms.items():
         poly = s.terms
-        for _ in range(dx):
-            poly = _diff_x(poly)
-        for _ in range(dy):
-            poly = _diff_y(poly)
+        for axis, count in ((0, dx), (1, dy)):
+            for _ in range(count):
+                poly = _diff(poly, axis)
         for (i, j), v in poly.items():
             key = (i + p, j + q)
             out[key] = out.get(key, 0j) + c * v
@@ -227,14 +207,6 @@ def compose(D1: PolyDiffOperator, D2: PolyDiffOperator) -> PolyDiffOperator:
 def op_commutator(D1: PolyDiffOperator, D2: PolyDiffOperator) -> PolyDiffOperator:
     """[D1, D2] = D1 D2 - D2 D1."""
     return compose(D1, D2) - compose(D2, D1)
-
-
-def evaluate(s: GaussianPolyState, x: float, y: float) -> complex:
-    """Pointwise value P(x, y) exp(-x^2 - y^2)."""
-    total = 0j
-    for (p, q), c in s.terms.items():
-        total += c * x**p * y**q
-    return total * math.exp(-x * x - y * y)
 
 
 def _axis_table(u: np.ndarray, kmax: int) -> np.ndarray:

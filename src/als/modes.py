@@ -91,11 +91,6 @@ class ModeIndex:
         """Radial quantum number."""
         return (self.n + self.m - abs(self.l)) // 2
 
-    @property
-    def j(self) -> float:
-        """Rank of the pseudo-angular-momentum multiplet, (n + m)/2."""
-        return 0.5 * (self.n + self.m)
-
     @classmethod
     def from_twisted(cls, n_r: int, l: int) -> "ModeIndex":
         """Cartesian (n, m) for twisted labels (n_r, l)."""
@@ -106,19 +101,11 @@ class ModeIndex:
         return cls(n_r, n_r - l)
 
 
-def alpha_to_beta(alpha: float, sign_e: int) -> float:
-    """Field ellipticity beta for state parameter alpha and charge sign."""
-    check_sign(sign_e)
-    a_tilde = 0.25 * math.pi + sign_e * (0.25 * math.pi - alpha)
-    return math.sin(a_tilde) ** 2
-
-
 def beta_to_alpha(beta: float, sign_e: int) -> float:
     """State parameter alpha in [0, pi/2] for field ellipticity beta.
 
-    Inverse of ``alpha_to_beta`` on the principal branch: for negative
-    charge ``beta = sin^2(alpha)``, for positive charge
-    ``beta = cos^2(alpha)``.
+    The principal branch of ``beta = sin^2(alpha)`` for negative charge and
+    ``beta = cos^2(alpha)`` for positive charge.
     """
     check_sign(sign_e)
     if not 0.0 <= beta <= 1.0:

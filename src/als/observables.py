@@ -1,9 +1,9 @@
 """Closed-form observables of the asymmetric modes.
 
 ``sweep`` evaluates energy, <r^2> and <Lz> over an alpha sweep for
-``als table``: it forms each operator's Gram matrix over the level's
-Hermite-Gauss products once, from exact term-map inner products, and reads
-every alpha as a quadratic form of the mode's level vector.  The
+``als table``: it forms four Gram matrices over the level's Hermite-Gauss
+products once, from exact term-map inner products, and reads every alpha
+as a quadratic form of the mode's level vector; Hs is read as N + 1.  The
 ``observables`` suite of ``als verify`` certifies the closed forms on level
 vectors (``operators.level_matrix``).
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .gstate import PolyDiffOperator, apply, inner_product
 from .modes import hlg_block, hlg_state
-from .operators import check_sign, h1, h3, hs
+from .operators import check_sign, h1, h3
 
 
 def energy(n_r: int, l: int, sign_e: int) -> float:
@@ -58,7 +58,8 @@ def sweep(n: int, m: int, alphas: Iterable[float], sign_e: int) -> list[tuple[fl
     Energy and <Lz> are normalised expectations; <r^2> is <v|r^2|v> without
     dividing by <v|v>.  hlg_state(N-k, k, 0) is (-i)^k |N-k, k>, so the
     products P_k below are the basis of ``hlg_block``, and G_D[k, k'] =
-    <P_k| D |P_k'> turns every expectation into v^H G_D v.
+    <P_k| D |P_k'> turns every expectation into v^H G_D v.  Each P_k has
+    Hs = N + 1, so G_Hs is (N + 1) times the overlap matrix G_id.
     """
     check_sign(sign_e)
     order = n + m
@@ -68,7 +69,8 @@ def sweep(n: int, m: int, alphas: Iterable[float], sign_e: int) -> list[tuple[fl
         images = products if op is None else [apply(op, q) for q in products]
         return np.array([[inner_product(p, q) for q in images] for p in products])
 
-    g_id, g_s, g_1, g_3, g_r2 = (gram(op) for op in (None, hs(), h1(), h3(), R2_OP))
+    g_id, g_1, g_3, g_r2 = (gram(op) for op in (None, h1(), h3(), R2_OP))
+    g_s = (order + 1) * g_id
     out = []
     for a in map(float, alphas):
         v = hlg_block(n, m, a)

@@ -335,14 +335,10 @@ def suite_berry(max_order: int) -> list[IdentityResult]:
     rows = _Rows("berry", 1e-3)
 
     cap = 2 * math.pi * (1 - math.cos(math.pi / 4))
-    loop = berry_mod.latitude_loop(math.pi / 8, 2000)
-    rows.add("latitude solid angle matches the cap formula", abs(berry_mod.solid_angle(loop) - cap), 1e-4)
-    rows.add("l=3 latitude phase = -(3/2) Omega", abs(berry_mod.berry_phase(loop, 3, 0) + 1.5 * cap))
-
-    errs = []
-    for nseg in (250, 500, 1000, 2000):
-        p = berry_mod.berry_phase(berry_mod.latitude_loop(math.pi / 8, nseg), 3, 0)
-        errs.append(abs(p + 1.5 * cap))
+    loops = [berry_mod.latitude_loop(math.pi / 8, nseg) for nseg in (250, 500, 1000, 2000)]
+    errs = [abs(berry_mod.berry_phase(loop, 3, 0) + 1.5 * cap) for loop in loops]
+    rows.add("latitude solid angle matches the cap formula", abs(berry_mod.solid_angle(loops[-1]) - cap), 1e-4)
+    rows.add("l=3 latitude phase = -(3/2) Omega", errs[-1])
     rows.add("quadratic error decay across segment counts", np.divide(errs[1:], errs[:-1]), 0.5)
 
     zero = berry_mod.berry_phase(berry_mod.latitude_loop(math.pi / 8, 400), 2, 2)

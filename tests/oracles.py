@@ -23,6 +23,8 @@
   vector over positions, by Gauss-Hermite quadrature on the normalised
   Hermite functions of the stable three-term recurrence
   (``hermite_functions``).
+* ``term_map_value(s, x, y)`` is the pointwise value P(x, y) exp(-x^2 - y^2)
+  of a term map, summed term by term.
 * ``measured_observables(n, m, alpha, sign_e)`` is the per-state
   (energy, <r^2>, <Lz>) of one mode's term map, by ``apply`` and
   ``inner_product``; ``observables.sweep`` must reproduce it.
@@ -123,6 +125,11 @@ def quadrature_moments(vec: np.ndarray) -> tuple[float, float]:
     psi = (h[::-1].T * vec) @ h
     dens = np.abs(psi) ** 2
     return float(dens.sum()), float(0.5 * (dens * (t[:, None] ** 2 + t**2)).sum())
+
+
+def term_map_value(s, x: float, y: float) -> complex:
+    """P(x, y) exp(-x^2 - y^2) for the term map s of P."""
+    return sum(c * x**p * y**q for (p, q), c in s.terms.items()) * math.exp(-x * x - y * y)
 
 
 def measured_observables(n: int, m: int, alpha: float, sign_e: int) -> tuple[float, float, float]:

@@ -420,6 +420,10 @@ class TestTableCommand:
             assert len(deltas) == 3 and len(lines) == 257
             worst = max(abs(float(ln.split(",")[k])) for ln in lines[1:] for k in deltas)
             assert worst <= 5e-12, (charge, worst)
+            # the sweep reads Hs as N + 1, not as a Gram matrix
+            k = header.index("energy_delta")
+            energy = max(abs(float(ln.split(",")[k])) for ln in lines[1:])
+            assert energy <= 1.5e-12, (charge, energy)
 
     def test_energy_and_r2_constant_across_sweep(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -438,6 +442,17 @@ class TestTableCommand:
         # n_r=1, l=-2, electron: 2 n_r + |l| - sign l + 1 = 2 + 2 - 2 + 1 = 3
         assert all(abs(float(v) - 3.0) < 1e-9 for v in e_vals)
 
+    @pytest.mark.parametrize("charge", ["electron", "positron"])
+    def test_order_twenty_energy_delta(self, charge, tmp_path):
+        out = tmp_path / "table.csv"
+        result = runner.invoke(
+            main, ["table", "--nr", "6", "--l", "8", "--steps", "64", "--charge", charge, "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        k = lines[0].split(",").index("energy_delta")
+        worst = max(abs(float(ln.split(",")[k])) for ln in lines[1:])
+        assert worst <= 2e-8, (charge, worst)
 
     def test_omega_and_rho_h_scale_their_columns(self, tmp_path):
         tables = {}
@@ -724,6 +739,25 @@ class TestDecomposeCommand:
         ref = np.abs(psi) ** 2
         err = np.abs(grid - ref).max() / ref.max()
         assert err <= 1e-13, err
+
+    @pytest.mark.parametrize("alpha, folded", [("2.0", True), ("0.3", False)])
+    def test_folded_alpha_recorded(self, alpha, folded, tmp_path):
+        prefix = str(tmp_path / "dec")
+        result = runner.invoke(
+            main,
+            ["decompose", "--nr", "0", "--l", "1", "--alpha", alpha,
+             "--max-order", "2", "--points", "4", "--out-prefix", prefix],
+        )
+        assert result.exit_code == 0, result.output
+        sidecar = json.loads((tmp_path / "dec.json").read_text())
+        validate(sidecar, "decompose_sidecar")
+        assert 0.0 <= sidecar["alpha"] <= math.pi / 2
+        if folded:
+            assert sidecar["alpha_input"] == 2.0
+            assert sidecar["alpha"] == pytest.approx(2.0 - math.pi / 2, abs=1e-15)
+        else:
+            assert "alpha_input" not in sidecar
+            assert sidecar["alpha"] == 0.3
 
     def test_truncation_warning_recorded(self, tmp_path):
         prefix = str(tmp_path / "dec")

