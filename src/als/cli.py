@@ -540,7 +540,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
     grid = level_density(levels, centres, centres)
     values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
     norm = _norm_check(grid, extent)
-    truncated = sum_abs2 < 1.0 - _TRUNCATION_TOL
+    truncated = sum_abs2 < 1.0 - _TRUNCATION_TOL or abs(norm - 1.0) > _TRUNCATION_TOL
 
     sidecar = {
         "input_mode": {"n_r": nr, "l": l, "n": mode_in.n, "m": mode_in.m},
@@ -561,7 +561,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
         write_table_csv(f"{out_prefix}_coefficients.csv", header, coeff_rows)
         write_grid_csv(f"{out_prefix}_density.csv", values, *bounds)
         write_json(f"{out_prefix}.json", sidecar)
-    note = " (truncated)" if truncated else ""
+    note = (" (undersampled)" if norm > 1.0 + _TRUNCATION_TOL else " (truncated)") if truncated else ""
     click.echo(f"wrote {out_prefix}_* (sum |c|^2 = {sum_abs2:.9f}{note})")
 
 

@@ -15,14 +15,10 @@ Construction expands the defining finite sum over Hermite products,
     ||G_{n,m}||^2 = pi 2^(n+m-1) n! m!,
 
 with the Jacobi factor folded into the trigonometric prefactors,
-
-    c_k = i^k sum_s (-1)^s C(n, k-s) C(m, s)
-                     cos^(n-k+2s)(a) sin^(m+k-2s)(a),
-
-so every exponent is nonnegative and the limits a = 0, pi/2 are exact
-(all the apparent poles of the unfolded sum cancel).  At a = 0 only
-k = m survives with c_m = (-i)^m, reproducing the Hermite-Gauss product
-with its (-i)^m phase.
+c_k = i^k F_k(n, m; a) (``specfun.folded_sum``), so every exponent is
+nonnegative and the limits a = 0, pi/2 are exact (all the apparent poles
+of the unfolded sum cancel).  At a = 0 only k = m survives with
+c_m = (-i)^m, reproducing the Hermite-Gauss product with its (-i)^m phase.
 
 The same states arise from an SU(2) rotation of the Hermite-Gauss basis.
 With the basis states |m'> = psi_{j+m', j-m'}(alpha=0) of rank
@@ -41,9 +37,13 @@ with B in [0, pi], which makes
 hold exactly (as an SU(2) identity, including half-integer j).
 
 Within one level N = n + m the modes are unit (N+1)-vectors over the
-normalised Hermite-Gauss products |N-k, k> (``hlg_block``).  The
-alpha = pi/4 vectors form the Laguerre-Gauss basis (``lg_basis``): row k
-has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k))
+normalised Hermite-Gauss products |N-k, k> (``hlg_block``), each a column
+of the Wigner d-matrix (Visser and Nienhuis, PRA 70, 013809, 2004):
+
+    hlg_block(n, m, alpha)[k] = i^k (-1)^m d^{N/2}_{N/2-k, (n-m)/2}(2 alpha).
+
+The alpha = pi/4 vectors form the Laguerre-Gauss basis (``lg_basis``): row
+k has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k))
 (``rotate_block``).  ``level_density`` samples |psi|^2 of any set of level
 vectors on a grid; every grid the CLI writes goes through it.
 ``radial_profile`` gives the angular mean of |psi|^2 of one level vector.
@@ -55,7 +55,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -124,20 +124,8 @@ def check_alpha(alpha: float) -> None:
 
 
 def hlg_coefficients(n: int, m: int, alpha: float) -> list[complex]:
-    """Coefficients c_k of H_{n+m-k}(sqrt2 x) H_k(sqrt2 y) in the mode sum.
-
-    Folded form: finite, pole-free for every alpha including 0 and pi/2.
-    """
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    out: list[complex] = []
-    for k in range(n + m + 1):
-        acc = 0.0
-        for s in range(max(0, k - n), min(k, m) + 1):
-            term = comb(n, k - s) * comb(m, s)
-            term *= ca ** (n - k + 2 * s) * sa ** (m + k - 2 * s)
-            acc += -term if s % 2 else term
-        out.append(1j**k * acc)
-    return out
+    """Coefficients c_k = i^k F_k(n, m; alpha) of H_{n+m-k}(sqrt2 x) H_k(sqrt2 y) in the mode sum."""
+    return [1j**k * specfun.folded_sum(n, m, k, alpha) for k in range(n + m + 1)]
 
 
 def hlg_norm_squared(n: int, m: int) -> float:
@@ -148,8 +136,7 @@ def hlg_norm_squared(n: int, m: int) -> float:
 @lru_cache(maxsize=None)
 def _hermite_scaled(order: int) -> tuple[float, ...]:
     """Coefficients of H_order(sqrt2 u) in powers of u."""
-    base = specfun.hermite(order).coeffs
-    return tuple(c * 2.0 ** (0.5 * p) for p, c in enumerate(base))
+    return tuple(c * 2.0 ** (0.5 * p) for p, c in enumerate(specfun.hermite(order)))
 
 
 def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
@@ -301,8 +288,9 @@ def wigner_decompose(
 
     Returns ``{m_l': D^j_{m_l', m_l}(A, B, C)}`` for m_l' = -j ... j; the
     coefficient multiplies the basis state psi_{j+m_l', j-m_l'}(alpha=0).
-    The rows are unitary: sum |coeff|^2 = 1.  ``specfun.wigner_small_d``
-    checks j and m_l on every element.
+    The rows are unitary: sum |coeff|^2 = 1.  At A = C = 0 this is the
+    d-matrix column ``hlg_block`` holds, up to the phases i^k (-1)^m;
+    ``specfun.wigner_small_d`` checks j and m_l on every element.
     """
     tj = abs(round(2 * j))  # abs: a negative j still reaches that check
     return {

@@ -1,9 +1,7 @@
 """Hermite polynomials and functions, grid points, SU(2) rotation matrix elements.
 
 Everything is evaluated in double precision from exact integer recurrences
-and factorial sums.  Coefficient growth bounds the practical range to
-polynomial degrees <= 40 and rotation ranks j <= 8, which is far beyond
-what the mode constructions upstream ever request.
+and binomial sums.
 
 Conventions:
 
@@ -13,53 +11,42 @@ Conventions:
   the normalised Hermite function, so that the normalised product state
   ``|N-k, k>`` is phi_{N-k}(x) phi_k(y).  The values come from the stable
   three-term recurrence (Bunck, BIT 49, 281, 2009), not from ``hermite``.
-* ``wigner_D`` uses z-y-z Euler angles,
+* ``folded_sum(n, m, k, a)`` is the binomial sum
 
-      D^j_{m',m}(A, B, C) = exp(-i m' A) d^j_{m',m}(B) exp(-i m C),
+      F_k(n, m; a) = sum_s (-1)^s C(n, k-s) C(m, s) cos^(n-k+2s)(a) sin^(m+k-2s)(a),
 
-  with the factorial sum for the small-d function (rows indexed by m').
+  finite at every angle, negative ones included.  It is the package's one
+  Wigner small-d function: with n = j + m, n_bar = j - m and k = j - m',
+
+      d^j_{m',m}(B) = (-1)^n_bar sqrt((j+m')! (j-m')! / (n! n_bar!)) F_k(n, n_bar; B/2).
+
+* ``wigner_D`` uses z-y-z Euler angles, rows indexed by m',
+
+      D^j_{m',m}(A, B, C) = exp(-i m' A) d^j_{m',m}(B) exp(-i m C).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Dense real polynomial, ``coeffs[i]`` multiplying ``x**i``."""
-
-    coeffs: tuple[float, ...]
-
-    def __call__(self, x):
-        """Evaluate by Horner's scheme; works on scalars and numpy arrays."""
-        acc = self.coeffs[-1] * (x * 0 + 1) if hasattr(x, "shape") else self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-
-def hermite(n: int) -> PolyCoeffs:
-    """Physicists' Hermite polynomial H_n as a coefficient table."""
+def hermite(n: int) -> tuple[float, ...]:
+    """Physicists' Hermite polynomial H_n as coefficients, entry i multiplying x**i."""
     if n < 0:
         raise ValueError(f"Hermite order must be >= 0, got {n}")
-    if n == 0:
-        return PolyCoeffs((1.0,))
-    prev = [1.0]
-    cur = [0.0, 2.0]
-    for k in range(1, n):
+    prev, cur = [], [1.0]
+    for k in range(n):
         nxt = [0.0] * (k + 2)
         for i, c in enumerate(cur):
             nxt[i + 1] += 2.0 * c
         for i, c in enumerate(prev):
             nxt[i] -= 2.0 * k * c
         prev, cur = cur, nxt
-    return PolyCoeffs(tuple(cur))
+    return tuple(cur)
 
 
 def hermite_functions(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -96,11 +83,22 @@ def _twice(value: float, name: str) -> int:
     return doubled
 
 
-def wigner_small_d(j: float, mp: float, m: float, beta: float) -> float:
-    """Wigner small-d matrix element d^j_{mp,m}(beta).
+def folded_sum(n: int, m: int, k: int, angle: float) -> float:
+    """F_k(n, m; angle) of the module docstring, for 0 <= k <= n + m."""
+    ca, sa = math.cos(angle), math.sin(angle)
+    acc = 0.0
+    for s in range(max(0, k - n), min(k, m) + 1):
+        term = comb(n, k - s) * comb(m, s)
+        term *= ca ** (n - k + 2 * s) * sa ** (m + k - 2 * s)
+        acc += -term if s % 2 else term
+    return acc
 
-    Factorial-sum form; valid for integer and half-integer j with
-    |mp| <= j, |m| <= j and j - mp, j - m integral.
+
+def wigner_small_d(j: float, mp: float, m: float, beta: float) -> float:
+    """Wigner small-d matrix element d^j_{mp,m}(beta), from ``folded_sum``.
+
+    Valid for integer and half-integer j with |mp| <= j, |m| <= j and
+    j - mp, j - m integral.
     """
     tj, tmp, tm = _twice(j, "j"), _twice(mp, "mp"), _twice(m, "m")
     if tj < 0 or abs(tmp) > tj or abs(tm) > tj:
@@ -108,25 +106,9 @@ def wigner_small_d(j: float, mp: float, m: float, beta: float) -> float:
     if (tj - tmp) % 2 or (tj - tm) % 2:
         raise ValueError(f"j-mp and j-m must be integers: j={j}, mp={mp}, m={m}")
 
-    j_p_mp, j_m_mp = (tj + tmp) // 2, (tj - tmp) // 2
-    j_p_m, j_m_m = (tj + tm) // 2, (tj - tm) // 2
-    mp_m_m = (tmp - tm) // 2
-
-    pref = math.sqrt(
-        factorial(j_p_mp) * factorial(j_m_mp) * factorial(j_p_m) * factorial(j_m_m)
-    )
-    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
-    total = 0.0
-    for k in range(max(0, -mp_m_m), min(j_p_m, j_m_mp) + 1):
-        denom = (
-            factorial(j_p_m - k)
-            * factorial(k)
-            * factorial(mp_m_m + k)
-            * factorial(j_m_mp - k)
-        )
-        sign = -1.0 if (mp_m_m + k) % 2 else 1.0
-        total += sign * c ** (tj - mp_m_m - 2 * k) * s ** (mp_m_m + 2 * k) / denom
-    return pref * total
+    n, n_bar, k = (tj + tm) // 2, (tj - tm) // 2, (tj - tmp) // 2
+    scale = math.sqrt(factorial(tj - k) * factorial(k) / (factorial(n) * factorial(n_bar)))
+    return (-1) ** n_bar * scale * folded_sum(n, n_bar, k, 0.5 * beta)
 
 
 def wigner_D(j: float, mp: float, m: float, A: float, B: float, C: float) -> complex:

@@ -19,6 +19,15 @@
   which stays valid for integer parameters down to ``a, b = -k`` because
   binomials with an oversized lower index vanish; the unfolded defining
   sum of the mode family carries a Jacobi factor.
+* ``wigner_d(j, mp, m, beta)`` is the Wigner small-d element
+  d^j_{mp,m}(beta) by the factorial sum (Wigner's formula)
+
+      sum_s (-1)^(mp-m+s) sqrt((j+mp)! (j-mp)! (j+m)! (j-m)!)
+            / ((j+m-s)! s! (mp-m+s)! (j-mp-s)!)
+            cos^(2j-mp+m-2s)(beta/2) sin^(mp-m+2s)(beta/2),
+
+  in mpmath at 40 digits and rounded once to a float, so it shares no
+  code with the library's folded sum.
 * ``quadrature_moments(vec)`` integrates the norm and <r^2> of a level
   vector over positions, by Gauss-Hermite quadrature on the normalised
   Hermite functions of the stable three-term recurrence
@@ -42,21 +51,22 @@ from importlib import resources
 from math import comb, factorial
 
 import jsonschema
+import mpmath
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from als.gstate import apply, inner_product
 from als.modes import hlg_state
 from als.observables import R2_OP
 from als.operators import expectation, h3, h_perp
-from als.specfun import PolyCoeffs
 
 
-def laguerre(n: int, k: int) -> PolyCoeffs:
-    """Generalized Laguerre polynomial L_n^k as a coefficient table."""
+def laguerre(n: int, k: int) -> Polynomial:
+    """Generalized Laguerre polynomial L_n^k, built coefficient by coefficient."""
     if n < 0 or k < 0:
         raise ValueError(f"Laguerre indices must be >= 0, got n={n}, k={k}")
     if n == 0:
-        return PolyCoeffs((1.0,))
+        return Polynomial([1.0])
     prev = [1.0]
     cur = [1.0 + k, -1.0]
     for i in range(1, n):
@@ -68,7 +78,7 @@ def laguerre(n: int, k: int) -> PolyCoeffs:
         for p, c in enumerate(prev):
             nxt[p] -= (i + k) * c
         prev, cur = cur, [c / (i + 1) for c in nxt]
-    return PolyCoeffs(tuple(cur))
+    return Polynomial(cur)
 
 
 def lg_density(n_r: int, l: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,6 +106,22 @@ def jacobi_eval(k: int, a: int, b: int, x: float) -> float:
         if c:
             total += c * um**s * up ** (k - s)
     return total
+
+
+def wigner_d(j: float, mp: float, m: float, beta: float) -> float:
+    """Wigner small-d element d^j_{mp,m}(beta), for j, mp, m given as floats of k/2."""
+    tj, tmp, tm = round(2 * j), round(2 * mp), round(2 * m)
+    jpmp, jmmp, jpm, jmm = (tj + tmp) // 2, (tj - tmp) // 2, (tj + tm) // 2, (tj - tm) // 2
+    dm = (tmp - tm) // 2
+    with mpmath.workdps(40):
+        half = mpmath.mpf(beta) / 2
+        c, s = mpmath.cos(half), mpmath.sin(half)
+        total = mpmath.mpf(0)
+        for k in range(max(0, -dm), min(jpm, jmmp) + 1):
+            denom = factorial(jpm - k) * factorial(k) * factorial(dm + k) * factorial(jmmp - k)
+            total += (-1) ** (dm + k) * c ** (tj - dm - 2 * k) * s ** (dm + 2 * k) / denom
+        total *= mpmath.sqrt(factorial(jpmp) * factorial(jmmp) * factorial(jpm) * factorial(jmm))
+        return float(total)
 
 
 def hermite_functions(kmax: int, u: np.ndarray) -> np.ndarray:

@@ -740,6 +740,26 @@ class TestDecomposeCommand:
         err = np.abs(grid - ref).max() / ref.max()
         assert err <= 1e-13, err
 
+    def test_benchmark_reference_grid(self, tmp_path):
+        # the benchmark's decompose.vs_seed_commit_grid check, with its inputs
+        # read from the recorded file, at 1e-13 where it allows 1e-10: a
+        # change to the bits of the mode sum fails here first (a term map
+        # rebuilt from hlg_block reads 4.6e-13)
+        with np.load(Path(__file__).resolve().parents[1] / "bench" / "reference" / "decompose.npz") as npz:
+            ref = dict(npz)
+        prefix = str(tmp_path / "dec")
+        result = runner.invoke(
+            main,
+            ["decompose", "--nr", str(int(ref["nr"])), f"--l={int(ref['l'])}", "--alpha", repr(float(ref["alpha"])),
+             "--t", repr(float(ref["t"])), "--max-order", str(int(ref["max_order"])),
+             "--points", str(int(ref["points"])), "--out-prefix", prefix],
+        )
+        assert result.exit_code == 0, result.output
+        _, grid = read_grid(f"{prefix}_density.csv")
+        stride = int(ref["stride"])
+        err = np.abs(grid[::stride, ::stride] - ref["grid"]).max() / ref["grid"].max()
+        assert err <= 1e-13, err
+
     @pytest.mark.parametrize("alpha, folded", [("2.0", True), ("0.3", False)])
     def test_folded_alpha_recorded(self, alpha, folded, tmp_path):
         prefix = str(tmp_path / "dec")
@@ -770,6 +790,27 @@ class TestDecomposeCommand:
         sidecar = json.loads((tmp_path / "dec.json").read_text())
         assert sidecar["truncation_warning"]
         assert sidecar["sum_abs2"] < 1.0 - 1e-6
+
+    @pytest.mark.parametrize(
+        "args, note",
+        [
+            # the whole basis, but extent 2 holds 1.2% of the l = 20 ring
+            pytest.param(["--nr", "0", "--l", "20", "--alpha", "pi/8", "--max-order", "20", "--extent", "2",
+                          "--points", "64"], "truncated", id="truncated"),
+            # too few points: the grid sum reads 1.284, as for density
+            pytest.param(["--nr", "3", "--l", "3", "--alpha", "pi/4", "--points", "6"], "undersampled", id="undersampled"),
+        ],
+    )
+    def test_grid_sets_truncation_warning(self, args, note, tmp_path):
+        prefix = str(tmp_path / "dec")
+        result = runner.invoke(main, ["decompose", *args, "--out-prefix", prefix])
+        assert result.exit_code == 0, result.output
+        sidecar = json.loads((tmp_path / "dec.json").read_text())
+        validate(sidecar, "decompose_sidecar")
+        assert sidecar["sum_abs2"] == pytest.approx(1.0, abs=1e-9)
+        assert abs(sidecar["norm_check"] - 1.0) > 1e-6
+        assert sidecar["truncation_warning"] is True
+        assert result.output.endswith(f" ({note}))\n")
 
 
 _BAD_INPUTS = [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from als.berry import berry_phase, latitude_loop
 from als.gstate import density_grid, inner_product
@@ -27,7 +28,7 @@ from als.modes import (
 )
 from als.observables import mean_r2
 from als.specfun import cell_centres, hermite, hermite_functions
-from oracles import jacobi_eval, laguerre, lg_density, quadrature_moments, term_map_value
+from oracles import jacobi_eval, laguerre, lg_density, quadrature_moments, term_map_value, wigner_d
 from oracles import hermite_functions as oracle_hermite_functions
 
 
@@ -48,7 +49,7 @@ def direct_mode_sum(n, m, alpha, x, y):
     for k in range(n + m + 1):
         pref = (1j**k) * math.cos(alpha) ** (n - k) * math.sin(alpha) ** (m - k)
         pref *= jacobi_eval(k, n - k, m - k, -math.cos(2 * alpha))
-        total += pref * hermite(n + m - k)(rt2 * x) * hermite(k)(rt2 * y)
+        total += pref * Polynomial(hermite(n + m - k))(rt2 * x) * Polynomial(hermite(k))(rt2 * y)
     total *= math.exp(-x * x - y * y)
     return total / math.sqrt(hlg_norm_squared(n, m))
 
@@ -162,7 +163,7 @@ class TestModeConstruction:
             rt2 = math.sqrt(2)
             norm = math.sqrt(hlg_norm_squared(n, m))
             for x, y in rng.uniform(-2, 2, size=(10, 2)):
-                ref = (-1j) ** m * hermite(n)(rt2 * x) * hermite(m)(rt2 * y)
+                ref = (-1j) ** m * Polynomial(hermite(n))(rt2 * x) * Polynomial(hermite(m))(rt2 * y)
                 ref *= math.exp(-x * x - y * y) / norm
                 assert abs(term_map_value(s, x, y) - ref) <= 1e-13
 
@@ -279,6 +280,18 @@ class TestHlgBlock:
                     norm, r2 = quadrature_moments(hlg_block(n, order - n, alpha))
                     assert abs(norm - 1.0) <= 1e-13, (n, order - n, alpha, norm)
                     assert abs(r2 - mean_r2(mode.n_r, mode.l)) <= 1e-12, (n, order - n, alpha, r2)
+
+    @pytest.mark.parametrize("order", [8, 14, 20])
+    def test_level_vector_is_a_wigner_d_column(self, order):
+        # the SU(2) statement of the mode family, against the factorial-sum
+        # oracle in mpmath: entry k is i^k (-1)^m d^{N/2}_{N/2-k, (n-m)/2}(2 alpha)
+        j = order / 2
+        for alpha in (0.3, math.pi / 4, 1.2):
+            for n in range(order + 1):
+                m = order - n
+                ref = [1j**k * (-1) ** m * wigner_d(j, j - k, (n - m) / 2, 2 * alpha) for k in range(order + 1)]
+                err = np.abs(hlg_block(n, m, alpha) - ref).max()
+                assert err <= 5e-14, (n, m, alpha, err)
 
     @pytest.mark.parametrize("n, m, alpha", [(-1, 0, 0.3), (15, 6, 0.3), (1, 0, -0.1), (1, 0, 2.0)])
     def test_rejects_what_hlg_state_rejects(self, n, m, alpha):
