@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import hlg_block, lg_basis
+from .modes import hlg_block, level_modes
 from .operators import spin_axis
 
 #: Consecutive-vertex overlaps below this magnitude abort the phase product.
@@ -156,7 +156,7 @@ def berry_phase(path: SpherePath, n: int, m: int) -> float:
     modes = np.array([hlg_block(n, m, float(a)) for a in alphas])
     lz = order - 2 * np.arange(order + 1)
     # the basis is unitary, so overlaps in its coordinates are the same
-    states = (modes @ lg_basis(order).conj().T)[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
+    states = (modes @ level_modes(order, 0.25 * math.pi).conj().T)[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
     overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
     coarse = np.flatnonzero(np.abs(overlaps) < MIN_OVERLAP)
     if coarse.size:

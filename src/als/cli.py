@@ -254,14 +254,8 @@ def _ring_cells(x: np.ndarray, y: np.ndarray, radius: float, width: float, exten
 
 
 # A basis weight further than this below 1 is flagged as truncated; a grid
-# norm further than this from 1, either way, as truncated or undersampled.
+# norm further than this above 1 as undersampled, below 1 as truncated.
 _TRUNCATION_TOL = 1e-6
-
-
-def _norm_check(grid: np.ndarray, extent: float) -> float:
-    ny, nx = grid.shape
-    cell = (2 * extent / nx) * (2 * extent / ny)
-    return float(grid.sum() * cell)
 
 
 def _in_units(natural, scale: float, what: str):
@@ -274,6 +268,18 @@ def _in_units(natural, scale: float, what: str):
     if not np.isfinite(scaled).all():
         raise click.UsageError(f"{what} is not a finite number for these inputs")
     return scaled
+
+
+def _density(levels, extent: float, points: int, rho_h: float):
+    """|psi|^2 of the level vectors on the grid, also in units of rho_h, its norm check and its echo note."""
+    centres = cell_centres(points, -extent, extent)
+    grid = level_density(levels, centres, centres)
+    values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
+    cell = 2 * extent / points
+    norm = float(grid.sum() * (cell * cell))
+    if norm > 1.0 + _TRUNCATION_TOL:
+        return grid, values, norm, " (undersampled)"
+    return grid, values, norm, " (truncated)" if norm < 1.0 - _TRUNCATION_TOL else ""
 
 
 def _grid_bounds(extent: float, points: int, rho_h: float) -> tuple[tuple[float, ...], dict]:
@@ -345,16 +351,12 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
     used = ModeIndex(nn, mm)
     bounds, grid_spec = _grid_bounds(extent, points, rho_h)
 
-    centres = cell_centres(points, -extent, extent)
     vec = rotate_block(hlg_block(used.n, used.m, a), phi)
-    grid = level_density([vec], centres, centres)
-    norm = _norm_check(grid, extent)
-    truncated = abs(norm - 1.0) > _TRUNCATION_TOL
+    grid, values, norm, note = _density([vec], extent, points, rho_h)
     pattern = classify_pattern(vec, grid, extent)
     if norm > 1.0 + _TRUNCATION_TOL:
         # an undersampled grid can make a ring look like a spot
         pattern["classification"] = "unresolved"
-    values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
 
     sidecar = {
         "mode": {"n": used.n, "m": used.m, "n_r": used.n_r, "l": used.l},
@@ -362,7 +364,7 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
         "phi": phi,
         "grid": grid_spec,
         "norm_check": norm,
-        "truncation_warning": truncated,
+        "truncation_warning": bool(note),
         "units": {"omega": omega, "rho_h": rho_h},
         "pattern": pattern,
     }
@@ -373,7 +375,6 @@ def density(n, m, nr, l, alpha, beta, sign_e, phi, extent, points, omega, rho_h,
     with _io_errors():
         write_grid_csv(out, values, *bounds)
         write_json((out[:-4] if out.endswith(".csv") else out) + ".json", sidecar)
-    note = (" (undersampled)" if norm > 1.0 else " (truncated)") if truncated else ""
     click.echo(f"wrote {out} (norm check {norm:.9f}, pattern {pattern['classification']}){note}")
 
 
@@ -516,31 +517,27 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
     a, _, _, folded = fold_alpha(alpha_in, mode_in.n, mode_in.m)
     bounds, grid_spec = _grid_bounds(extent, points, rho_h)
 
+    basis = [ModeIndex(n_i, total - n_i) for total in range(max_order + 1) for n_i in range(total + 1)]
+    natural = np.array([energy(md.n_r, md.l, sign_e) for md in basis])
+    angles = _in_units(natural, t, "energy x t").tolist()
+    energies = _in_units(natural, omega, "energy x omega").tolist()
     lg = hlg_state(mode_in.n, mode_in.m, 0.25 * math.pi)
     coeff_rows = []
     levels = [np.zeros(order + 1, dtype=complex) for order in range(max_order + 1)]
     sum_abs2 = 0.0
-    for total in range(max_order + 1):
-        for n_i in range(total + 1):
-            m_i = total - n_i
-            c = inner_product(hlg_state(n_i, m_i, a), lg)
-            mode_i = ModeIndex(n_i, m_i)
-            eps_i = energy(mode_i.n_r, mode_i.l, sign_e)
-            angle = _in_units(eps_i, t, "energy x t")
-            ct = c * complex(math.cos(angle), -math.sin(angle))
-            sum_abs2 += abs(c) ** 2
-            coeff_rows.append(
-                [str(n_i), str(m_i), str(mode_i.l), str(mode_i.n_r), _in_units(eps_i, omega, "energy x omega"),
-                 c.real, c.imag, abs(c) ** 2, ct.real, ct.imag]
-            )
-            if abs(c) > 1e-14:
-                levels[total] += ct * hlg_block(n_i, m_i, a)
+    for md, angle, e_omega in zip(basis, angles, energies):
+        c = inner_product(hlg_state(md.n, md.m, a), lg)
+        ct = c * complex(math.cos(angle), -math.sin(angle))
+        sum_abs2 += abs(c) ** 2
+        coeff_rows.append(
+            [str(md.n), str(md.m), str(md.l), str(md.n_r), e_omega, c.real, c.imag, abs(c) ** 2, ct.real, ct.imag]
+        )
+        if abs(c) > 1e-14:
+            levels[md.n + md.m] += ct * hlg_block(md.n, md.m, a)
 
-    centres = cell_centres(points, -extent, extent)
-    grid = level_density(levels, centres, centres)
-    values = _in_units(grid, 1.0 / rho_h / rho_h, "density / rho_h^2")
-    norm = _norm_check(grid, extent)
-    truncated = sum_abs2 < 1.0 - _TRUNCATION_TOL or abs(norm - 1.0) > _TRUNCATION_TOL
+    _, values, norm, note = _density(levels, extent, points, rho_h)
+    if sum_abs2 < 1.0 - _TRUNCATION_TOL:
+        note = note or " (truncated)"
 
     sidecar = {
         "input_mode": {"n_r": nr, "l": l, "n": mode_in.n, "m": mode_in.m},
@@ -549,7 +546,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
         "sign_e": sign_e,
         "max_order": max_order,
         "sum_abs2": sum_abs2,
-        "truncation_warning": truncated,
+        "truncation_warning": bool(note),
         "grid": grid_spec,
         "norm_check": norm,
         "units": {"omega": omega, "rho_h": rho_h},
@@ -561,7 +558,6 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
         write_table_csv(f"{out_prefix}_coefficients.csv", header, coeff_rows)
         write_grid_csv(f"{out_prefix}_density.csv", values, *bounds)
         write_json(f"{out_prefix}.json", sidecar)
-    note = (" (undersampled)" if norm > 1.0 + _TRUNCATION_TOL else " (truncated)") if truncated else ""
     click.echo(f"wrote {out_prefix}_* (sum |c|^2 = {sum_abs2:.9f}{note})")
 
 

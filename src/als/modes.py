@@ -42,7 +42,8 @@ of the Wigner d-matrix (Visser and Nienhuis, PRA 70, 013809, 2004):
 
     hlg_block(n, m, alpha)[k] = i^k (-1)^m d^{N/2}_{N/2-k, (n-m)/2}(2 alpha).
 
-The alpha = pi/4 vectors form the Laguerre-Gauss basis (``lg_basis``): row
+``level_modes(N, alpha)`` stacks the modes of a level, row k being
+psi_{N-k,k}(alpha).  At alpha = pi/4 they form the Laguerre-Gauss basis: row
 k has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k))
 (``rotate_block``).  ``level_density`` samples |psi|^2 of any set of level
 vectors on a grid; every grid the CLI writes goes through it.
@@ -125,7 +126,8 @@ def check_alpha(alpha: float) -> None:
 
 def hlg_coefficients(n: int, m: int, alpha: float) -> list[complex]:
     """Coefficients c_k = i^k F_k(n, m; alpha) of H_{n+m-k}(sqrt2 x) H_k(sqrt2 y) in the mode sum."""
-    return [1j**k * specfun.folded_sum(n, m, k, alpha) for k in range(n + m + 1)]
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    return [1j**k * specfun.folded_sum(n, m, k, ca, sa) for k in range(n + m + 1)]
 
 
 def hlg_norm_squared(n: int, m: int) -> float:
@@ -157,11 +159,15 @@ def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def lg_basis(order: int) -> np.ndarray:
-    """Laguerre-Gauss basis of the level, read-only: row k is hlg_block(order - k, k, pi/4)."""
-    basis = np.array([hlg_block(order - k, k, 0.25 * math.pi) for k in range(order + 1)])
-    basis.flags.writeable = False
-    return basis
+def level_modes(order: int, alpha: float) -> np.ndarray:
+    """Every mode of the level at alpha, read-only: row k is hlg_block(order - k, k, alpha).
+
+    Cached, so call it only at fixed angles: the Laguerre-Gauss basis at
+    pi/4 and the angles the ``verify`` suites sample.
+    """
+    modes = np.array([hlg_block(order - k, k, alpha) for k in range(order + 1)])
+    modes.flags.writeable = False
+    return modes
 
 
 def rotate_block(vec: np.ndarray, phi: float) -> np.ndarray:
@@ -173,7 +179,7 @@ def rotate_block(vec: np.ndarray, phi: float) -> np.ndarray:
     if phi == 0:
         return vec
     order = len(vec) - 1
-    basis = lg_basis(order)
+    basis = level_modes(order, 0.25 * math.pi)
     lz = order - 2 * np.arange(order + 1)
     # the phases have period 2 pi; fmod keeps phi * lz finite and every
     # |phi| < 2 pi as it is
@@ -211,15 +217,15 @@ def level_density(levels, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def radial_profile(vec: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Angular mean of |psi|^2 on the circles of radius r, for a level vector.
 
-    In the Laguerre-Gauss weights w = B.conj() v, B = ``lg_basis(N)``, the
-    rows of different Lz do not interfere under the angular mean, and each
+    In the Laguerre-Gauss weights w = B.conj() v, B = ``level_modes(N, pi/4)``,
+    the rows of different Lz do not interfere under the angular mean, and each
     |LG_k|^2 is round, so the mean is sum_k |w_k|^2 |LG_k(r, 0)|^2 exactly,
     with LG_k(r, 0) = sum_q B[k, q] phi_{N-q}(r) phi_q(0) on the Hermite
     tables.
     Contracted with ``einsum``, which calls no BLAS.
     """
     order = len(vec) - 1
-    basis = lg_basis(order)
+    basis = level_modes(order, 0.25 * math.pi)
     w = np.einsum("kq,q->k", basis.conj(), vec)
     on_axis = basis * specfun.hermite_functions(order, np.zeros(1))[:, 0]
     lg = np.einsum("kq,qi->ki", on_axis, specfun.hermite_functions(order, r)[::-1])

@@ -11,7 +11,7 @@ Conventions:
   the normalised Hermite function, so that the normalised product state
   ``|N-k, k>`` is phi_{N-k}(x) phi_k(y).  The values come from the stable
   three-term recurrence (Bunck, BIT 49, 281, 2009), not from ``hermite``.
-* ``folded_sum(n, m, k, a)`` is the binomial sum
+* ``folded_sum(n, m, k, cos a, sin a)`` is the binomial sum
 
       F_k(n, m; a) = sum_s (-1)^s C(n, k-s) C(m, s) cos^(n-k+2s)(a) sin^(m+k-2s)(a),
 
@@ -83,9 +83,8 @@ def _twice(value: float, name: str) -> int:
     return doubled
 
 
-def folded_sum(n: int, m: int, k: int, angle: float) -> float:
-    """F_k(n, m; angle) of the module docstring, for 0 <= k <= n + m."""
-    ca, sa = math.cos(angle), math.sin(angle)
+def folded_sum(n: int, m: int, k: int, ca: float, sa: float) -> float:
+    """F_k(n, m; a) of the module docstring from ca = cos(a) and sa = sin(a), for 0 <= k <= n + m."""
     acc = 0.0
     for s in range(max(0, k - n), min(k, m) + 1):
         term = comb(n, k - s) * comb(m, s)
@@ -108,7 +107,8 @@ def wigner_small_d(j: float, mp: float, m: float, beta: float) -> float:
 
     n, n_bar, k = (tj + tm) // 2, (tj - tm) // 2, (tj - tmp) // 2
     scale = math.sqrt(factorial(tj - k) * factorial(k) / (factorial(n) * factorial(n_bar)))
-    return (-1) ** n_bar * scale * folded_sum(n, n_bar, k, 0.5 * beta)
+    half = 0.5 * beta
+    return (-1) ** n_bar * scale * folded_sum(n, n_bar, k, math.cos(half), math.sin(half))
 
 
 def wigner_D(j: float, mp: float, m: float, A: float, B: float, C: float) -> complex:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .modes import (
     euler_angles,
     hlg_block,
     hlg_state,
+    level_modes,
     rotate_block,
     schwinger_state,
     wigner_decompose,
@@ -97,22 +98,10 @@ class _Rows:
 _ALPHAS = tuple(float(a) for a in np.linspace(0.0, math.pi / 2, 9))
 
 
-@lru_cache(maxsize=None)
-def _level(order: int, alpha: float) -> tuple[tuple[ModeIndex, ...], np.ndarray]:
-    """Modes (n, order - n), n = 0..order, and their hlg_block vectors as columns.
-
-    Cached: the spectra and observables suites walk the same levels and
-    angles.  The array is read-only because every caller shares it.
-    """
-    modes = tuple(ModeIndex(n, order - n) for n in range(order + 1))
-    vecs = np.array([hlg_block(md.n, md.m, alpha) for md in modes]).T
-    vecs.setflags(write=False)
-    return modes, vecs
-
-
 def _levels(order: int) -> tuple[tuple[ModeIndex, ...], np.ndarray]:
     """The modes of a level and their vectors at every angle of ``_ALPHAS``, shape (angles, N + 1, N + 1)."""
-    return _level(order, _ALPHAS[0])[0], np.stack([_level(order, alpha)[1] for alpha in _ALPHAS])
+    modes = tuple(ModeIndex(n, order - n) for n in range(order + 1))
+    return modes, np.stack([level_modes(order, alpha)[::-1].T for alpha in _ALPHAS])
 
 
 def _eigen_residuals(matrices: np.ndarray, vecs: np.ndarray, lams) -> np.ndarray:
@@ -320,7 +309,8 @@ def suite_wigner(max_order: int) -> list[IdentityResult]:
         ]
         rows.add("Euler angles solve their defining equations", errors, 1e-12)
 
-    for twice_j in range(1, 9):
+    rows.add("d(-B) equals transposed d(B)", 0.0, t_unit)  # j = 0 is exact
+    for twice_j in range(1, round(2 * j_max) + 1):
         j = twice_j / 2.0
         beta = float(rng.uniform(0, math.pi))
         ms = [k / 2.0 for k in range(-twice_j, twice_j + 1, 2)]

@@ -790,6 +790,7 @@ class TestDecomposeCommand:
         sidecar = json.loads((tmp_path / "dec.json").read_text())
         assert sidecar["truncation_warning"]
         assert sidecar["sum_abs2"] < 1.0 - 1e-6
+        assert result.output.rstrip("\n").endswith(" (truncated))"), result.output
 
     @pytest.mark.parametrize(
         "args, note",
@@ -970,6 +971,20 @@ assert "jsonschema" not in sys.modules, "a command imported jsonschema"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "b.json", "d.csv", "d.json", "t.csv", "v.json", "x.json", "x_coefficients.csv", "x_density.csv",
     ]
+
+
+def test_package_root_holds_only_the_version():
+    """``import als`` loads no numpy and re-exports nothing: each name is imported from its module."""
+    script = """
+import json, sys, als
+names = [n for n in vars(als) if not n.startswith("__")]
+print(json.dumps({"names": names, "numpy": "numpy" in sys.modules, "version": als.__version__}))
+"""
+    src = str(Path(als.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"names": [], "numpy": False, "version": als.__version__}
 
 
 def test_version_matches_package():

@@ -21,6 +21,7 @@ from als.modes import (
     hlg_norm_squared,
     hlg_state,
     level_density,
+    level_modes,
     radial_profile,
     rotate_block,
     schwinger_state,
@@ -269,6 +270,21 @@ class TestHlgBlock:
                     assert abs(np.linalg.norm(block) - 1.0) <= 1e-13
             basis = np.array([hlg_block(order - k, k, math.pi / 4) for k in range(order + 1)])
             assert np.abs(basis @ basis.conj().T - np.eye(order + 1)).max() <= 1e-13
+
+    def test_level_modes_is_one_shared_read_only_frame(self):
+        frame = level_modes(5, 0.3)
+        assert level_modes(5, 0.3) is frame
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0, 0] = 0.0
+
+    def test_level_modes_rows_are_the_hlg_blocks(self):
+        # the nine angles of the verify suites and the Laguerre-Gauss angle
+        for order in range(ORDER_CAP + 1):
+            for alpha in [*map(float, self.ALPHA_GRID), 0.25 * math.pi]:
+                frame = level_modes(order, alpha)
+                assert frame.shape == (order + 1, order + 1)
+                for k in range(order + 1):
+                    assert frame[k].tobytes() == hlg_block(order - k, k, alpha).tobytes(), (order, k, alpha)
 
     def test_norm_and_mean_r2_by_quadrature(self):
         # position-space oracle: within one level r^2 is (N+1)/2 times the

@@ -2,8 +2,7 @@
 
 A top-level function or class counts as called if its name appears as a
 name, an attribute or an imported name somewhere in `src/als` outside its
-own body.  `__init__.py` only re-exports, so its imports do not count.  A
-method counts as called if its name appears as an attribute outside its
+own body.  A method counts as called if its name appears as an attribute outside its
 own body.
 
 Exempt: functions that click decorates (the commands and their group),
@@ -62,11 +61,10 @@ def _definitions(tree):
 def uncalled() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     names, attrs = Counter(), Counter()
-    for mod, tree in trees.items():
-        if mod != "__init__":
-            n, a = _references(tree)
-            names.update(n)
-            attrs.update(a)
+    for tree in trees.values():
+        n, a = _references(tree)
+        names.update(n)
+        attrs.update(a)
     offenders = []
     for mod, tree in trees.items():
         for qualname, node, exempt in _definitions(tree):

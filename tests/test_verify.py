@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from als import fields, verify
+from als import fields, modes, verify
 from als.cli import main
 from als.modes import ORDER_CAP
 from oracles import validate
@@ -42,17 +42,18 @@ def test_spectra_and_observables_hold_at_the_order_cap():
 @pytest.fixture
 def nan_level_3(monkeypatch):
     """Every mode vector of order 3 reads NaN; the level cache is cleared around the patch."""
-    block = verify.hlg_block
+    block = modes.hlg_block
 
     def poisoned(n, m, alpha):
         v = block(n, m, alpha)
         return np.full_like(v, math.nan) if n + m == 3 else v
 
-    verify._level.cache_clear()
+    modes.level_modes.cache_clear()
     monkeypatch.setattr(verify, "hlg_block", poisoned)
+    monkeypatch.setattr(modes, "hlg_block", poisoned)
     yield
     monkeypatch.undo()
-    verify._level.cache_clear()
+    modes.level_modes.cache_clear()
 
 
 def test_nan_level_fails_every_row_that_samples_it(nan_level_3):
@@ -164,6 +165,23 @@ def test_report_rows_are_pinned():
     report = verify.run(max_order=10)
     assert [(r["suite"], r["identity"], r["tolerance"]) for r in report["results"]] == REPORT_ROWS
     assert report["summary"]["all_pass"]
+
+
+@pytest.mark.parametrize("max_order", [0, 1])
+def test_wigner_suite_stops_at_the_max_order(monkeypatch, max_order):
+    # every row stays in the report, each one sampled only up to j = max_order / 2
+    seen = []
+    small_d = verify.wigner_small_d
+
+    def recorded(j, mp, m, beta):
+        seen.append(j)
+        return small_d(j, mp, m, beta)
+
+    monkeypatch.setattr(verify, "wigner_small_d", recorded)
+    rows = verify.suite_wigner(max_order)
+    assert all(j <= max_order / 2 for j in seen), sorted(set(seen))
+    assert [("wigner", r.identity, r.tolerance) for r in rows] == [row for row in REPORT_ROWS if row[0] == "wigner"]
+    assert all(r.passed for r in rows)
 
 
 @pytest.mark.parametrize("alphas", [verify._ALPHAS, verify._ALPHAS[:2]], ids=["nine", "two"])
