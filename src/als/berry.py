@@ -131,9 +131,9 @@ def solid_angle(path: SpherePath) -> float:
     if len(set(map(tuple, np.round(pts, 9).tolist()))) < 3:
         return 0.0
     nxt = np.roll(pts, -1, axis=0)
-    pole = np.broadcast_to([0.0, 0.0, 1.0], pts.shape)
-    num = _row_dots(pole, np.cross(pts, nxt))
-    den = 1.0 + _row_dots(pole, pts) + _row_dots(pts, nxt) + _row_dots(nxt, pole)
+    # the dot products with the pole (0, 0, 1) are z components
+    num = np.cross(pts, nxt)[:, 2]
+    den = 1.0 + pts[:, 2] + _row_dots(pts, nxt) + nxt[:, 2]
     total = 0.0
     for y, x in zip(num.tolist(), den.tolist()):
         total += 2.0 * math.atan2(y, x)

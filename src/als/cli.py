@@ -32,7 +32,7 @@ from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import inner_product
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, radial_profile, rotate_block
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, level_values, radial_profile, rotate_block
 from .observables import energy, mean_lz, mean_r2, sweep
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 from .specfun import cell_centres
@@ -153,24 +153,28 @@ def fold_alpha(alpha: float, n: int, m: int) -> tuple[float, int, int, bool]:
 
 
 _RADII = 1025  # samples of the radial profile
+_ANGLES = 4096  # samples of the peak circle
 
 
 def classify_pattern(vec: np.ndarray, grid: np.ndarray, extent: float) -> dict:
     """Node-count heuristic separating striped, ring and spot densities.
 
     ``grid`` is the density of the level vector ``vec`` on a symmetric
-    cell-centered grid over [-extent, extent]^2.  Radial nodes come from
-    the vector: the exact angular mean of the density (``radial_profile``)
-    is sampled at _RADII radii out to the grid's edge or to sqrt(N+1) + 4,
-    beyond which it is below 1e-21 of its maximum.  The circle through the
-    brightest cell is scanned for angular minima (nodal lines crossing it).
+    cell-centered grid over [-extent, extent]^2.  It is read at its
+    brightest cell only, for the peak and its radius r_peak; all else
+    comes from the vector.  Radial nodes: the exact angular mean of the
+    density (``radial_profile``) is sampled at _RADII radii out to the
+    grid's edge or to sqrt(N+1) + 4, beyond which it is below 1e-21 of its
+    maximum.  Angular nodes: |psi|^2 (``level_values``) is sampled at
+    _ANGLES equal steps round the circle of radius r_peak (2,048 steps
+    merge two lobes of (8, 9) at pi/16 on 512^2 cells over extent 6).  A
+    node run is a rising edge of the "low" mask (below 2% of the maximum).
     Striped patterns show >= 2 angular node runs, rings show none and stay
-    azimuthally flat, a center-peaked structure with no angular nodes is a
-    spot.  A grid that holds no density at all (the mode lies between the
-    cell centers or underflows) is empty.  A node run is a rising edge of
-    the "low" mask (below 2% of the maximum).  Besides one argmax, the grid
-    is read only at the cells of the peak circle and of the centre, which
-    the two 1-D axes of cell centres locate.
+    azimuthally flat, a density whose brightest cell lies within two cells
+    of the origin is a spot.  A grid that holds no density at all (the mode
+    lies between the cell centers or underflows) is empty.
+    ``center_density`` is |psi(0, 0)|^2 / peak: exactly 0 at odd order, and
+    above 1 when the peak falls between cell centres.
     """
     peak_at = int(np.argmax(grid))
     peak = float(grid.flat[peak_at])
@@ -195,62 +199,25 @@ def classify_pattern(vec: np.ndarray, grid: np.ndarray, extent: float) -> dict:
         low = profile[: k_hi + 1] < 0.02 * profile.max()
         radial_nodes = int(np.count_nonzero(low[1:] & ~low[:-1]))
 
-    reach = max(1.5 * cell, 1e-9)
-    rows, cols = np.flatnonzero(np.abs(y) <= 2 * reach), np.flatnonzero(np.abs(x) <= 2 * reach)
-    center = float(np.mean(grid[np.ix_(rows, cols)][np.hypot(x[cols], y[rows, None]) <= reach]))
+    center = float(abs(level_values(vec, np.zeros(1), np.zeros(1))[0])) ** 2
     common = {"radial_node_count": radial_nodes, "center_density": center / peak}
     if r_peak <= 2.0 * cell:
         # brightest point at the origin: no meaningful peak circle
         return {"classification": "spot", "angular_node_count": 0, **common}
 
-    # angular scan on the circle of the global maximum (empty bins masked)
-    rows, cols = _ring_cells(x, y, r_peak, 1.5 * cell, extent)
-    values = grid[rows, cols]
-    nang = max(16, min(72, values.size // 5))
-    a_bins = np.linspace(-math.pi, math.pi, nang + 1)
-    a_idx = np.clip(np.digitize(np.arctan2(y[rows], x[cols]), a_bins) - 1, 0, nang - 1)
-    a_counts = np.bincount(a_idx, minlength=nang)
-    filled = a_counts > 0
-    ang = np.bincount(a_idx, weights=values, minlength=nang)[filled] / a_counts[filled]
-    ang_max = float(ang.max()) if ang.size else 0.0
-    angular_nodes = 0
-    if ang_max > 0:
-        # cyclic: a run may wrap past -pi; a ring low all round counts one
-        low = ang < 0.02 * ang_max
-        angular_nodes = int(np.count_nonzero(low & ~np.roll(low, 1))) or int(low.all())
+    # angular nodes: cyclic, so a run may wrap past angle 0; a ring low all round counts one
+    theta = np.linspace(0.0, 2.0 * math.pi, _ANGLES, endpoint=False)
+    ang = np.abs(level_values(vec, r_peak * np.cos(theta), r_peak * np.sin(theta))) ** 2
+    low = ang < 0.02 * ang.max()
+    angular_nodes = int(np.count_nonzero(low & ~np.roll(low, 1))) or int(low.all())
 
     if angular_nodes >= 2:
         classification = "striped"
-    elif angular_nodes == 0 and ang.size and ang.min() > 0.5 * ang_max:
+    elif angular_nodes == 0 and ang.min() > 0.5 * ang.max():
         classification = "ring"
     else:
         classification = "mixed"
     return {"classification": classification, "angular_node_count": angular_nodes, **common}
-
-
-def _ring_cells(x: np.ndarray, y: np.ndarray, radius: float, width: float, extent: float):
-    """(rows, cols), in row-major order, of the cells whose centre (x_i, y_j)
-    passes |hypot(x_i, y_j) - radius| < width and hypot > 1e-9.
-
-    Each row's candidates are the columns whose |x| lies within a band one
-    width wider on each side, found on the axis scaled by 1/extent (so no
-    square overflows); the exact test then runs on the candidates alone.
-    """
-    xs, ys = x / extent, y / extent
-    lo, hi = (radius - 2 * width) / extent, (radius + 2 * width) / extent
-    outer = np.sqrt(np.maximum(hi * hi - ys * ys, 0.0))
-    inner = np.sqrt(np.maximum(max(lo, 0.0) ** 2 - ys * ys, 0.0))
-    # two segments of columns per row: -outer <= x < -inner, then inner <= x <= outer
-    starts = np.stack([np.searchsorted(xs, -outer), np.searchsorted(xs, inner)], axis=1).ravel()
-    ends = np.stack([np.searchsorted(xs, -inner), np.searchsorted(xs, outer, "right")], axis=1).ravel()
-    lengths = np.maximum(ends - starts, 0)
-    segment = np.repeat(np.arange(len(starts)), lengths)
-    # column = segment start + place within the segment
-    cols = starts[segment] + np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    rows = segment // 2
-    r = np.hypot(x[cols], y[rows])
-    keep = (np.abs(r - radius) < width) & (r > 1e-9)
-    return rows[keep], cols[keep]
 
 
 # A basis weight further than this below 1 is flagged as truncated; a grid

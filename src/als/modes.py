@@ -46,8 +46,9 @@ of the Wigner d-matrix (Visser and Nienhuis, PRA 70, 013809, 2004):
 psi_{N-k,k}(alpha).  At alpha = pi/4 they form the Laguerre-Gauss basis: row
 k has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k))
 (``rotate_block``).  ``level_density`` samples |psi|^2 of any set of level
-vectors on a grid; every grid the CLI writes goes through it.
-``radial_profile`` gives the angular mean of |psi|^2 of one level vector.
+vectors on a grid; every grid the CLI writes goes through it.  For one
+level vector, ``level_values`` gives psi at a list of points and
+``radial_profile`` the angular mean of |psi|^2.
 """
 
 from __future__ import annotations
@@ -212,6 +213,18 @@ def level_density(levels, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         parts.append(np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", part[rows], ty), tx[rows]))
     re, im = parts
     return re * re + im * im
+
+
+def level_values(vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """psi at the points (x_i, y_i) for one level vector v of length N + 1.
+
+    psi(x_i, y_i) = sum_k v_k phi_{N-k}(x_i) phi_k(y_i); the real and
+    imaginary parts are contracted separately with ``einsum``, which calls
+    no BLAS, so (x, y) -> (-x, -y) multiplies psi by (-1)^N exactly.
+    """
+    order = len(vec) - 1
+    terms = specfun.hermite_functions(order, x)[::-1] * specfun.hermite_functions(order, y)
+    return np.einsum("k,ki->i", vec.real, terms) + 1j * np.einsum("k,ki->i", vec.imag, terms)
 
 
 def radial_profile(vec: np.ndarray, r: np.ndarray) -> np.ndarray:

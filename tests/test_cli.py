@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import als
+from als import cli as cli_mod
 from als.cli import classify_pattern, fold_alpha, main, parse_angle
-from als.modes import ORDER_CAP, ModeIndex, hlg_block, hlg_coefficients, level_density
+from als.modes import ORDER_CAP, ModeIndex, hlg_block, hlg_coefficients, level_density, rotate_block
 from als.specfun import cell_centres
 from als.verify import SUITES
 from oracles import hermite_functions, jacobi_eval, lg_density, schema, validate
@@ -328,23 +329,24 @@ class TestDensityCommand:
     @pytest.mark.parametrize(
         "args, expected",
         [
-            (["--nr", "0", "--l", "3", "--alpha", "0"], ("striped", 2, 0, 0.014843290142277664)),
-            (["--n", "4", "--m", "2", "--alpha", "0"], ("striped", 4, 0, 0.47258978513414274)),
-            (["--nr", "0", "--l", "3", "--alpha", "pi/4"], ("ring", 0, 0, 1.681183174939585e-07)),
-            (["--nr", "2", "--l", "2", "--alpha", "pi/4"], ("ring", 0, 2, 0.000457684224030907)),
-            (["--nr", "5", "--l", "8", "--alpha", "pi/4", "--extent", "7"], ("ring", 0, 5, 1.213761007331728e-16)),
-            (["--nr", "2", "--l", "0", "--alpha", "pi/4"], ("spot", 0, 2, 1.0)),
-            (["--nr", "0", "--l", "0", "--alpha", "0"], ("spot", 0, 0, 1.0)),
-            (["--nr", "1", "--l", "3", "--alpha", "pi/8", "--phi", "0.7"], ("striped", 2, 0, 0.022635655669579147)),
-            (["--nr", "1", "--l", "-2", "--alpha", "1.2", "--points", "333"], ("striped", 2, 0, 0.8586913143899013)),
-            (["--nr", "0", "--l", "1", "--alpha", "pi/8", "--points", "64"], ("mixed", 0, 0, 0.0383249018848757)),
-            (["--nr", "3", "--l", "3", "--alpha", "pi/4", "--points", "6"], ("unresolved", 0, 3, 0.7418836374208533)),
+            (["--nr", "0", "--l", "3", "--alpha", "0"], ("striped", 2, 0, 0.0)),
+            (["--n", "4", "--m", "2", "--alpha", "0"], ("striped", 12, 0, 0.4932986928106345)),
+            (["--nr", "0", "--l", "3", "--alpha", "pi/4"], ("ring", 0, 0, 0.0)),
+            (["--nr", "2", "--l", "2", "--alpha", "pi/4"], ("ring", 0, 2, 0.0)),
+            (["--nr", "5", "--l", "8", "--alpha", "pi/4", "--extent", "7"], ("ring", 0, 5, 0.0)),
+            (["--nr", "2", "--l", "0", "--alpha", "pi/4"], ("spot", 0, 2, 1.0311040286723614)),
+            (["--nr", "0", "--l", "0", "--alpha", "0"], ("spot", 0, 0, 1.0061221800299995)),
+            (["--nr", "1", "--l", "3", "--alpha", "pi/8", "--phi", "0.7"], ("striped", 4, 0, 0.0)),
+            (["--nr", "1", "--l", "-2", "--alpha", "1.2", "--points", "333"], ("striped", 2, 0, 0.8690779434706236)),
+            (["--nr", "0", "--l", "1", "--alpha", "pi/8", "--points", "64"], ("mixed", 0, 0, 0.0)),
+            (["--nr", "3", "--l", "3", "--alpha", "pi/4", "--points", "6"], ("unresolved", 0, 3, 0.0)),
             (["--nr", "10", "--l", "0", "--alpha", "0", "--extent", "1e20", "--points", "8"], ("empty", 0, 0, 0.0)),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v[0],
     )
     def test_pattern_block(self, args, expected, tmp_path):
-        # the whole sidecar pattern, recorded on 128^2 cells unless --points says otherwise
+        # the whole sidecar pattern, recorded on 128^2 cells unless --points says otherwise;
+        # a centre of 0.0 is exact at odd order and rounding noise (below 1e-27) at even l != 0
         points = [] if "--points" in args else ["--points", "128"]
         result = runner.invoke(main, ["density", *args, *points, "--out", str(tmp_path / "d.csv")])
         assert result.exit_code == 0, result.output
@@ -355,6 +357,39 @@ class TestDensityCommand:
             "radial_node_count": radial,
             "center_density": pytest.approx(center, rel=1e-9, abs=1e-24),
         }
+
+    @pytest.mark.parametrize("points, extent", [(64, 5.0), (128, 5.0), (256, 5.0), (512, 7.0)])
+    @pytest.mark.parametrize("n, m", [(4, 2), (2, 4)])
+    def test_angular_nodes_do_not_depend_on_the_grid(self, n, m, points, extent):
+        # HG(4, 2): the peak circle crosses its six nodal lines twice each
+        centres = cell_centres(points, -extent, extent)
+        vec = hlg_block(n, m, 0.0)
+        pattern = classify_pattern(vec, level_density([vec], centres, centres), extent)
+        assert (pattern["classification"], pattern["angular_node_count"]) == ("striped", 12)
+
+    @pytest.mark.parametrize("n, m, alpha, phi", [(4, 2, 0.0, 0.0), (5, 8, math.pi / 4, 0.0), (1, 3, math.pi / 8, 0.7), (0, 0, 0.0, 0.0)])
+    def test_the_grid_is_read_at_its_brightest_cell_only(self, n, m, alpha, phi):
+        centres = cell_centres(128, -5.0, 5.0)
+        vec = rotate_block(hlg_block(n, m, alpha), phi)
+        grid = level_density([vec], centres, centres)
+        peak_at = np.argmax(grid)
+        noise = np.random.default_rng(11).uniform(0.0, grid.flat[peak_at], size=grid.shape)
+        noise.flat[peak_at] = grid.flat[peak_at]
+        assert classify_pattern(vec, noise, 5.0) == classify_pattern(vec, grid, 5.0)
+
+    def test_angular_sampling_resolves_lobes(self, monkeypatch):
+        # against six times as many angles: with 1,024 (7, 11) at 0.3 on 128^2
+        # reads 8 nodes, and with 2,048 (8, 9) at pi/16 on 512^2 reads 8, not 12
+        cases = [(n, 18 - n, alpha, 128, 5.0) for alpha in (0.0, 0.3, math.pi / 8) for n in range(19)]
+        cases += [(8, 9, math.pi / 16, 512, 6.0), (9, 8, math.pi / 16, 512, 6.0)]
+        grids = []
+        for n, m, alpha, points, extent in cases:
+            centres = cell_centres(points, -extent, extent)
+            vec = hlg_block(n, m, alpha)
+            grids.append((vec, level_density([vec], centres, centres), extent))
+        blocks = [classify_pattern(*args) for args in grids]
+        monkeypatch.setattr(cli_mod, "_ANGLES", 6 * cli_mod._ANGLES)
+        assert [classify_pattern(*args) for args in grids] == blocks
 
     @pytest.mark.parametrize("points, extent", [(128, 5.0), (64, 7.0), (128, 40.0)])
     def test_radial_nodes_read_n_r_for_every_laguerre_gauss_mode(self, points, extent):

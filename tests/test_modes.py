@@ -22,6 +22,7 @@ from als.modes import (
     hlg_state,
     level_density,
     level_modes,
+    level_values,
     radial_profile,
     rotate_block,
     schwinger_state,
@@ -399,6 +400,36 @@ class TestBlockDensity:
             re = np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", coeffs.real, ty), tx)
             im = np.einsum("rj,ri->ji", np.einsum("rq,qj->rj", coeffs.imag, ty), tx)
             assert np.array_equal(level_density(levels, x, y), re * re + im * im)
+
+
+class TestLevelValues:
+    @pytest.mark.parametrize("order", [0, 1, 6, 13, 20])
+    def test_matches_the_grid_diagonal(self, order, rng):
+        # psi at (x_i, x_i) against the grid's cell (i, i); the origin is a
+        # cell centre of the odd grid
+        x = cell_centres(201, -6.0, 6.0)
+        for _ in range(5):
+            vec = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+            vec /= np.linalg.norm(vec)
+            grid = level_density([vec], x, x)
+            got = np.abs(level_values(vec, x, x)) ** 2
+            assert np.abs(got - np.diag(grid)).max() <= 1e-15 * grid.max()
+            origin = np.zeros(1)
+            assert abs(got[100] - level_density([vec], origin, origin)[0, 0]) <= 1e-15 * grid.max()
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 12, 20])
+    def test_inversion_multiplies_by_the_parity_bit_for_bit(self, order, rng):
+        # (x, y) -> (-x, -y) flips the sign of every term when N is odd
+        x, y = rng.uniform(-5.0, 5.0, size=(2, 300))
+        vec = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+        psi = level_values(vec, x, y)
+        assert np.array_equal(level_values(vec, -x, -y), (-1) ** order * psi)
+
+    def test_odd_levels_vanish_at_the_origin(self, rng):
+        origin = np.zeros(1)
+        for order in range(1, ORDER_CAP + 1, 2):
+            vec = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+            assert level_values(vec, origin, origin)[0] == 0
 
 
 class TestRadialProfile:
