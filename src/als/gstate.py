@@ -130,28 +130,38 @@ def _packed(s: GaussianPolyState):
     return keys[:, 0], keys[:, 1], coeffs.real, coeffs.imag
 
 
-def inner_product(a: GaussianPolyState, b: GaussianPolyState) -> complex:
-    """<a|b>, conjugate-linear in the first argument.
+def gram(bras, kets) -> np.ndarray:
+    """<a|b> for every bra a and ket b, conjugate-linear in a; shape (len(bras), len(kets)).
 
     Each term pair contributes conj(ca) cb M(p + r) M(q + s), formed with
     the float operations of Python's complex arithmetic and summed
-    sequentially in row-major term order, so the result is that of the
+    sequentially in row-major term order, so each entry is that of the
     plain double loop bit for bit.  Odd moments are 0 and add nothing to
-    the sum.
+    the sum, nor do the zeros that pad each ket (packed once) to the
+    longest term map, so each bra is one numpy pass over every ket.
     """
-    if not a.terms or not b.terms:
-        return 0j
-    pa, qa, ar, ai = _packed(a)
-    pb, qb, br, bi = _packed(b)
-    px = pa[:, None] + pb
-    qy = qa[:, None] + qb
-    mx = _moment_table(int(px.max()))[px]
-    my = _moment_table(int(qy.max()))[qy]
-    re = ((ar[:, None] * br + ai[:, None] * bi) * mx) * my
-    im = ((ar[:, None] * bi - ai[:, None] * br) * mx) * my
-    # cumsum adds in order, unlike sum or dot; adding to 0.0 gives the
-    # loop's +0.0 when every term is a zero.
-    return complex(0.0 + np.cumsum(re)[-1], 0.0 + np.cumsum(im)[-1])
+    out = np.zeros((len(bras), len(kets)), dtype=complex)
+    width = max((len(b.terms) for b in kets), default=0)
+    pb, qb, br, bi = (np.zeros((len(kets), 1, width), dtype) for dtype in (np.intp, np.intp, float, float))
+    for j, b in enumerate(kets):
+        n = len(b.terms)
+        pb[j, 0, :n], qb[j, 0, :n], br[j, 0, :n], bi[j, 0, :n] = _packed(b)
+    for i, a in enumerate(bras):
+        if not a.terms or not width:
+            continue
+        pa, qa, ar, ai = (x[:, None] for x in _packed(a))
+        mx, my = (_moment_table(int(powers.max()))[powers] for powers in (pa + pb, qa + qb))
+        re = ((ar * br + ai * bi) * mx) * my
+        im = ((ar * bi - ai * br) * mx) * my
+        # cumsum adds in order, unlike sum or dot; adding to 0.0 gives the
+        # loop's +0.0 when every term is a zero.
+        out.real[i], out.imag[i] = (0.0 + np.cumsum(x.reshape(len(kets), -1), axis=1)[:, -1] for x in (re, im))
+    return out
+
+
+def inner_product(a: GaussianPolyState, b: GaussianPolyState) -> complex:
+    """<a|b>, conjugate-linear in the first argument: the entry of ``gram([a], [b])``."""
+    return complex(gram([a], [b])[0, 0])
 
 
 def _diff(poly: dict[Monomial, complex], axis: int) -> dict[Monomial, complex]:

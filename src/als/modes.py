@@ -6,7 +6,7 @@ A mode carries Cartesian indices ``(n, m)``; the twisted labels are
 
     l = n - m,        n_r = (n + m - |l|) / 2.
 
-Construction expands the defining finite sum over Hermite products,
+The paper defines the mode by a finite sum over Hermite products,
 
     G_{n,m}(x, y | a) = exp(-x^2 - y^2) *
         sum_k  i^k cos^(n-k)(a) sin^(m-k)(a)
@@ -14,11 +14,9 @@ Construction expands the defining finite sum over Hermite products,
 
     ||G_{n,m}||^2 = pi 2^(n+m-1) n! m!,
 
-with the Jacobi factor folded into the trigonometric prefactors,
-c_k = i^k F_k(n, m; a) (``specfun.folded_sum``), so every exponent is
-nonnegative and the limits a = 0, pi/2 are exact (all the apparent poles
-of the unfolded sum cancel).  At a = 0 only k = m survives with
-c_m = (-i)^m, reproducing the Hermite-Gauss product with its (-i)^m phase.
+with the Jacobi factor folded into c_k = i^k F_k(n, m; a)
+(``specfun.folded_sum``), exact at a = 0 and pi/2; at a = 0 only c_m =
+(-i)^m survives.  ``hlg_state`` expands this sum into a term map.
 
 The same states arise from an SU(2) rotation of the Hermite-Gauss basis.
 With the basis states |m'> = psi_{j+m', j-m'}(alpha=0) of rank
@@ -41,6 +39,11 @@ normalised Hermite-Gauss products |N-k, k> (``hlg_block``), each a column
 of the Wigner d-matrix (Visser and Nienhuis, PRA 70, 013809, 2004):
 
     hlg_block(n, m, alpha)[k] = i^k (-1)^m d^{N/2}_{N/2-k, (n-m)/2}(2 alpha).
+
+The finite sum loses digits as N grows, so d comes from one cached ``eigh``
+per level (Feng, Wang, Yang and Jin, PRE 92, 043307, 2015): Jy = W diag(lam)
+W^H on the basis m' = N/2 - k, lam = -N/2 ... N/2, and column m of d(2 alpha)
+= Re(W diag(exp(-2i alpha lam)) W^H) is one BLAS-free ``einsum`` per angle.
 
 ``level_modes(N, alpha)`` stacks the modes of a level, row k being
 psi_{N-k,k}(alpha).  At alpha = pi/4 they form the Laguerre-Gauss basis: row
@@ -65,8 +68,7 @@ from . import specfun
 from .gstate import GaussianPolyState
 from .operators import check_sign, rotate
 
-#: Limit on n + m; double precision degrades in the coefficient sums
-#: well above this.
+#: Limit on n + m; the term maps of ``hlg_state`` lose digits above it.
 ORDER_CAP = 20
 
 
@@ -142,6 +144,27 @@ def _hermite_scaled(order: int) -> tuple[float, ...]:
     return tuple(c * 2.0 ** (0.5 * p) for p, c in enumerate(specfun.hermite(order)))
 
 
+@lru_cache(maxsize=None)
+def _jy_eigenvectors(order: int) -> np.ndarray:
+    """Read-only W of the module docstring, eigenvalues ascending; ``eigh`` reads Jy[k, k-1] = i sqrt(k (N+1-k)) / 2."""
+    k = np.arange(1, order + 1)
+    w = np.linalg.eigh(np.diag(0.5j * np.sqrt(k * (order + 1 - k)), -1))[1]
+    w.flags.writeable = False
+    return w
+
+
+def hlg_blocks(n: int, m: int, alphas: np.ndarray | list[float]) -> np.ndarray:
+    """Mode psi_{n,m} at each angle, shape (len(alphas), N + 1): row i is hlg_block(n, m, alphas[i]), bit for bit."""
+    ModeIndex(n, m)
+    for alpha in alphas:
+        check_alpha(alpha)
+    order = n + m
+    w = _jy_eigenvectors(order)
+    p = np.exp(-2j * np.outer(alphas, np.arange(order + 1) - 0.5 * order)) * w[m].conj()
+    d = np.einsum("kl,al->ak", w.real, p.real) - np.einsum("kl,al->ak", w.imag, p.imag)
+    return np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4] * ((-1) ** m * d)
+
+
 def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
     """Mode psi_{n,m}(alpha) as a unit (N+1)-vector, N = n + m.
 
@@ -149,14 +172,7 @@ def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
     |N-k, k> = H_{N-k}(sqrt2 x) H_k(sqrt2 y) exp(-x^2 - y^2) /
     sqrt(pi 2^(N-1) (N-k)! k!), which is c_k sqrt((N-k)! k! / (n! m!)).
     """
-    ModeIndex(n, m)
-    check_alpha(alpha)
-    order = n + m
-    scale = [
-        math.sqrt(factorial(order - k) * factorial(k) / (factorial(n) * factorial(m)))
-        for k in range(order + 1)
-    ]
-    return np.array(hlg_coefficients(n, m, alpha)) * scale
+    return hlg_blocks(n, m, [alpha])[0]
 
 
 @lru_cache(maxsize=None)

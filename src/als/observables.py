@@ -2,8 +2,8 @@
 
 ``sweep`` evaluates energy, <r^2> and <Lz> over an alpha sweep for
 ``als table``: it forms four Gram matrices over the level's Hermite-Gauss
-products once, from exact term-map inner products, and reads every alpha
-as a quadratic form of the mode's level vector; Hs is read as N + 1.  The
+products once, in one exact term-map ``gstate.gram`` call, and reads every
+alpha as a quadratic form of the mode's level vector; Hs is read as N + 1.  The
 ``observables`` suite of ``als verify`` certifies the closed forms on level
 vectors (``operators.level_matrix``).
 
@@ -23,8 +23,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .gstate import PolyDiffOperator, apply, inner_product
-from .modes import hlg_block, hlg_state
+from .gstate import PolyDiffOperator, apply, gram
+from .modes import hlg_blocks, hlg_state
 from .operators import check_sign, h1, h3
 
 
@@ -58,23 +58,17 @@ def sweep(n: int, m: int, alphas: Iterable[float], sign_e: int) -> list[tuple[fl
     Energy and <Lz> are normalised expectations; <r^2> is <v|r^2|v> without
     dividing by <v|v>.  hlg_state(N-k, k, 0) is (-i)^k |N-k, k>, so the
     products P_k below are the basis of ``hlg_block``, and G_D[k, k'] =
-    <P_k| D |P_k'> turns every expectation into v^H G_D v.  Each P_k has
-    Hs = N + 1, so G_Hs is (N + 1) times the overlap matrix G_id.
+    <P_k| D |P_k'> turns every expectation into v^H G_D v (``einsum``, all
+    alphas at once).  Each P_k has Hs = N + 1, so the energy is
+    (N + 1) v^H G_id v - sign_e (cos 2a v^H G_1 v + sin 2a v^H G_3 v).
     """
     check_sign(sign_e)
     order = n + m
+    alphas = np.array(list(alphas), dtype=float)
+    vecs = hlg_blocks(n, m, alphas)
     products = [(1j**k) * hlg_state(order - k, k, 0.0) for k in range(order + 1)]
-
-    def gram(op):
-        images = products if op is None else [apply(op, q) for q in products]
-        return np.array([[inner_product(p, q) for q in images] for p in products])
-
-    g_id, g_1, g_3, g_r2 = (gram(op) for op in (None, h1(), h3(), R2_OP))
-    g_s = (order + 1) * g_id
-    out = []
-    for a in map(float, alphas):
-        v = hlg_block(n, m, a)
-        g_e = g_s - sign_e * (math.cos(2 * a) * g_1 + math.sin(2 * a) * g_3)
-        nrm, e, r2, lz = ((v.conj() @ g @ v).real for g in (g_id, g_e, g_r2, g_3))
-        out.append((e / nrm, r2, lz / nrm))
-    return out
+    images = [apply(op, q) for op in (h1(), h3(), R2_OP) for q in products]
+    grams = np.split(gram(products, products + images), 4, axis=1)
+    nrm, q1, q3, r2 = (np.einsum("ak,kl,al->a", vecs.conj(), g, vecs).real for g in grams)
+    e = (order + 1) * nrm - sign_e * (np.cos(2 * alphas) * q1 + np.sin(2 * alphas) * q3)
+    return list(zip((e / nrm).tolist(), r2.tolist(), (q3 / nrm).tolist()))

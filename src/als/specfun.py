@@ -15,8 +15,9 @@ Conventions:
 
       F_k(n, m; a) = sum_s (-1)^s C(n, k-s) C(m, s) cos^(n-k+2s)(a) sin^(m+k-2s)(a),
 
-  finite at every angle, negative ones included.  It is the package's one
-  Wigner small-d function: with n = j + m, n_bar = j - m and k = j - m',
+  finite at every angle, negative ones included.  It is the Wigner small-d
+  function of ``wigner_small_d`` (the mode vectors take d from an ``eigh``
+  instead, ``modes.hlg_blocks``): with n = j + m, n_bar = j - m and k = j - m',
 
       d^j_{m',m}(B) = (-1)^n_bar sqrt((j+m')! (j-m')! / (n! n_bar!)) F_k(n, n_bar; B/2).
 

@@ -32,6 +32,7 @@ from .modes import (
     beta_to_alpha,
     euler_angles,
     hlg_block,
+    hlg_coefficients,
     hlg_state,
     level_modes,
     rotate_block,
@@ -182,6 +183,10 @@ def suite_spectra(max_order: int) -> list[IdentityResult]:
         # modes on different levels are orthogonal because their Hermite products are
         gram = vecs.conj().transpose(0, 2, 1) @ vecs
         rows.add("orthonormality of the mode basis", np.abs(gram - np.eye(order + 1)))
+        # the paper's finite sum, normalised: mode n scales c_k by sqrt((N-k)! k! / (n! m!)) = sqrt(f[k] / f[n])
+        f = np.array([math.factorial(k) * math.factorial(order - k) for k in range(order + 1)], dtype=float)
+        sums = np.array([[hlg_coefficients(md.n, md.m, alpha) for md in modes] for alpha in _ALPHAS])
+        rows.add("finite sum equals the eigenvector", np.abs(sums * np.sqrt(f / f[:, None]) - vecs.transpose(0, 2, 1)))
 
         # each mode at its own random (phi, alpha), in the order the draws come
         draws = rng.uniform((0.0, 0.0), (2 * math.pi, math.pi / 2), size=(order + 1, 2)).tolist()

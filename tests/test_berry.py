@@ -16,7 +16,7 @@ from als.berry import (
     wrap_phase,
 )
 from als.gstate import inner_product
-from als.modes import schwinger_state
+from als.modes import hlg_block, rotate_block, schwinger_state
 from als.operators import spin_axis
 
 rng = np.random.default_rng(707)
@@ -165,6 +165,17 @@ class TestBerryPhase:
         for k in range(len(states)):
             prod *= inner_product(states[k], states[(k + 1) % len(states)])
         assert abs(berry_phase(loop, 2, 1) + cmath.phase(prod)) <= 1e-12
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (2, 1), (15, 5), (0, 20)])
+    def test_polar_loop_matches_one_block_per_vertex(self, n, m):
+        # the vertex states of all alphas in one call, against one hlg_block
+        # and one rotation per vertex
+        loop = polar_loop(0.3, 300)
+        states = np.array([rotate_block(hlg_block(n, m, a), p) for p, a in loop.vertices[:-1]])
+        overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
+        phase = berry_phase(loop, n, m)
+        assert abs(wrap_phase(phase + cmath.phase(complex(np.prod(overlaps))))) <= 1e-12
+        assert abs(wrap_phase(phase + 0.5 * (n - m) * solid_angle(loop))) <= 1e-6
 
     @pytest.mark.parametrize("n, m", [(20, 0), (0, 20), (15, 5)])
     def test_order_cap_phase_matches_discrete_solid_angle(self, n, m):

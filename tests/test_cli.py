@@ -853,7 +853,7 @@ _BAD_INPUTS = [
     ["density", "--nr", "0", "--l", "1", "--alpha", "nan"],
     ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--phi", "nan"],
     ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--omega", "nan"],
-    ["density", "--nr", "0", "--l", "21", "--alpha", "0"],
+    ["density", "--nr", "0", "--l", str(ORDER_CAP + 1), "--alpha", "0"],
     ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--order-cap", "30"],
     ["density", "--nr", "0", "--l", "1", "--alpha", "0", "--points", "1"],
     ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--extent", "nan"],
@@ -864,7 +864,7 @@ _BAD_INPUTS = [
     ["table", "--nr", "0", "--l", "1", "--rho-h", "0"],
     ["verify", "--tol", "nan"],
     ["verify", "--tol", "-1"],
-    ["verify", "--max-order", "21"],
+    ["verify", "--max-order", str(ORDER_CAP + 1)],
     ["verify", "--suites", ","],
     ["verify", "--suites", "algebra,algebra"],
     # options of the other loop family

@@ -12,10 +12,12 @@ from als.gstate import (
     apply,
     compose,
     density_grid,
+    gram,
     inner_product,
     op_commutator,
 )
-from als.modes import hlg_state, schwinger_state
+from als.modes import ORDER_CAP, hlg_state, schwinger_state
+from als.observables import R2_OP
 from als.operators import h1, h2, h3, h_perp, hs
 from oracles import term_map_value
 
@@ -157,6 +159,27 @@ class TestInnerProductOracle:
         assert inner_product(s, hps) == loop_inner_product(s, hps)
         assert inner_product(hps, s) == loop_inner_product(hps, s)
         assert inner_product(hps, hps) == loop_inner_product(hps, hps)
+
+
+class TestGram:
+    """Every Gram entry is ``inner_product`` of its pair, bit for bit."""
+
+    @pytest.mark.parametrize("order", range(ORDER_CAP + 1))
+    def test_sweep_products_and_images(self, order):
+        # the bras and kets of observables.sweep; at order 0 two images are
+        # empty, and an empty bra and ket are added at every order
+        products = [(1j**k) * hlg_state(order - k, k, 0.0) for k in range(order + 1)]
+        images = [apply(op, q) for op in (h1(), h3(), R2_OP) for q in products]
+        bras = [*products, GaussianPolyState()]
+        kets = [*products, *images, GaussianPolyState()]
+        expected = np.array([[inner_product(a, b) for b in kets] for a in bras])
+        assert gram(bras, kets).tobytes() == expected.tobytes()
+
+    def test_empty_sides(self):
+        empty = GaussianPolyState()
+        s = random_state()
+        assert gram([], [s]).shape == (0, 1) and gram([s], []).shape == (1, 0)
+        assert gram([s, empty], [empty]).tobytes() == np.zeros((2, 1), complex).tobytes()
 
 
 class TestApply:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from als import modes
 from als.berry import berry_phase, latitude_loop
 from als.gstate import density_grid, inner_product
 from als.modes import (
@@ -18,6 +19,8 @@ from als.modes import (
     beta_to_alpha,
     euler_angles,
     hlg_block,
+    hlg_blocks,
+    hlg_coefficients,
     hlg_norm_squared,
     hlg_state,
     level_density,
@@ -105,10 +108,11 @@ class TestModeIndex:
             ModeIndex.from_twisted(-1, 2)
 
     def test_orders_above_the_cap_rejected(self):
-        with pytest.raises(ValueError, match=r"mode order n\+m = 21 exceeds the cap 20"):
-            ModeIndex(21, 0)
-        with pytest.raises(ValueError, match=r"mode order n\+m = 21 exceeds the cap 20"):
-            ModeIndex.from_twisted(0, 21)
+        message = rf"mode order n\+m = {ORDER_CAP + 1} exceeds the cap {ORDER_CAP}"
+        with pytest.raises(ValueError, match=message):
+            ModeIndex(ORDER_CAP + 1, 0)
+        with pytest.raises(ValueError, match=message):
+            ModeIndex.from_twisted(0, ORDER_CAP + 1)
 
 
 class TestSymmetryMaps:
@@ -213,7 +217,7 @@ class TestModeConstruction:
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            hlg_state(15, 6, 0.3)
+            hlg_state(ORDER_CAP - 5, 6, 0.3)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
@@ -310,7 +314,52 @@ class TestHlgBlock:
                 err = np.abs(hlg_block(n, m, alpha) - ref).max()
                 assert err <= 5e-14, (n, m, alpha, err)
 
-    @pytest.mark.parametrize("n, m, alpha", [(-1, 0, 0.3), (15, 6, 0.3), (1, 0, -0.1), (1, 0, 2.0)])
+    def test_matches_the_finite_sum(self):
+        # the paper's sum c_k sqrt((N-k)! k! / (n! m!)) against the eigenvector
+        # column; the sum itself drifts past 5e-14 from N = 25
+        for order in range(21):
+            for n in range(order + 1):
+                m = order - n
+                scale = [
+                    math.sqrt(factorial(order - k) * factorial(k) / (factorial(n) * factorial(m)))
+                    for k in range(order + 1)
+                ]
+                for alpha in [*map(float, self.ALPHA_GRID), 0.25 * math.pi]:
+                    err = np.abs(np.array(hlg_coefficients(n, m, alpha)) * scale - hlg_block(n, m, alpha)).max()
+                    assert err <= 5e-14, (n, m, alpha, err)
+
+    @pytest.mark.parametrize("order", [30, 40])
+    def test_wigner_d_columns_above_the_cap(self, monkeypatch, order):
+        # the cached Jy eigenvectors stay exact where the finite sum loses digits
+        monkeypatch.setattr(modes, "ORDER_CAP", order)
+        j = order / 2
+        alphas = [0.3, 1.2]
+        for m in range(0, order + 1, 7):
+            n = order - m
+            got = hlg_blocks(n, m, alphas)
+            for alpha, vec in zip(alphas, got):
+                ref = [1j**k * (-1) ** m * wigner_d(j, j - k, (n - m) / 2, 2 * alpha) for k in range(order + 1)]
+                err = np.abs(vec - ref).max()
+                assert err <= 5e-14, (n, m, alpha, err)
+
+    def test_many_angles_are_the_one_angle_blocks(self):
+        # row i is hlg_block at alpha_i, bit for bit, whatever the other angles
+        alphas = [0.0, *np.random.default_rng(313).uniform(0.0, 0.5 * math.pi, 40), 0.5 * math.pi]
+        for n, m in [(0, 0), (3, 4), (ORDER_CAP, 0), (7, ORDER_CAP - 7)]:
+            rows = hlg_blocks(n, m, alphas)
+            assert rows.shape == (len(alphas), n + m + 1)
+            for alpha, row in zip(alphas, rows):
+                assert row.tobytes() == hlg_block(n, m, float(alpha)).tobytes(), (n, m, alpha)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 2.0, math.nan])
+    def test_many_angles_reject_what_hlg_block_rejects(self, alpha):
+        with pytest.raises(ValueError) as expected:
+            hlg_block(2, 1, alpha)
+        with pytest.raises(ValueError) as got:
+            hlg_blocks(2, 1, [0.3, alpha, 0.5])
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n, m, alpha", [(-1, 0, 0.3), (ORDER_CAP - 5, 6, 0.3), (1, 0, -0.1), (1, 0, 2.0)])
     def test_rejects_what_hlg_state_rejects(self, n, m, alpha):
         with pytest.raises(ValueError) as expected:
             hlg_state(n, m, alpha)
