@@ -155,7 +155,7 @@ def berry_phase(path: SpherePath, n: int, m: int) -> float:
     alphas, which = np.unique(verts[:, 1], return_inverse=True)
     lz = order - 2 * np.arange(order + 1)
     # the basis is unitary, so overlaps in its coordinates are the same
-    states = (hlg_blocks(n, m, alphas) @ level_modes(order, 0.25 * math.pi).conj().T)[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
+    states = (hlg_blocks(n, m, alphas) @ level_modes(order, [0.25 * math.pi])[0].conj().T)[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
     overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
     coarse = np.flatnonzero(np.abs(overlaps) < MIN_OVERLAP)
     if coarse.size:

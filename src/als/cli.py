@@ -32,7 +32,7 @@ from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import inner_product
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, level_values, radial_profile, rotate_block
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, level_modes, level_values, radial_profile, rotate_block
 from .observables import energy, mean_lz, mean_r2, sweep
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 from .specfun import cell_centres
@@ -490,6 +490,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
     energies = _in_units(natural, omega, "energy x omega").tolist()
     lg = hlg_state(mode_in.n, mode_in.m, 0.25 * math.pi)
     coeff_rows = []
+    frames = [level_modes(order, [a])[0] for order in range(max_order + 1)]
     levels = [np.zeros(order + 1, dtype=complex) for order in range(max_order + 1)]
     sum_abs2 = 0.0
     for md, angle, e_omega in zip(basis, angles, energies):
@@ -500,7 +501,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
             [str(md.n), str(md.m), str(md.l), str(md.n_r), e_omega, c.real, c.imag, abs(c) ** 2, ct.real, ct.imag]
         )
         if abs(c) > 1e-14:
-            levels[md.n + md.m] += ct * hlg_block(md.n, md.m, a)
+            levels[md.n + md.m] += ct * frames[md.n + md.m][md.m]
 
     _, values, norm, note = _density(levels, extent, points, rho_h)
     if sum_abs2 < 1.0 - _TRUNCATION_TOL:

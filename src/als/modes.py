@@ -14,9 +14,12 @@ The paper defines the mode by a finite sum over Hermite products,
 
     ||G_{n,m}||^2 = pi 2^(n+m-1) n! m!,
 
-with the Jacobi factor folded into c_k = i^k F_k(n, m; a)
-(``specfun.folded_sum``), exact at a = 0 and pi/2; at a = 0 only c_m =
-(-i)^m survives.  ``hlg_state`` expands this sum into a term map.
+with the Jacobi factor folded into c_k = i^k F_k(n, m; a) (``folded_sum``),
+
+    F_k(n, m; a) = sum_s (-1)^s C(n, k-s) C(m, s) cos^(n-k+2s)(a) sin^(m+k-2s)(a),
+
+exact at a = 0 and pi/2; at a = 0 only c_m = (-i)^m survives.
+``hlg_state`` expands this sum into a term map.
 
 The same states arise from an SU(2) rotation of the Hermite-Gauss basis.
 With the basis states |m'> = psi_{j+m', j-m'}(alpha=0) of rank
@@ -40,18 +43,15 @@ of the Wigner d-matrix (Visser and Nienhuis, PRA 70, 013809, 2004):
 
     hlg_block(n, m, alpha)[k] = i^k (-1)^m d^{N/2}_{N/2-k, (n-m)/2}(2 alpha).
 
-The finite sum loses digits as N grows, so d comes from one cached ``eigh``
-per level (Feng, Wang, Yang and Jin, PRE 92, 043307, 2015): Jy = W diag(lam)
-W^H on the basis m' = N/2 - k, lam = -N/2 ... N/2, and column m of d(2 alpha)
-= Re(W diag(exp(-2i alpha lam)) W^H) is one BLAS-free ``einsum`` per angle.
-
-``level_modes(N, alpha)`` stacks the modes of a level, row k being
-psi_{N-k,k}(alpha).  At alpha = pi/4 they form the Laguerre-Gauss basis: row
-k has Lz = N - 2k, so a rotation by phi is the phase exp(-i phi (N - 2k))
-(``rotate_block``).  ``level_density`` samples |psi|^2 of any set of level
-vectors on a grid; every grid the CLI writes goes through it.  For one
-level vector, ``level_values`` gives psi at a list of points and
-``radial_profile`` the angular mean of |psi|^2.
+The finite sum loses digits as N grows, so d comes from the one SU(2) kernel
+``specfun.wigner_d_columns`` (a cached ``eigh`` of Jy): ``hlg_blocks`` reads
+column m, ``level_modes(N, alphas)`` every column, row k being
+psi_{N-k,k}(alpha); at pi/4 the rows are the Laguerre-Gauss basis, Lz = N - 2k.
+On the products Lz = 2 Jy, so a rotation of the plane by phi is the rotation
+d^{N/2}(2 phi) of the same multiplet (``rotate_block``).  ``level_density``
+samples |psi|^2 of any set of level vectors on a grid; every grid the CLI
+writes goes through it.  For one level vector, ``level_values`` gives psi at
+a list of points and ``radial_profile`` the angular mean of |psi|^2.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -127,10 +127,20 @@ def check_alpha(alpha: float) -> None:
         )
 
 
+def folded_sum(n: int, m: int, k: int, ca: float, sa: float) -> float:
+    """F_k(n, m; a) of the module docstring from ca = cos(a) and sa = sin(a), for 0 <= k <= n + m."""
+    acc = 0.0
+    for s in range(max(0, k - n), min(k, m) + 1):
+        term = comb(n, k - s) * comb(m, s)
+        term *= ca ** (n - k + 2 * s) * sa ** (m + k - 2 * s)
+        acc += -term if s % 2 else term
+    return acc
+
+
 def hlg_coefficients(n: int, m: int, alpha: float) -> list[complex]:
     """Coefficients c_k = i^k F_k(n, m; alpha) of H_{n+m-k}(sqrt2 x) H_k(sqrt2 y) in the mode sum."""
     ca, sa = math.cos(alpha), math.sin(alpha)
-    return [1j**k * specfun.folded_sum(n, m, k, ca, sa) for k in range(n + m + 1)]
+    return [1j**k * folded_sum(n, m, k, ca, sa) for k in range(n + m + 1)]
 
 
 def hlg_norm_squared(n: int, m: int) -> float:
@@ -144,25 +154,19 @@ def _hermite_scaled(order: int) -> tuple[float, ...]:
     return tuple(c * 2.0 ** (0.5 * p) for p, c in enumerate(specfun.hermite(order)))
 
 
-@lru_cache(maxsize=None)
-def _jy_eigenvectors(order: int) -> np.ndarray:
-    """Read-only W of the module docstring, eigenvalues ascending; ``eigh`` reads Jy[k, k-1] = i sqrt(k (N+1-k)) / 2."""
-    k = np.arange(1, order + 1)
-    w = np.linalg.eigh(np.diag(0.5j * np.sqrt(k * (order + 1 - k)), -1))[1]
-    w.flags.writeable = False
-    return w
+def _mode_columns(order: int, columns, alphas) -> np.ndarray:
+    """[i, c, k] = i^k (-1)^m d^{N/2}_{N/2-k, N/2-m}(2 alphas[i]), m = columns[c]: mode psi_{N-m,m}."""
+    for alpha in alphas:
+        check_alpha(alpha)
+    ms = np.asarray(columns)
+    d = specfun.wigner_d_columns(order, ms, 2 * np.asarray(alphas, dtype=float))
+    return np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4] * ((-1) ** ms[:, None] * d)
 
 
 def hlg_blocks(n: int, m: int, alphas: np.ndarray | list[float]) -> np.ndarray:
     """Mode psi_{n,m} at each angle, shape (len(alphas), N + 1): row i is hlg_block(n, m, alphas[i]), bit for bit."""
     ModeIndex(n, m)
-    for alpha in alphas:
-        check_alpha(alpha)
-    order = n + m
-    w = _jy_eigenvectors(order)
-    p = np.exp(-2j * np.outer(alphas, np.arange(order + 1) - 0.5 * order)) * w[m].conj()
-    d = np.einsum("kl,al->ak", w.real, p.real) - np.einsum("kl,al->ak", w.imag, p.imag)
-    return np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4] * ((-1) ** m * d)
+    return _mode_columns(n + m, [m], alphas)[:, 0]
 
 
 def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
@@ -175,33 +179,24 @@ def hlg_block(n: int, m: int, alpha: float) -> np.ndarray:
     return hlg_blocks(n, m, [alpha])[0]
 
 
-@lru_cache(maxsize=None)
-def level_modes(order: int, alpha: float) -> np.ndarray:
-    """Every mode of the level at alpha, read-only: row k is hlg_block(order - k, k, alpha).
-
-    Cached, so call it only at fixed angles: the Laguerre-Gauss basis at
-    pi/4 and the angles the ``verify`` suites sample.
-    """
-    modes = np.array([hlg_block(order - k, k, alpha) for k in range(order + 1)])
-    modes.flags.writeable = False
-    return modes
+def level_modes(order: int, alphas: np.ndarray | list[float]) -> np.ndarray:
+    """Every mode of the level at each angle, shape (len(alphas), N + 1, N + 1): [i, k] is hlg_block(order - k, k, alphas[i]), bit for bit."""
+    ModeIndex(order, 0)
+    return _mode_columns(order, np.arange(order + 1), alphas)
 
 
 def rotate_block(vec: np.ndarray, phi: float) -> np.ndarray:
     """Level vector of the state rotated by phi, as ``operators.rotate`` turns a term map.
 
-    In the Laguerre-Gauss basis the rotation is the phase exp(-i phi l_k),
-    l_k = N - 2k.  At phi = 0 the vector is returned as it is.
+    The rotation is d^{N/2}(2 phi) on the products, contracted with ``einsum``
+    part by part.  At phi = 0 the vector is returned as it is.
     """
     if phi == 0:
         return vec
-    order = len(vec) - 1
-    basis = level_modes(order, 0.25 * math.pi)
-    lz = order - 2 * np.arange(order + 1)
-    # the phases have period 2 pi; fmod keeps phi * lz finite and every
-    # |phi| < 2 pi as it is
-    phase = np.exp(-1j * math.fmod(phi, 2.0 * math.pi) * lz)
-    return basis.T @ (phase * (basis.conj() @ vec))
+    # d(2 phi) has period 2 pi in phi; fmod keeps 2 phi lam finite and
+    # every |phi| < 2 pi as it is
+    d = specfun.wigner_d_columns(len(vec) - 1, np.arange(len(vec)), [2.0 * math.fmod(phi, 2.0 * math.pi)])[0]
+    return np.einsum("ck,c->k", d, vec.real) + 1j * np.einsum("ck,c->k", d, vec.imag)
 
 
 def level_density(levels, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -246,7 +241,7 @@ def level_values(vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def radial_profile(vec: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Angular mean of |psi|^2 on the circles of radius r, for a level vector.
 
-    In the Laguerre-Gauss weights w = B.conj() v, B = ``level_modes(N, pi/4)``,
+    In the Laguerre-Gauss weights w = B.conj() v, B = ``level_modes(N, [pi/4])[0]``,
     the rows of different Lz do not interfere under the angular mean, and each
     |LG_k|^2 is round, so the mean is sum_k |w_k|^2 |LG_k(r, 0)|^2 exactly,
     with LG_k(r, 0) = sum_q B[k, q] phi_{N-q}(r) phi_q(0) on the Hermite
@@ -254,7 +249,7 @@ def radial_profile(vec: np.ndarray, r: np.ndarray) -> np.ndarray:
     Contracted with ``einsum``, which calls no BLAS.
     """
     order = len(vec) - 1
-    basis = level_modes(order, 0.25 * math.pi)
+    basis = level_modes(order, [0.25 * math.pi])[0]
     w = np.einsum("kq,q->k", basis.conj(), vec)
     on_axis = basis * specfun.hermite_functions(order, np.zeros(1))[:, 0]
     lg = np.einsum("kq,qi->ki", on_axis, specfun.hermite_functions(order, r)[::-1])

@@ -1,8 +1,5 @@
 """Hermite polynomials and functions, grid points, SU(2) rotation matrix elements.
 
-Everything is evaluated in double precision from exact integer recurrences
-and binomial sums.
-
 Conventions:
 
 * ``hermite`` returns the physicists' family,
@@ -11,16 +8,14 @@ Conventions:
   the normalised Hermite function, so that the normalised product state
   ``|N-k, k>`` is phi_{N-k}(x) phi_k(y).  The values come from the stable
   three-term recurrence (Bunck, BIT 49, 281, 2009), not from ``hermite``.
-* ``folded_sum(n, m, k, cos a, sin a)`` is the binomial sum
+* ``wigner_d_columns(N, columns, betas)`` is the one Wigner small-d kernel,
+  on the spin-N/2 basis m' = N/2 - k.  It diagonalises Jy once per N
+  (exact diagonalisation; Feng, Wang, Yang and Jin, PRE 92, 043307, 2015):
+  Jy = W diag(lam) W^H with lam = -N/2 ... N/2, so
 
-      F_k(n, m; a) = sum_s (-1)^s C(n, k-s) C(m, s) cos^(n-k+2s)(a) sin^(m+k-2s)(a),
+      d^{N/2}(B) = exp(-i B Jy) = Re(W diag(exp(-i B lam)) W^H),
 
-  finite at every angle, negative ones included.  It is the Wigner small-d
-  function of ``wigner_small_d`` (the mode vectors take d from an ``eigh``
-  instead, ``modes.hlg_blocks``): with n = j + m, n_bar = j - m and k = j - m',
-
-      d^j_{m',m}(B) = (-1)^n_bar sqrt((j+m')! (j-m')! / (n! n_bar!)) F_k(n, n_bar; B/2).
-
+  with no phase fix.  ``wigner_small_d`` reads one of its elements.
 * ``wigner_D`` uses z-y-z Euler angles, rows indexed by m',
 
       D^j_{m',m}(A, B, C) = exp(-i m' A) d^j_{m',m}(B) exp(-i m C).
@@ -30,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from math import comb, factorial
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,18 +79,27 @@ def _twice(value: float, name: str) -> int:
     return doubled
 
 
-def folded_sum(n: int, m: int, k: int, ca: float, sa: float) -> float:
-    """F_k(n, m; a) of the module docstring from ca = cos(a) and sa = sin(a), for 0 <= k <= n + m."""
-    acc = 0.0
-    for s in range(max(0, k - n), min(k, m) + 1):
-        term = comb(n, k - s) * comb(m, s)
-        term *= ca ** (n - k + 2 * s) * sa ** (m + k - 2 * s)
-        acc += -term if s % 2 else term
-    return acc
+@lru_cache(maxsize=64)
+def _jy_eigenvectors(order: int) -> np.ndarray:
+    """Read-only W of the module docstring, eigenvalues ascending; ``eigh`` reads Jy[k, k-1] = i sqrt(k (N+1-k)) / 2."""
+    k = np.arange(1, order + 1)
+    w = np.linalg.eigh(np.diag(0.5j * np.sqrt(k * (order + 1 - k)), -1))[1]
+    w.flags.writeable = False
+    return w
+
+
+def wigner_d_columns(order: int, columns, betas) -> np.ndarray:
+    """d^{N/2}_{N/2-k, N/2-columns[c]}(betas[b]) at [b, c, k], N = order; W is cached for 64 orders.
+
+    Column c is W (exp(-i B lam) * conj(W[c])), by parts with ``einsum``, which calls no BLAS.
+    """
+    w = _jy_eigenvectors(order)
+    p = np.exp(-1j * np.outer(betas, np.arange(order + 1) - 0.5 * order))[:, None, :] * w[columns].conj()
+    return np.einsum("kl,bcl->bck", w.real, p.real) - np.einsum("kl,bcl->bck", w.imag, p.imag)
 
 
 def wigner_small_d(j: float, mp: float, m: float, beta: float) -> float:
-    """Wigner small-d matrix element d^j_{mp,m}(beta), from ``folded_sum``.
+    """Wigner small-d matrix element d^j_{mp,m}(beta), one element of ``wigner_d_columns``.
 
     Valid for integer and half-integer j with |mp| <= j, |m| <= j and
     j - mp, j - m integral.
@@ -105,11 +109,7 @@ def wigner_small_d(j: float, mp: float, m: float, beta: float) -> float:
         raise ValueError(f"indices out of range: j={j}, mp={mp}, m={m}")
     if (tj - tmp) % 2 or (tj - tm) % 2:
         raise ValueError(f"j-mp and j-m must be integers: j={j}, mp={mp}, m={m}")
-
-    n, n_bar, k = (tj + tm) // 2, (tj - tm) // 2, (tj - tmp) // 2
-    scale = math.sqrt(factorial(tj - k) * factorial(k) / (factorial(n) * factorial(n_bar)))
-    half = 0.5 * beta
-    return (-1) ** n_bar * scale * folded_sum(n, n_bar, k, math.cos(half), math.sin(half))
+    return float(wigner_d_columns(tj, [(tj - tm) // 2], [beta])[0, 0, (tj - tmp) // 2])
 
 
 def wigner_D(j: float, mp: float, m: float, A: float, B: float, C: float) -> complex:

@@ -102,7 +102,7 @@ _ALPHAS = tuple(float(a) for a in np.linspace(0.0, math.pi / 2, 9))
 def _levels(order: int) -> tuple[tuple[ModeIndex, ...], np.ndarray]:
     """The modes of a level and their vectors at every angle of ``_ALPHAS``, shape (angles, N + 1, N + 1)."""
     modes = tuple(ModeIndex(n, order - n) for n in range(order + 1))
-    return modes, np.stack([level_modes(order, alpha)[::-1].T for alpha in _ALPHAS])
+    return modes, np.ascontiguousarray(level_modes(order, _ALPHAS)[:, ::-1].transpose(0, 2, 1))
 
 
 def _eigen_residuals(matrices: np.ndarray, vecs: np.ndarray, lams) -> np.ndarray:

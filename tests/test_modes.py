@@ -276,20 +276,24 @@ class TestHlgBlock:
             basis = np.array([hlg_block(order - k, k, math.pi / 4) for k in range(order + 1)])
             assert np.abs(basis @ basis.conj().T - np.eye(order + 1)).max() <= 1e-13
 
-    def test_level_modes_is_one_shared_read_only_frame(self):
-        frame = level_modes(5, 0.3)
-        assert level_modes(5, 0.3) is frame
-        with pytest.raises(ValueError, match="read-only"):
-            frame[0, 0] = 0.0
-
     def test_level_modes_rows_are_the_hlg_blocks(self):
-        # the nine angles of the verify suites and the Laguerre-Gauss angle
+        # the nine angles of the verify suites, the Laguerre-Gauss angle and
+        # random ones, all in one call per order
+        alphas = [*map(float, self.ALPHA_GRID), 0.25 * math.pi, *np.random.default_rng(27).uniform(0.0, 0.5 * math.pi, 6)]
         for order in range(ORDER_CAP + 1):
-            for alpha in [*map(float, self.ALPHA_GRID), 0.25 * math.pi]:
-                frame = level_modes(order, alpha)
-                assert frame.shape == (order + 1, order + 1)
+            frames = level_modes(order, alphas)
+            assert frames.shape == (len(alphas), order + 1, order + 1)
+            for alpha, frame in zip(alphas, frames):
                 for k in range(order + 1):
                     assert frame[k].tobytes() == hlg_block(order - k, k, alpha).tobytes(), (order, k, alpha)
+
+    @pytest.mark.parametrize("order, alpha", [(ORDER_CAP + 1, 0.3), (3, -0.1), (3, math.nan)])
+    def test_level_modes_reject_what_hlg_block_rejects(self, order, alpha):
+        with pytest.raises(ValueError) as expected:
+            hlg_block(order, 0, alpha)
+        with pytest.raises(ValueError) as got:
+            level_modes(order, [0.3, alpha])
+        assert str(got.value) == str(expected.value)
 
     def test_norm_and_mean_r2_by_quadrature(self):
         # position-space oracle: within one level r^2 is (N+1)/2 times the
@@ -414,6 +418,18 @@ class TestBlockDensity:
             assert np.abs(rotate_block(vec, phi + 2 * math.pi) - turned).max() <= 1e-14
         # a huge angle is reduced first, so its phases stay finite
         assert np.array_equal(rotate_block(vec, 1e300), rotate_block(vec, math.fmod(1e300, 2 * math.pi)))
+
+    def test_rotation_is_the_d_matrix_of_twice_the_angle(self):
+        # on the products Lz = 2 Jy, so the turn is d^{N/2}(2 phi), here from
+        # the mpmath oracle at an order above the cap
+        order, j = 30, 15
+        rng = np.random.default_rng(30)
+        vec = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        vec /= np.linalg.norm(vec)
+        for phi in (0.7, -2.1):
+            d = np.array([[wigner_d(j, j - k, j - c, 2 * phi) for c in range(order + 1)] for k in range(order + 1)])
+            err = np.abs(rotate_block(vec, phi) - d @ vec).max()
+            assert err <= 1e-14, (phi, err)
 
     @pytest.mark.parametrize("alpha", [0.3, math.pi / 4])
     @pytest.mark.parametrize("n, m", [(4, 2), (1, 4)])

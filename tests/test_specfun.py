@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from als.specfun import cell_centres, hermite, hermite_functions, wigner_D, wigner_small_d
+from als import specfun
+from als.specfun import cell_centres, hermite, hermite_functions, wigner_d_columns, wigner_D, wigner_small_d
 from oracles import jacobi_eval, laguerre, lg_density, wigner_d
 
 rng = np.random.default_rng(101)
@@ -268,6 +269,15 @@ class TestWignerD:
         err = max(abs(wigner_small_d(j, mp, m, B) - wigner_d(j, mp, m, B)) for B in betas for mp in ms for m in ms)
         assert err <= 5e-14, err
 
+    @pytest.mark.parametrize("j", [15, 20])
+    def test_stays_exact_at_high_j(self, j):
+        # every 4th m' and m; the paper's finite sum is off by 3.9e-13 at
+        # j = 15 and 2.5e-12 at j = 20 on this sample
+        ms = [j - k for k in range(0, 2 * j + 1, 4)]
+        betas = (0.3, 1.2, 2.5, -2.9)
+        err = max(abs(wigner_small_d(j, mp, m, B) - wigner_d(j, mp, m, B)) for B in betas for mp in ms for m in ms)
+        assert err <= 5e-14, err
+
     def test_index_range_errors(self):
         with pytest.raises(ValueError):
             wigner_small_d(1, 2, 0, 0.3)
@@ -275,3 +285,31 @@ class TestWignerD:
             wigner_small_d(1.5, 1.0, 0.5, 0.3)  # j - mp not integral
         with pytest.raises(ValueError):
             wigner_D(0.7, 0.5, 0.5, 0, 0.3, 0)
+
+
+class TestWignerDColumns:
+    """The one d-matrix kernel: a representation of rotations about y."""
+
+    @staticmethod
+    def matrix(order, beta):
+        """d^{N/2}(beta) with rows m' = N/2 - k and columns m = N/2 - c."""
+        return wigner_d_columns(order, np.arange(order + 1), [beta])[0].T
+
+    @pytest.mark.parametrize("order", range(41))
+    def test_angles_add(self, order):
+        for b1, b2 in [(0.3, 1.1), (-2.0, 0.7), (2.9, 2.5)]:
+            err = np.abs(self.matrix(order, b1) @ self.matrix(order, b2) - self.matrix(order, b1 + b2)).max()
+            assert err <= 5e-14, (b1, b2, err)
+
+    @pytest.mark.parametrize("order", range(41))
+    def test_inverse_is_the_transpose(self, order):
+        for beta in (0.3, 1.2, 2.5, -2.9):
+            assert np.abs(self.matrix(order, -beta) - self.matrix(order, beta).T).max() <= 1e-15, beta
+
+    def test_eigenvector_cache_is_bounded(self):
+        # wigner_small_d takes any j, so the cache must not grow with it
+        maxsize = specfun._jy_eigenvectors.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 41  # the modes up to order 40
+        for tj in range(maxsize + 8):
+            wigner_small_d(tj / 2, tj / 2, -tj / 2, 0.3)
+        assert specfun._jy_eigenvectors.cache_info().currsize == maxsize

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from als import fields, modes, verify
+from als import fields, specfun, verify
 from als.cli import main
 from als.modes import ORDER_CAP
 from oracles import validate
@@ -42,19 +42,14 @@ def test_spectra_and_observables_hold_at_the_order_cap():
 
 @pytest.fixture
 def nan_level_3(monkeypatch):
-    """Every mode vector of order 3 reads NaN; the level cache is cleared around the patch."""
-    block = modes.hlg_block
+    """Every Wigner d-matrix of order 3, and so every mode vector and rotation of that level, reads NaN."""
+    columns = specfun.wigner_d_columns
 
-    def poisoned(n, m, alpha):
-        v = block(n, m, alpha)
-        return np.full_like(v, math.nan) if n + m == 3 else v
+    def poisoned(order, cols, betas):
+        d = columns(order, cols, betas)
+        return np.full_like(d, math.nan) if order == 3 else d
 
-    modes.level_modes.cache_clear()
-    monkeypatch.setattr(verify, "hlg_block", poisoned)
-    monkeypatch.setattr(modes, "hlg_block", poisoned)
-    yield
-    monkeypatch.undo()
-    modes.level_modes.cache_clear()
+    monkeypatch.setattr(specfun, "wigner_d_columns", poisoned)
 
 
 def test_nan_level_fails_every_row_that_samples_it(nan_level_3):
