@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
-from .gstate import inner_product
+from .gstate import gram
 from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, level_modes, level_values, radial_profile, rotate_block
 from .observables import energy, mean_lz, mean_r2, sweep
 from .output import fmt, write_grid_csv, write_json, write_table_csv
@@ -492,9 +492,9 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
     coeff_rows = []
     frames = [level_modes(order, [a])[0] for order in range(max_order + 1)]
     levels = [np.zeros(order + 1, dtype=complex) for order in range(max_order + 1)]
+    coeffs = gram([hlg_state(md.n, md.m, a) for md in basis], [lg])[:, 0].tolist()
     sum_abs2 = 0.0
-    for md, angle, e_omega in zip(basis, angles, energies):
-        c = inner_product(hlg_state(md.n, md.m, a), lg)
+    for md, c, angle, e_omega in zip(basis, coeffs, angles, energies):
         ct = c * complex(math.cos(angle), -math.sin(angle))
         sum_abs2 += abs(c) ** 2
         coeff_rows.append(

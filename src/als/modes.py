@@ -35,7 +35,10 @@ with B in [0, pi], which makes
     psi^rot_{j+m, j-m}(x, y; phi, alpha)
         = sum_{m'} D^j_{m',m}(A, B, C) psi_{j+m', j-m'}(x, y; 0)
 
-hold exactly (as an SU(2) identity, including half-integer j).
+hold exactly (as an SU(2) identity, including half-integer j).  In the
+[a, b] layout of ``specfun.wigner_D(2j, A, B, C)``, m' = j - a and
+m = j - b: column b holds the rotated mode psi^rot_{2j-b, b} over the
+basis states psi_{2j-a, a}(alpha=0).
 
 Within one level N = n + m the modes are unit (N+1)-vectors over the
 normalised Hermite-Gauss products |N-k, k> (``hlg_block``), each a column
@@ -310,20 +313,3 @@ def schwinger_state(n: int, m: int, alpha: float, phi: float) -> GaussianPolySta
     """
     return rotate(hlg_state(n, m, alpha), phi)
 
-
-def wigner_decompose(
-    j: float, m_l: float, A: float, B: float, C: float
-) -> dict[float, complex]:
-    """Expansion coefficients of the rotated mode over the alpha=0 basis.
-
-    Returns ``{m_l': D^j_{m_l', m_l}(A, B, C)}`` for m_l' = -j ... j; the
-    coefficient multiplies the basis state psi_{j+m_l', j-m_l'}(alpha=0).
-    The rows are unitary: sum |coeff|^2 = 1.  At A = C = 0 this is the
-    d-matrix column ``hlg_block`` holds, up to the phases i^k (-1)^m;
-    ``specfun.wigner_small_d`` checks j and m_l on every element.
-    """
-    tj = abs(round(2 * j))  # abs: a negative j still reaches that check
-    return {
-        0.5 * tmp: specfun.wigner_D(j, 0.5 * tmp, m_l, A, B, C)
-        for tmp in range(-tj, tj + 1, 2)
-    }

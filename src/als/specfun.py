@@ -1,4 +1,4 @@
-"""Hermite polynomials and functions, grid points, SU(2) rotation matrix elements.
+"""Hermite polynomials and functions, grid points, SU(2) rotation matrices.
 
 Conventions:
 
@@ -15,15 +15,15 @@ Conventions:
 
       d^{N/2}(B) = exp(-i B Jy) = Re(W diag(exp(-i B lam)) W^H),
 
-  with no phase fix.  ``wigner_small_d`` reads one of its elements.
-* ``wigner_D`` uses z-y-z Euler angles, rows indexed by m',
+  with no phase fix.
+* ``wigner_D(N, A, B, C)`` is the whole D-matrix in z-y-z Euler angles,
+  j = N/2, with entry [a, b] at m' = j - a and m = j - b,
 
       D^j_{m',m}(A, B, C) = exp(-i m' A) d^j_{m',m}(B) exp(-i m C).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
@@ -71,14 +71,6 @@ def cell_centres(n: int, lo: float, hi: float) -> np.ndarray:
     return 0.5 * (lo + hi) + (np.arange(n) - 0.5 * (n - 1)) * ((hi - lo) / n)
 
 
-def _twice(value: float, name: str) -> int:
-    """Round a half-integer quantum number to an exact doubled integer."""
-    doubled = round(2 * value)
-    if abs(2 * value - doubled) > 1e-9:
-        raise ValueError(f"{name} must be integer or half-integer, got {value}")
-    return doubled
-
-
 @lru_cache(maxsize=64)
 def _jy_eigenvectors(order: int) -> np.ndarray:
     """Read-only W of the module docstring, eigenvalues ascending; ``eigh`` reads Jy[k, k-1] = i sqrt(k (N+1-k)) / 2."""
@@ -98,21 +90,10 @@ def wigner_d_columns(order: int, columns, betas) -> np.ndarray:
     return np.einsum("kl,bcl->bck", w.real, p.real) - np.einsum("kl,bcl->bck", w.imag, p.imag)
 
 
-def wigner_small_d(j: float, mp: float, m: float, beta: float) -> float:
-    """Wigner small-d matrix element d^j_{mp,m}(beta), one element of ``wigner_d_columns``.
-
-    Valid for integer and half-integer j with |mp| <= j, |m| <= j and
-    j - mp, j - m integral.
-    """
-    tj, tmp, tm = _twice(j, "j"), _twice(mp, "mp"), _twice(m, "m")
-    if tj < 0 or abs(tmp) > tj or abs(tm) > tj:
-        raise ValueError(f"indices out of range: j={j}, mp={mp}, m={m}")
-    if (tj - tmp) % 2 or (tj - tm) % 2:
-        raise ValueError(f"j-mp and j-m must be integers: j={j}, mp={mp}, m={m}")
-    return float(wigner_d_columns(tj, [(tj - tm) // 2], [beta])[0, 0, (tj - tmp) // 2])
-
-
-def wigner_D(j: float, mp: float, m: float, A: float, B: float, C: float) -> complex:
-    """Wigner D-matrix element D^j_{mp,m}(A, B, C), z-y-z convention."""
-    d = wigner_small_d(j, mp, m, B)
-    return cmath.exp(-1j * mp * A) * d * cmath.exp(-1j * m * C)
+def wigner_D(order: int, A: float, B: float, C: float) -> np.ndarray:
+    """D^{N/2}_{N/2-a, N/2-b}(A, B, C) at [a, b], N = order: one ``wigner_d_columns`` call and two phase vectors."""
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"order N = 2j must be an integer >= 0, got {order!r}")
+    m = 0.5 * order - np.arange(order + 1)
+    d = wigner_d_columns(order, np.arange(order + 1), [B])[0].T
+    return np.exp(-1j * m * A)[:, None] * d * np.exp(-1j * m * C)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import berry as berry_mod
 from . import fields as fields_mod
-from .gstate import PolyDiffOperator, compose, inner_product, op_commutator
+from .gstate import PolyDiffOperator, compose, gram, op_commutator
 from .modes import (
     ModeIndex,
     beta_to_alpha,
@@ -37,7 +37,6 @@ from .modes import (
     level_modes,
     rotate_block,
     schwinger_state,
-    wigner_decompose,
 )
 from .observables import R2_OP, energy, mean_lz, mean_r2
 from .operators import (
@@ -53,7 +52,7 @@ from .operators import (
     level_matrix,
     schwinger_operator,
 )
-from .specfun import wigner_small_d
+from .specfun import wigner_D
 
 @dataclass(frozen=True)
 class IdentityResult:
@@ -284,23 +283,15 @@ def suite_wigner(max_order: int) -> list[IdentityResult]:
     rows.add("unitarity of expansion rows", 0.0, t_unit)
     j_max = min(4.0, max_order / 2.0)
     for twice_j in range(1, round(2 * j_max) + 1):
-        j = twice_j / 2.0
-        basis = {
-            0.5 * tmp: hlg_state((twice_j + tmp) // 2, (twice_j - tmp) // 2, 0.0)
-            for tmp in range(-twice_j, twice_j + 1, 2)
-        }
+        basis = [hlg_state(twice_j - a, a, 0.0) for a in range(twice_j + 1)]
         for _ in range(2):
             phi = float(rng.uniform(0, 2 * math.pi))
             alpha = float(rng.uniform(0, math.pi / 2))
-            A, B, C = euler_angles(phi, alpha)
-            for twice_m in range(-twice_j, twice_j + 1, 2):
-                m_l = twice_m / 2.0
-                coeffs = wigner_decompose(j, m_l, A, B, C)
-                direct = schwinger_state(round(j + m_l), round(j - m_l), alpha, phi)
-                errors = [abs(inner_product(basis[mp], direct) - c) for mp, c in coeffs.items()]
-                rows.add("rotation expansion reproduces the rotated modes", errors)
-                unit = abs(sum(abs(c) ** 2 for c in coeffs.values()) - 1.0)
-                rows.add("unitarity of expansion rows", unit, t_unit)
+            coeffs = wigner_D(twice_j, *euler_angles(phi, alpha))
+            rotated = [schwinger_state(twice_j - b, b, alpha, phi) for b in range(twice_j + 1)]
+            rows.add("rotation expansion reproduces the rotated modes", np.abs(gram(basis, rotated) - coeffs))
+            unit = np.abs((np.abs(coeffs) ** 2).sum(axis=0) - 1.0)
+            rows.add("unitarity of expansion rows", unit, t_unit)
 
     for _ in range(20):
         phi = float(rng.uniform(0, 2 * math.pi))
@@ -316,12 +307,8 @@ def suite_wigner(max_order: int) -> list[IdentityResult]:
 
     rows.add("d(-B) equals transposed d(B)", 0.0, t_unit)  # j = 0 is exact
     for twice_j in range(1, round(2 * j_max) + 1):
-        j = twice_j / 2.0
         beta = float(rng.uniform(0, math.pi))
-        ms = [k / 2.0 for k in range(-twice_j, twice_j + 1, 2)]
-        errors = [
-            abs(wigner_small_d(j, mp, m, -beta) - wigner_small_d(j, m, mp, beta)) for mp in ms for m in ms
-        ]
+        errors = np.abs(wigner_D(twice_j, 0.0, -beta, 0.0) - wigner_D(twice_j, 0.0, beta, 0.0).T)
         rows.add("d(-B) equals transposed d(B)", errors, t_unit)
     return rows.results()
 

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 import als
 from als import cli as cli_mod
 from als.cli import classify_pattern, fold_alpha, main, parse_angle
-from als.modes import ORDER_CAP, ModeIndex, hlg_block, hlg_coefficients, level_density, rotate_block
+from als.gstate import inner_product
+from als.modes import ORDER_CAP, ModeIndex, hlg_block, hlg_coefficients, hlg_state, level_density, rotate_block
+from als.output import fmt
 from als.specfun import cell_centres
 from als.verify import SUITES
 from oracles import hermite_functions, jacobi_eval, lg_density, schema, validate
@@ -794,6 +796,24 @@ class TestDecomposeCommand:
         stride = int(ref["stride"])
         err = np.abs(grid[::stride, ::stride] - ref["grid"]).max() / ref["grid"].max()
         assert err <= 1e-13, err
+
+    def test_coefficients_are_the_pairwise_overlaps(self, tmp_path):
+        # one gram call over the basis writes the bytes of one inner_product per mode
+        prefix = str(tmp_path / "dec")
+        result = runner.invoke(
+            main,
+            ["decompose", "--nr", "2", "--l=-4", "--alpha", "0.3", "--max-order", "16",
+             "--points", "8", "--out-prefix", prefix],
+        )
+        assert result.exit_code == 0, result.output
+        alpha = json.loads((tmp_path / "dec.json").read_text())["alpha"]
+        mode = ModeIndex.from_twisted(2, -4)
+        lg = hlg_state(mode.n, mode.m, 0.25 * math.pi)
+        rows = [r.split(",") for r in (tmp_path / "dec_coefficients.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 153
+        for n, m, _, _, _, re_c, im_c, *_ in rows:
+            c = inner_product(hlg_state(int(n), int(m), alpha), lg)
+            assert (re_c, im_c) == (fmt(c.real), fmt(c.imag)), (n, m)
 
     @pytest.mark.parametrize("alpha, folded", [("2.0", True), ("0.3", False)])
     def test_folded_alpha_recorded(self, alpha, folded, tmp_path):

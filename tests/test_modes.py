@@ -29,10 +29,9 @@ from als.modes import (
     radial_profile,
     rotate_block,
     schwinger_state,
-    wigner_decompose,
 )
 from als.observables import mean_r2
-from als.specfun import cell_centres, hermite, hermite_functions
+from als.specfun import cell_centres, hermite, hermite_functions, wigner_D
 from oracles import jacobi_eval, laguerre, lg_density, quadrature_moments, term_map_value, wigner_d
 from oracles import hermite_functions as oracle_hermite_functions
 
@@ -70,12 +69,10 @@ def lg_closed_form(n, m, x, y):
     return pref * radial * cmath.exp(1j * l * math.atan2(y, x))
 
 
-def expansion_error(j, m_l, angles, state):
-    """Largest |D^j_{m', m_l}(angles) - <psi_{j+m', j-m'}(alpha=0)|state>| over m'."""
-    return max(
-        abs(c - inner_product(hlg_state(round(j + mp), round(j - mp), 0.0), state))
-        for mp, c in wigner_decompose(j, m_l, *angles).items()
-    )
+def expansion_error(order, b, angles, state):
+    """Largest |D[a, b] - <psi_{N-a, a}(alpha=0)|state>| over a, D = wigner_D(N, *angles): column b is psi_{N-b, b}."""
+    column = wigner_D(order, *angles)[:, b]
+    return max(abs(c - inner_product(hlg_state(order - a, a, 0.0), state)) for a, c in enumerate(column))
 
 
 class TestModeIndex:
@@ -545,7 +542,7 @@ class TestEulerAngles:
         for alpha in (0.1, math.pi / 8, 0.6):
             A, B, C = euler_angles(0.0, alpha)
             assert B == pytest.approx(2 * alpha, abs=1e-13)
-            assert expansion_error(1.0, 1.0, (A, B, C), hlg_state(2, 0, alpha)) <= 1e-12
+            assert expansion_error(2, 0, (A, B, C), hlg_state(2, 0, alpha)) <= 1e-12
 
     def test_pole_gauge_choice(self):
         A, B, C = euler_angles(0.0, math.pi / 4)  # mode-sphere north pole
@@ -577,50 +574,46 @@ class TestRotatedStates:
 
 class TestWignerDecomposition:
     def test_identity_rotation(self):
-        coeffs = wigner_decompose(1.5, 0.5, 0.0, 0.0, 0.0)
-        for mp, c in coeffs.items():
-            assert abs(c - (1.0 if mp == 0.5 else 0.0)) <= 1e-14
+        # j = 3/2: column b = 1 is m = 1/2, and only its own basis state a = 1 contributes
+        column = wigner_D(3, 0.0, 0.0, 0.0)[:, 1]
+        for a, c in enumerate(column):
+            assert abs(c - (1.0 if a == 1 else 0.0)) <= 1e-14
 
     def test_unitarity(self, rng):
         for tj in range(1, 9):
-            j = tj / 2
             A, B, C = rng.uniform(-math.pi, math.pi, size=3)
-            for tm in range(-tj, tj + 1, 2):
-                coeffs = wigner_decompose(j, tm / 2, float(A), float(B), float(C))
-                assert sum(abs(c) ** 2 for c in coeffs.values()) == pytest.approx(
-                    1.0, abs=1e-12
-                )
+            totals = (np.abs(wigner_D(tj, float(A), float(B), float(C))) ** 2).sum(axis=0)
+            assert totals == pytest.approx(np.ones(tj + 1), abs=1e-12)
 
     def test_reconstructs_unrotated_modes(self):
         for alpha in (0.15, math.pi / 8, 0.7):
             A, B, C = euler_angles(0.0, alpha)
-            assert expansion_error(1.0, 1.0, (A, B, C), hlg_state(2, 0, alpha)) <= 1e-10
+            assert expansion_error(2, 0, (A, B, C), hlg_state(2, 0, alpha)) <= 1e-10
 
     def test_reconstructs_rotated_modes_j_one(self, rng):
         for _ in range(4):
             phi = float(rng.uniform(0, 2 * math.pi))
             alpha = float(rng.uniform(0, math.pi / 2))
             A, B, C = euler_angles(phi, alpha)
-            for m_l, (n, m) in [(1.0, (2, 0)), (0.0, (1, 1)), (-1.0, (0, 2))]:
+            for b, (n, m) in enumerate([(2, 0), (1, 1), (0, 2)]):
                 ref = schwinger_state(n, m, alpha, phi)
-                assert expansion_error(1.0, m_l, (A, B, C), ref) <= 1e-10
+                assert expansion_error(2, b, (A, B, C), ref) <= 1e-10
 
     def test_reconstruction_all_ranks_to_four(self, rng):
         for tj in range(1, 9):
-            j = tj / 2
             phi = float(rng.uniform(0, 2 * math.pi))
             alpha = float(rng.uniform(0, math.pi / 2))
             A, B, C = euler_angles(phi, alpha)
-            for tm in range(-tj, tj + 1, 2):
-                m_l = tm / 2
-                ref = schwinger_state(round(j + m_l), round(j - m_l), alpha, phi)
-                assert expansion_error(j, m_l, (A, B, C), ref) <= 1e-10
+            for b in range(tj + 1):
+                ref = schwinger_state(tj - b, b, alpha, phi)
+                assert expansion_error(tj, b, (A, B, C), ref) <= 1e-10
 
     def test_index_validation(self):
+        # the basis is indexed by the order N = 2j: j = 3/2 in its place, or a negative order, is refused
         with pytest.raises(ValueError):
-            wigner_decompose(1.0, 1.5, 0, 0, 0)
+            wigner_D(1.5, 0, 0, 0)
         with pytest.raises(ValueError):
-            wigner_decompose(1.5, 1.0, 0, 0, 0)
+            wigner_D(-2, 0, 0, 0)
 
 
 class TestGeneratorIdentity:

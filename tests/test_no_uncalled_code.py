@@ -1,4 +1,4 @@
-"""Nothing in `src/als` without a caller.
+"""Nothing in `src/als` without a caller, and no import without a reader.
 
 A top-level function or class counts as called if its name appears as a
 name, an attribute or an imported name somewhere in `src/als` outside its
@@ -83,3 +83,24 @@ def uncalled() -> list[str]:
 def test_every_definition_has_a_caller():
     offenders = uncalled()
     assert not offenders, "no caller in src/als: " + ", ".join(offenders)
+
+
+def unused_imports() -> list[str]:
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        offenders.append(f"{path.stem}: {bound}")
+    return offenders
+
+
+def test_every_import_is_read():
+    offenders = unused_imports()
+    assert not offenders, "imported but never read in src/als: " + ", ".join(offenders)

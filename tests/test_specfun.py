@@ -1,5 +1,6 @@
 """Polynomial and rotation-matrix kernels, and the test oracles, against independent references."""
 
+import cmath
 import math
 from math import comb, factorial
 
@@ -8,7 +9,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from als import specfun
-from als.specfun import cell_centres, hermite, hermite_functions, wigner_d_columns, wigner_D, wigner_small_d
+from als.specfun import cell_centres, hermite, hermite_functions, wigner_d_columns, wigner_D
 from oracles import jacobi_eval, laguerre, lg_density, wigner_d
 
 rng = np.random.default_rng(101)
@@ -212,23 +213,26 @@ class TestJacobi:
             jacobi_eval(2, -3, 0, 0.5)
 
 
+def oracle_d(order, beta, step=1):
+    """The factorial-sum d^{N/2}(beta) at [a, b], m' = N/2 - a and m = N/2 - b, every step-th a and b."""
+    j = order / 2
+    ks = range(0, order + 1, step)
+    return np.array([[wigner_d(j, j - a, j - b, beta) for b in ks] for a in ks])
+
+
 class TestWignerD:
+    """The whole D-matrix: entry [a, b] is D^{N/2}_{N/2-a, N/2-b}(A, B, C)."""
+
     def test_identity_rotation(self):
-        for j in (0.5, 1.0, 1.5, 2.0):
-            tj = round(2 * j)
-            for tmp in range(-tj, tj + 1, 2):
-                for tm in range(-tj, tj + 1, 2):
-                    val = wigner_D(j, tmp / 2, tm / 2, 0.0, 0.0, 0.0)
-                    assert val == pytest.approx(1.0 if tmp == tm else 0.0, abs=1e-14)
+        for tj in (1, 2, 3, 4):
+            assert np.abs(wigner_D(tj, 0.0, 0.0, 0.0) - np.eye(tj + 1)).max() <= 1e-14
 
     def test_spin_half_diagonal(self):
         for B in rng.uniform(-math.pi, math.pi, size=10):
-            assert wigner_D(0.5, 0.5, 0.5, 0.0, B, 0.0) == pytest.approx(
-                math.cos(B / 2), abs=1e-14
-            )
+            assert wigner_D(1, 0.0, B, 0.0)[0, 0] == pytest.approx(math.cos(B / 2), abs=1e-14)
 
     def test_spin_one_closed_form(self):
-        # standard d^1 matrix
+        # standard d^1 matrix; m' = 1 - a, m = 1 - b
         B = 0.7345
         c, s = math.cos(B), math.sin(B)
         table = {
@@ -236,55 +240,58 @@ class TestWignerD:
             (0, 1): s / math.sqrt(2), (0, 0): c, (0, -1): -s / math.sqrt(2),
             (-1, 1): (1 - c) / 2, (-1, 0): s / math.sqrt(2), (-1, -1): (1 + c) / 2,
         }
+        d = wigner_D(2, 0.0, B, 0.0)
         for (mp, m), ref in table.items():
-            assert wigner_small_d(1, mp, m, B) == pytest.approx(ref, abs=1e-14)
+            assert d[1 - mp, 1 - m] == pytest.approx(ref, abs=1e-14)
 
     @pytest.mark.parametrize("tj", range(1, 9))
     def test_unitarity(self, tj):
-        j = tj / 2
+        # every column of D is a unit vector
         B = float(rng.uniform(0, math.pi))
-        for tm in range(-tj, tj + 1, 2):
-            total = sum(
-                abs(wigner_small_d(j, tmp / 2, tm / 2, B)) ** 2
-                for tmp in range(-tj, tj + 1, 2)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
+        totals = (np.abs(wigner_D(tj, 0.4, B, -1.1)) ** 2).sum(axis=0)
+        assert np.abs(totals - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("tj", range(1, 9))
     def test_transpose_symmetry(self, tj):
-        j = tj / 2
         B = float(rng.uniform(0, math.pi))
-        for tmp in range(-tj, tj + 1, 2):
-            for tm in range(-tj, tj + 1, 2):
-                assert wigner_small_d(j, tmp / 2, tm / 2, -B) == pytest.approx(
-                    wigner_small_d(j, tm / 2, tmp / 2, B), abs=1e-13
-                )
+        assert np.abs(wigner_D(tj, 0.0, -B, 0.0) - wigner_D(tj, 0.0, B, 0.0).T).max() <= 1e-13
 
     @pytest.mark.parametrize("j", [0.5, 4, 8, 10])
     def test_against_the_factorial_sum_oracle(self, j):
         # beta over [-pi, pi] in steps of pi/8, so -pi, 0 and pi among them
         tj = round(2 * j)
-        ms = [t / 2 for t in range(-tj, tj + 1, 2)]
         betas = [*np.linspace(-math.pi, math.pi, 17), 0.7345, -2.9]
-        err = max(abs(wigner_small_d(j, mp, m, B) - wigner_d(j, mp, m, B)) for B in betas for mp in ms for m in ms)
+        err = max(np.abs(wigner_D(tj, 0.0, B, 0.0) - oracle_d(tj, B)).max() for B in betas)
         assert err <= 5e-14, err
 
     @pytest.mark.parametrize("j", [15, 20])
     def test_stays_exact_at_high_j(self, j):
         # every 4th m' and m; the paper's finite sum is off by 3.9e-13 at
         # j = 15 and 2.5e-12 at j = 20 on this sample
-        ms = [j - k for k in range(0, 2 * j + 1, 4)]
         betas = (0.3, 1.2, 2.5, -2.9)
-        err = max(abs(wigner_small_d(j, mp, m, B) - wigner_d(j, mp, m, B)) for B in betas for mp in ms for m in ms)
+        err = max(np.abs(wigner_D(2 * j, 0.0, B, 0.0)[::4, ::4] - oracle_d(2 * j, B, step=4)).max() for B in betas)
         assert err <= 5e-14, err
 
+    @pytest.mark.parametrize("order", [30, 40])
+    def test_whole_matrix_with_its_phases(self, order):
+        # exp(-i m' A) d_{m',m}(B) exp(-i m C) at every [a, b], A and C drawn
+        draws = np.random.default_rng(order)
+        j = order / 2
+        for _ in range(2):
+            A, C = draws.uniform(-math.pi, math.pi, size=2)
+            B = float(draws.uniform(0, math.pi))
+            d = oracle_d(order, B)
+            ref = [[cmath.exp(-1j * (j - a) * A) * d[a, b] * cmath.exp(-1j * (j - b) * C) for b in range(order + 1)]
+                   for a in range(order + 1)]
+            err = np.abs(wigner_D(order, A, B, C) - np.array(ref)).max()
+            assert err <= 5e-14, (A, B, C, err)
+
     def test_index_range_errors(self):
-        with pytest.raises(ValueError):
-            wigner_small_d(1, 2, 0, 0.3)
-        with pytest.raises(ValueError):
-            wigner_small_d(1.5, 1.0, 0.5, 0.3)  # j - mp not integral
-        with pytest.raises(ValueError):
-            wigner_D(0.7, 0.5, 0.5, 0, 0.3, 0)
+        # the order N = 2j is the only index: a negative order is refused, and
+        # so is a float, which is how j given in its place arrives
+        for order in (-1, -2, 1.5, 0.7, 2.0):
+            with pytest.raises(ValueError, match="order"):
+                wigner_D(order, 0.0, 0.3, 0.0)
 
 
 class TestWignerDColumns:
@@ -307,9 +314,9 @@ class TestWignerDColumns:
             assert np.abs(self.matrix(order, -beta) - self.matrix(order, beta).T).max() <= 1e-15, beta
 
     def test_eigenvector_cache_is_bounded(self):
-        # wigner_small_d takes any j, so the cache must not grow with it
+        # wigner_D takes any order, so the cache must not grow with it
         maxsize = specfun._jy_eigenvectors.cache_info().maxsize
         assert maxsize is not None and maxsize >= 41  # the modes up to order 40
         for tj in range(maxsize + 8):
-            wigner_small_d(tj / 2, tj / 2, -tj / 2, 0.3)
+            wigner_D(tj, 0.0, 0.3, 0.0)
         assert specfun._jy_eigenvectors.cache_info().currsize == maxsize

@@ -164,19 +164,28 @@ def test_report_rows_are_pinned():
     assert report["summary"]["all_pass"]
 
 
-@pytest.mark.parametrize("max_order", [0, 1])
+@pytest.mark.parametrize("max_order", [0, 1, 8])
 def test_wigner_suite_stops_at_the_max_order(monkeypatch, max_order):
-    # every row stays in the report, each one sampled only up to j = max_order / 2
-    seen = []
-    small_d = verify.wigner_small_d
+    # every row stays in the report, each one sampled only up to j = max_order / 2;
+    # each level 2j <= 8 takes one whole D-matrix and one gram per draw, two
+    # draws, and two D-matrices for d(-B): no element-by-element reads
+    orders, grams = [], []
+    wigner_D, gram = verify.wigner_D, verify.gram
 
-    def recorded(j, mp, m, beta):
-        seen.append(j)
-        return small_d(j, mp, m, beta)
+    def recorded_D(order, A, B, C):
+        orders.append(order)
+        return wigner_D(order, A, B, C)
 
-    monkeypatch.setattr(verify, "wigner_small_d", recorded)
+    def recorded_gram(bras, kets):
+        grams.append(kets)
+        return gram(bras, kets)
+
+    monkeypatch.setattr(verify, "wigner_D", recorded_D)
+    monkeypatch.setattr(verify, "gram", recorded_gram)
     rows = verify.suite_wigner(max_order)
-    assert all(j <= max_order / 2 for j in seen), sorted(set(seen))
+    assert all(order <= max_order for order in orders), sorted(set(orders))
+    levels = min(max_order, 8)
+    assert (len(orders), len(grams)) == (4 * levels, 2 * levels)
     assert [("wigner", r.identity, r.tolerance) for r in rows] == [row for row in REPORT_ROWS if row[0] == "wigner"]
     assert all(r.passed for r in rows)
 
