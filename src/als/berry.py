@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import hlg_blocks, level_modes
+from .modes import hlg_blocks, lg_expansion
 from .operators import spin_axis
 
 #: Consecutive-vertex overlaps below this magnitude abort the phase product.
@@ -50,30 +50,32 @@ def wrap_phase(x: float) -> float:
     return math.pi - (math.pi - x) % (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpherePath:
     """Closed loop of ordered (phi, alpha) vertices; the last repeats the first.
 
-    Closure is judged in sphere coordinates (azimuth 2 phi mod 2 pi), so a
-    seam crossing like (phi, pi/2) == (phi + pi/2, 0) closes a loop.
+    ``vertices`` is one read-only (K, 2) array, so paths do not compare with
+    ==.  Closure is judged in sphere coordinates (azimuth 2 phi mod 2 pi), so
+    a seam crossing like (phi, pi/2) == (phi + pi/2, 0) closes a loop.
     """
 
-    vertices: tuple[tuple[float, float], ...]
+    vertices: np.ndarray
 
     def __post_init__(self):
-        verts = tuple((float(p), float(a)) for p, a in self.vertices)
+        verts = np.array(self.vertices, dtype=float)
+        verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise ValueError("a path needs at least two vertices")
+        if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 2:
+            raise ValueError("a path needs at least two (phi, alpha) vertices")
         if np.linalg.norm(spin_axis(*verts[0]) - spin_axis(*verts[-1])) > _CLOSE_TOL:
             raise ValueError("closed path must end on its first vertex in sphere coordinates")
 
     def points(self) -> np.ndarray:
         """Sphere points of all vertices, shape (len, 3)."""
-        return spin_axis(*np.array(self.vertices).T)
+        return spin_axis(*self.vertices.T)
 
     def reversed(self) -> "SpherePath":
-        return SpherePath(tuple(reversed(self.vertices)))
+        return SpherePath(self.vertices[::-1])
 
 
 def latitude_loop(alpha: float, segments: int) -> SpherePath:
@@ -84,7 +86,7 @@ def latitude_loop(alpha: float, segments: int) -> SpherePath:
     if segments < 3:
         raise ValueError("need at least 3 segments")
     phis = np.linspace(0.0, math.pi, segments + 1)
-    return SpherePath(tuple((float(p), alpha) for p in phis))
+    return SpherePath(np.stack([phis, np.full_like(phis, alpha)], axis=1))
 
 def polar_loop(phi0: float, segments: int) -> SpherePath:
     """Two great-circle arcs bounding an azimuthal sector of the north cap.
@@ -101,12 +103,10 @@ def polar_loop(phi0: float, segments: int) -> SpherePath:
     # and stops phi0 + pi/2 - t from rounding the return arc away
     phi0 = math.fmod(phi0, math.pi)
     half = segments // 2
-    up = [(phi0, a) for a in np.linspace(0.0, 0.5 * math.pi, half + 1)]
-    back = [
-        (phi0 + 0.5 * math.pi - t, 0.0)
-        for t in np.linspace(0.0, 0.5 * math.pi, segments - half + 1)[1:]
-    ]
-    return SpherePath(tuple((float(p), float(a)) for p, a in up + back))
+    up = np.linspace(0.0, 0.5 * math.pi, half + 1)
+    back = phi0 + 0.5 * math.pi - np.linspace(0.0, 0.5 * math.pi, segments - half + 1)[1:]
+    phis = np.concatenate([np.full_like(up, phi0), back])
+    return SpherePath(np.stack([phis, np.concatenate([up, np.zeros_like(back)])], axis=1))
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -148,14 +148,13 @@ def berry_phase(path: SpherePath, n: int, m: int) -> float:
     Phi = -Arg prod <psi_k|psi_{k+1}> over the cycle of vertex states;
     converges to -(l/2) * solid_angle with l = n - m.
     """
-    verts = np.array(path.vertices[:-1])
+    verts = path.vertices[:-1]
     if len(verts) < 3:
         raise ValueError("need at least 3 path vertices")
-    order = n + m
     alphas, which = np.unique(verts[:, 1], return_inverse=True)
-    lz = order - 2 * np.arange(order + 1)
     # the basis is unitary, so overlaps in its coordinates are the same
-    states = (hlg_blocks(n, m, alphas) @ level_modes(order, [0.25 * math.pi])[0].conj().T)[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
+    w, lz, _ = lg_expansion(hlg_blocks(n, m, alphas), np.zeros(0))
+    states = w[which] * np.exp(-1j * np.outer(verts[:, 0], lz))
     overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
     coarse = np.flatnonzero(np.abs(overlaps) < MIN_OVERLAP)
     if coarse.size:

@@ -32,7 +32,7 @@ from . import __version__
 from . import verify as verify_mod
 from .berry import berry_phase, latitude_loop, polar_loop, solid_angle, wrap_phase
 from .gstate import gram
-from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, level_modes, level_values, radial_profile, rotate_block
+from .modes import ORDER_CAP, ModeIndex, beta_to_alpha, check_alpha, hlg_block, hlg_state, level_density, level_modes, lg_expansion, rotate_block
 from .observables import energy, mean_lz, mean_r2, sweep
 from .output import fmt, write_grid_csv, write_json, write_table_csv
 from .specfun import cell_centres
@@ -162,19 +162,21 @@ def classify_pattern(vec: np.ndarray, grid: np.ndarray, extent: float) -> dict:
     ``grid`` is the density of the level vector ``vec`` on a symmetric
     cell-centered grid over [-extent, extent]^2.  It is read at its
     brightest cell only, for the peak and its radius r_peak; all else
-    comes from the vector.  Radial nodes: the exact angular mean of the
-    density (``radial_profile``) is sampled at _RADII radii out to the
-    grid's edge or to sqrt(N+1) + 4, beyond which it is below 1e-21 of its
-    maximum.  Angular nodes: |psi|^2 (``level_values``) is sampled at
-    _ANGLES equal steps round the circle of radius r_peak (2,048 steps
-    merge two lobes of (8, 9) at pi/16 on 512^2 cells over extent 6).  A
+    comes from the vector, through one ``lg_expansion`` call at _RADII radii
+    out to the grid's edge or to sqrt(N+1) + 4, beyond which the density is
+    below 1e-21 of its maximum, and at r_peak.  Radial nodes: the exact
+    angular mean of the density, sum_k |w_k|^2 |lg_k|^2, on those radii.
+    Angular nodes: |psi|^2 = |sum_k w_k lg_k(r_peak) exp(i lz_k t)|^2, one
+    FFT, at _ANGLES equal steps t round the circle of radius r_peak (2,048
+    steps merge two lobes of (8, 9) at pi/16 on 512^2 cells over extent 6).  A
     node run is a rising edge of the "low" mask (below 2% of the maximum).
     Striped patterns show >= 2 angular node runs, rings show none and stay
     azimuthally flat, a density whose brightest cell lies within two cells
     of the origin is a spot.  A grid that holds no density at all (the mode
     lies between the cell centers or underflows) is empty.
-    ``center_density`` is |psi(0, 0)|^2 / peak: exactly 0 at odd order, and
-    above 1 when the peak falls between cell centres.
+    ``center_density`` is |psi(0, 0)|^2 / peak from the lz = 0 term alone,
+    the only Laguerre-Gauss mode nonzero at the origin: exactly 0 at odd
+    order, and above 1 when the peak falls between cell centres.
     """
     peak_at = int(np.argmax(grid))
     peak = float(grid.flat[peak_at])
@@ -192,22 +194,25 @@ def classify_pattern(vec: np.ndarray, grid: np.ndarray, extent: float) -> dict:
 
     # radial nodes: low runs inside the significant support; a run from r = 0 is none
     radii = np.linspace(0.0, min(extent, math.sqrt(len(vec)) + 4.0), _RADII)
-    profile = radial_profile(vec, radii)
+    w, lz, lg = lg_expansion(vec, np.append(radii, r_peak))
+    profile = np.einsum("k,ki->i", w.real**2 + w.imag**2, lg.real[:, :-1] ** 2 + lg.imag[:, :-1] ** 2)
     radial_nodes = 0
     if profile.max() > 0:
         k_hi = int(np.nonzero(profile > 0.02 * profile.max())[0].max())
         low = profile[: k_hi + 1] < 0.02 * profile.max()
         radial_nodes = int(np.count_nonzero(low[1:] & ~low[:-1]))
 
-    center = float(abs(level_values(vec, np.zeros(1), np.zeros(1))[0])) ** 2
+    center = float(np.sum(np.abs(w[lz == 0] * lg[lz == 0, 0]) ** 2))
     common = {"radial_node_count": radial_nodes, "center_density": center / peak}
     if r_peak <= 2.0 * cell:
         # brightest point at the origin: no meaningful peak circle
         return {"classification": "spot", "angular_node_count": 0, **common}
 
-    # angular nodes: cyclic, so a run may wrap past angle 0; a ring low all round counts one
-    theta = np.linspace(0.0, 2.0 * math.pi, _ANGLES, endpoint=False)
-    ang = np.abs(level_values(vec, r_peak * np.cos(theta), r_peak * np.sin(theta))) ** 2
+    # angular nodes: cyclic, so a run may wrap past angle 0; a ring low all round counts one.
+    # psi = exp(i N t) sum_k w_k lg_k exp(-2 i k t) on equal steps t is a DFT
+    terms = np.zeros(_ANGLES, dtype=complex)
+    terms[len(vec) - 1 - lz] = w * lg[:, -1]
+    ang = np.abs(np.fft.fft(terms)) ** 2
     low = ang < 0.02 * ang.max()
     angular_nodes = int(np.count_nonzero(low & ~np.roll(low, 1))) or int(low.all())
 
@@ -497,9 +502,7 @@ def decompose(nr, l, alpha, beta, sign_e, t, max_order, extent, points, omega, r
     for md, c, angle, e_omega in zip(basis, coeffs, angles, energies):
         ct = c * complex(math.cos(angle), -math.sin(angle))
         sum_abs2 += abs(c) ** 2
-        coeff_rows.append(
-            [str(md.n), str(md.m), str(md.l), str(md.n_r), e_omega, c.real, c.imag, abs(c) ** 2, ct.real, ct.imag]
-        )
+        coeff_rows.append([md.n, md.m, md.l, md.n_r, e_omega, c.real, c.imag, abs(c) ** 2, ct.real, ct.imag])
         if abs(c) > 1e-14:
             levels[md.n + md.m] += ct * frames[md.n + md.m][md.m]
 

@@ -53,8 +53,9 @@ psi_{N-k,k}(alpha); at pi/4 the rows are the Laguerre-Gauss basis, Lz = N - 2k.
 On the products Lz = 2 Jy, so a rotation of the plane by phi is the rotation
 d^{N/2}(2 phi) of the same multiplet (``rotate_block``).  ``level_density``
 samples |psi|^2 of any set of level vectors on a grid; every grid the CLI
-writes goes through it.  For one level vector, ``level_values`` gives psi at
-a list of points and ``radial_profile`` the angular mean of |psi|^2.
+writes goes through it.  ``lg_expansion`` is the one home of the pi/4
+frame: the weights of level vectors over it, their Lz, and its modes on a
+ray, from which psi on any circle and its angular mean follow.
 """
 
 from __future__ import annotations
@@ -229,34 +230,24 @@ def level_density(levels, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def level_values(vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """psi at the points (x_i, y_i) for one level vector v of length N + 1.
+def lg_expansion(vecs: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level vectors in the Laguerre-Gauss frame, and that frame on the ray y = 0.
 
-    psi(x_i, y_i) = sum_k v_k phi_{N-k}(x_i) phi_k(y_i); the real and
-    imaginary parts are contracted separately with ``einsum``, which calls
-    no BLAS, so (x, y) -> (-x, -y) multiplies psi by (-1)^N exactly.
+    vecs (..., N + 1) are vectors of one level N.  With the frame
+    B = ``level_modes(N, [pi/4])[0]``, whose row k has Lz = N - 2k, returns
+    w = vecs B^H, lz[k] = N - 2k and lg[k, i] = LG_k(r_i, 0) =
+    sum_q B[k, q] phi_{N-q}(r_i) phi_q(0) on the Hermite tables, so that
+
+        psi(r cos t, r sin t) = sum_k w_k lg[k] exp(i lz_k t).
+
+    Rows of different Lz do not interfere under the angular mean, which is
+    sum_k |w_k|^2 |lg_k|^2; only the lz = 0 row is nonzero at r = 0.
     """
-    order = len(vec) - 1
-    terms = specfun.hermite_functions(order, x)[::-1] * specfun.hermite_functions(order, y)
-    return np.einsum("k,ki->i", vec.real, terms) + 1j * np.einsum("k,ki->i", vec.imag, terms)
-
-
-def radial_profile(vec: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Angular mean of |psi|^2 on the circles of radius r, for a level vector.
-
-    In the Laguerre-Gauss weights w = B.conj() v, B = ``level_modes(N, [pi/4])[0]``,
-    the rows of different Lz do not interfere under the angular mean, and each
-    |LG_k|^2 is round, so the mean is sum_k |w_k|^2 |LG_k(r, 0)|^2 exactly,
-    with LG_k(r, 0) = sum_q B[k, q] phi_{N-q}(r) phi_q(0) on the Hermite
-    tables.
-    Contracted with ``einsum``, which calls no BLAS.
-    """
-    order = len(vec) - 1
+    order = vecs.shape[-1] - 1
     basis = level_modes(order, [0.25 * math.pi])[0]
-    w = np.einsum("kq,q->k", basis.conj(), vec)
     on_axis = basis * specfun.hermite_functions(order, np.zeros(1))[:, 0]
     lg = np.einsum("kq,qi->ki", on_axis, specfun.hermite_functions(order, r)[::-1])
-    return np.einsum("k,ki->i", w.real**2 + w.imag**2, lg.real**2 + lg.imag**2)
+    return vecs @ basis.conj().T, order - 2 * np.arange(order + 1), lg
 
 
 def hlg_state(n: int, m: int, alpha: float) -> GaussianPolyState:

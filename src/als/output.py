@@ -1,12 +1,12 @@
 """Deterministic CSV/JSON writers.
 
 Files are bit-stable across runs: 17-significant-digit floats, LF line
-endings, sorted JSON keys, deterministic row order.  The grid CSV writer
-makes the bytes of ``%.17g`` with a numpy kernel (``_format17``) and calls
-the per-value formatter only for the values whose digits the kernel cannot
-prove, once per bit pattern.  It finds repeated rows, and rows repeated in
-reverse, from their bits, so a symmetric density formats about a quarter
-of its cells.
+endings, sorted JSON keys, deterministic row order.  Both CSV writers
+share one row writer, which makes the bytes of ``%.17g`` with a numpy
+kernel (``_format17``) and calls the per-value formatter only for the
+values whose digits the kernel cannot prove, once per bit pattern.  It
+finds repeated rows, and rows repeated in reverse, from their bits, so a
+symmetric density formats about a quarter of its cells.
 
 The JSON schemas shipped in ``als/schemas`` document the sidecar and report
 formats.  Nothing here checks them: each command builds a fixed shape whose
@@ -204,17 +204,9 @@ def _format_block(values: np.ndarray, text: np.ndarray, size: np.ndarray) -> np.
     return np.flatnonzero(fallback)
 
 
-def write_grid_csv(
-    path,
-    grid: np.ndarray,
-    x_min: float,
-    x_max: float,
-    y_min: float,
-    y_max: float,
-) -> None:
-    """Grid CSV: comment row with the grid spec, then ny rows of nx values.
+def _write_rows(path, first: str, grid: np.ndarray) -> None:
+    """The line ``first``, then one line per row of grid, each value as ``%.17g``.
 
-    The bytes are those of formatting every cell with ``%.17g`` (``fmt``).
     Rows are keyed on their bits (so ``-0.0`` and ``0.0`` stay apart), and
     the densities ``als`` writes repeat most of them through their mirror
     and inversion symmetries.  A row equal to an earlier row reuses its
@@ -226,7 +218,7 @@ def write_grid_csv(
     cell and a newline after each row.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
-    ny, nx = grid.shape
+    nx = grid.shape[1]
     bits = grid.view(np.uint64)
     half = (nx + 1) // 2
     # the cells of a distinct line, by kind: 0, a row of formatted values;
@@ -269,14 +261,16 @@ def write_grid_csv(
         ends = np.cumsum((cell_size + 1).sum(axis=1)).tolist()
         lines[r : r + step] = (data[a:b] for a, b in zip([0] + ends[:-1], ends))
     with open(path, "wb") as fh:
-        fh.write(
-            ("# " + ",".join([fmt(x_min), fmt(x_max), fmt(y_min), fmt(y_max), str(nx), str(ny)]) + "\n").encode()
-        )
+        fh.write((first + "\n").encode())
         fh.writelines(lines[i] for i in row_of)
 
 
-def write_table_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else fmt(v) for v in row) + "\n")
+def write_grid_csv(path, grid: np.ndarray, x_min: float, x_max: float, y_min: float, y_max: float) -> None:
+    """Grid CSV: comment row with the grid spec, then ny rows of nx values, as ``fmt`` writes them."""
+    ny, nx = np.shape(grid)
+    _write_rows(path, "# " + ",".join([fmt(x_min), fmt(x_max), fmt(y_min), fmt(y_max), str(nx), str(ny)]), grid)
+
+
+def write_table_csv(path, header: list[str], rows) -> None:
+    """Table CSV: the header line, then each row of numbers as ``%.17g`` values."""
+    _write_rows(path, ",".join(header), np.array(rows, dtype=np.float64).reshape(-1, len(header)))

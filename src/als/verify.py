@@ -177,15 +177,16 @@ def suite_spectra(max_order: int) -> list[IdentityResult]:
         rows.add("Has eigenvalue -sign_e l", asym)
         residuals = _eigen_residuals(level_matrix(cas, order)[0], vecs[0], 0.25 * ((order + 1) ** 2 - 1))
         rows.add("Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis", residuals)
-        # |v|^2 = sum_k |c_k|^2 (N-k)! k! / (n! m!): 1 is the paper's norm formula
-        rows.add("norm^2 = pi 2^(n+m-1) n! m!", np.abs(np.linalg.norm(vecs, axis=1) ** 2 - 1.0))
-        # modes on different levels are orthogonal because their Hermite products are
-        gram = vecs.conj().transpose(0, 2, 1) @ vecs
-        rows.add("orthonormality of the mode basis", np.abs(gram - np.eye(order + 1)))
-        # the paper's finite sum, normalised: mode n scales c_k by sqrt((N-k)! k! / (n! m!)) = sqrt(f[k] / f[n])
+        # [a, n]: the paper's finite sum of mode n at angle a, normalised, so each c_k
+        # times sqrt((N-k)! k! / (n! m!)) = sqrt(f[k] / f[n])
         f = np.array([math.factorial(k) * math.factorial(order - k) for k in range(order + 1)], dtype=float)
-        sums = np.array([[hlg_coefficients(md.n, md.m, alpha) for md in modes] for alpha in _ALPHAS])
-        rows.add("finite sum equals the eigenvector", np.abs(sums * np.sqrt(f / f[:, None]) - vecs.transpose(0, 2, 1)))
+        sums = np.array([[hlg_coefficients(md.n, md.m, alpha) for md in modes] for alpha in _ALPHAS]) * np.sqrt(f / f[:, None])
+        # |row|^2 = sum_k |c_k|^2 (N-k)! k! / (n! m!): 1 is the paper's norm formula
+        rows.add("norm^2 = pi 2^(n+m-1) n! m!", np.abs(np.linalg.norm(sums, axis=2) ** 2 - 1.0))
+        # modes on different levels are orthogonal because their Hermite products are
+        gram = sums.conj() @ sums.transpose(0, 2, 1)
+        rows.add("orthonormality of the mode basis", np.abs(gram - np.eye(order + 1)))
+        rows.add("finite sum equals the eigenvector", np.abs(sums - vecs.transpose(0, 2, 1)))
 
         # each mode at its own random (phi, alpha), in the order the draws come
         draws = rng.uniform((0.0, 0.0), (2 * math.pi, math.pi / 2), size=(order + 1, 2)).tolist()

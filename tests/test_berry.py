@@ -44,6 +44,19 @@ class TestSpherePathValidation:
         # (phi, 0) and (phi - pi/2, pi/2) are the same sphere point
         SpherePath(((0.3, 0.0), (0.5, 0.3), (0.3 - 0.5 * math.pi, 0.5 * math.pi)))
 
+    @pytest.mark.parametrize("vertices", [[(0.0, 0.1)], [0.0, 0.1], [(0.0, 0.1, 0.2), (0.0, 0.1, 0.2)]])
+    def test_anything_but_two_or_more_pairs_is_rejected(self, vertices):
+        with pytest.raises(ValueError, match="at least two"):
+            SpherePath(vertices)
+
+    def test_vertices_are_one_read_only_array_of_its_own(self):
+        given = np.array([(0.0, 0.1), (0.5, 0.1), (math.pi, 0.1)])
+        path = SpherePath(given)
+        given[1, 0] = 0.7
+        assert path.vertices.shape == (3, 2) and path.vertices.dtype == float
+        assert path.vertices[1, 0] == 0.5 and not path.vertices.flags.writeable
+        assert np.array_equal(path.reversed().vertices, path.vertices[::-1])
+
 
 class TestSolidAngle:
     def test_shrinking_triangle_near_pole(self):

@@ -25,8 +25,7 @@ from als.modes import (
     hlg_state,
     level_density,
     level_modes,
-    level_values,
-    radial_profile,
+    lg_expansion,
     rotate_block,
     schwinger_state,
 )
@@ -464,45 +463,66 @@ class TestBlockDensity:
             assert np.array_equal(level_density(levels, x, y), re * re + im * im)
 
 
+def lg_psi(vec, x, y):
+    """psi(x_i, y_i) = sum_k w_k lg_k(r_i) exp(i lz_k t_i) from ``lg_expansion``, (r_i, t_i) the polar form of (x_i, y_i)."""
+    w, lz, lg = lg_expansion(vec, np.hypot(x, y))
+    return np.einsum("k,ki,ik->i", w, lg, np.exp(1j * np.outer(np.arctan2(y, x), lz)))
+
+
 class TestLevelValues:
+    """psi of one level vector at points, from its Laguerre-Gauss expansion."""
+
     @pytest.mark.parametrize("order", [0, 1, 6, 13, 20])
     def test_matches_the_grid_diagonal(self, order, rng):
         # psi at (x_i, x_i) against the grid's cell (i, i); the origin is a
-        # cell centre of the odd grid
+        # cell centre of the odd grid.  To 1e-14 of the grid's maximum: the
+        # frame change and the polar form of the points cost a few N eps,
+        # where two sums over the same Hermite products agreed to 1e-15
         x = cell_centres(201, -6.0, 6.0)
         for _ in range(5):
             vec = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
             vec /= np.linalg.norm(vec)
             grid = level_density([vec], x, x)
-            got = np.abs(level_values(vec, x, x)) ** 2
-            assert np.abs(got - np.diag(grid)).max() <= 1e-15 * grid.max()
-            origin = np.zeros(1)
-            assert abs(got[100] - level_density([vec], origin, origin)[0, 0]) <= 1e-15 * grid.max()
+            got = np.abs(lg_psi(vec, x, x)) ** 2
+            assert np.abs(got - np.diag(grid)).max() <= 1e-14 * grid.max()
 
     @pytest.mark.parametrize("order", [0, 1, 5, 12, 20])
     def test_inversion_multiplies_by_the_parity_bit_for_bit(self, order, rng):
-        # (x, y) -> (-x, -y) flips the sign of every term when N is odd
-        x, y = rng.uniform(-5.0, 5.0, size=(2, 300))
+        # (r, 0) -> (-r, 0) flips the sign of every term of lg when N is odd,
+        # so psi(-x, -y) = (-1)^N psi(x, y) on every circle
+        r = rng.uniform(0.0, 7.0, 300)
         vec = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
-        psi = level_values(vec, x, y)
-        assert np.array_equal(level_values(vec, -x, -y), (-1) ** order * psi)
+        w, lz, lg = lg_expansion(vec, r)
+        assert np.array_equal(lg_expansion(vec, -r)[2], (-1) ** order * lg)
 
     def test_odd_levels_vanish_at_the_origin(self, rng):
         origin = np.zeros(1)
         for order in range(1, ORDER_CAP + 1, 2):
             vec = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
-            assert level_values(vec, origin, origin)[0] == 0
+            assert not (lg_expansion(vec, origin)[1] == 0).any()
+            assert lg_psi(vec, origin, origin)[0] == 0
+
+    def test_a_stack_gives_one_row_of_weights_per_vector(self, rng):
+        vecs = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        w, lz, _ = lg_expansion(vecs, np.zeros(0))
+        assert np.array_equal(lz, 7 - 2 * np.arange(8))
+        for vec, row in zip(vecs, w):
+            assert np.abs(lg_expansion(vec, np.zeros(0))[0] - row).max() <= 1e-15 * np.abs(row).max()
 
 
 class TestRadialProfile:
+    """The angular mean of |psi|^2, sum_k |w_k|^2 |lg_k|^2 from ``lg_expansion``."""
+
     def test_laguerre_gauss_modes_against_the_closed_form(self):
         r = np.linspace(0.0, 9.0, 301)
         for order in range(ORDER_CAP + 1):
             for n in range(order + 1):
                 mode = ModeIndex(n, order - n)
                 ref = lg_density(mode.n_r, mode.l, r, np.zeros(1))[0]
-                got = radial_profile(hlg_block(n, order - n, math.pi / 4), r)
+                w, lz, lg = lg_expansion(hlg_block(n, order - n, math.pi / 4), r)
+                got = np.abs(w) ** 2 @ np.abs(lg) ** 2
                 assert np.abs(got - ref).max() <= 1e-13 * ref.max(), (n, order - n)
+                assert lz[np.argmax(np.abs(w))] == mode.l
 
     @pytest.mark.parametrize("order", [0, 3, 8, 15])
     def test_angular_mean_of_any_level_vector(self, order, rng):
@@ -521,7 +541,8 @@ class TestRadialProfile:
         for vec in vectors:
             psi = np.einsum("k,ki,ki->i", vec, hx[::-1], hy)
             ref = (np.abs(psi) ** 2).reshape(len(r), -1).mean(axis=1)
-            assert np.abs(radial_profile(vec, r) - ref).max() <= 1e-13 * ref.max()
+            w, _, lg = lg_expansion(vec, r)
+            assert np.abs(np.abs(w) ** 2 @ np.abs(lg) ** 2 - ref).max() <= 1e-13 * ref.max()
 
 
 class TestEulerAngles:

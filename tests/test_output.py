@@ -1,4 +1,4 @@
-"""Grid CSV writer: byte equality with the per-value formatter; the shipped schemas."""
+"""Grid and table CSV writers: byte equality with the per-value formatter; the shipped schemas."""
 
 import jsonschema
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from als.modes import hlg_block, level_density, rotate_block
-from als.output import _BLOCK_CELLS, _format17, fmt, write_grid_csv
+from als.output import _BLOCK_CELLS, _format17, fmt, write_grid_csv, write_table_csv
 from als.specfun import cell_centres
 from oracles import schema
 
@@ -78,6 +78,24 @@ def test_matches_per_value_writer(name, tmp_path):
     write_grid_csv(tmp_path / "new.csv", grid, *bounds)
     reference_grid_csv(tmp_path / "ref.csv", grid, *bounds)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_row = [3, -4, 0, 2, 1.25, -0.0, 1 / 3, 2.0**-25, 1e-300, 7]
+TABLES = {
+    # decompose's rows: integer indices (n, m, l, n_r), then floats
+    "integers_then_floats": [_row, [0, 5, -5, 0, 3.0, 0.1, -0.1, 0.01, 1e16, 2.0]],
+    # a row repeated, and a row equal to another reversed: the writer reuses their text
+    "repeated_and_reversed_rows": [_row, _row[::-1], _row, [1.0, 2.0, 1.0] * 3 + [5.0]],
+    "no_rows": [],
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_table_matches_per_value_writer(name, tmp_path):
+    header = [f"c{i}" for i in range(10)]
+    write_table_csv(tmp_path / "new.csv", header, TABLES[name])
+    reference = "".join(",".join(fmt(v) for v in row) + "\n" for row in TABLES[name])
+    assert (tmp_path / "new.csv").read_bytes() == (",".join(header) + "\n" + reference).encode()
 
 
 def test_blocked_grid_spans_blocks():

@@ -12,14 +12,19 @@ from als.cli import main
 from als.modes import ORDER_CAP
 from oracles import validate
 
+#: The spectra rows that sample the paper's finite sum (``hlg_coefficients``).
+FINITE_SUM_ROWS = {
+    "norm^2 = pi 2^(n+m-1) n! m!",
+    "orthonormality of the mode basis",
+    "finite sum equals the eigenvector",
+}
+
 #: The spectra and observables rows that sample the modes of a level.
 LEVEL_ROWS = {
     "Hperp eigenvalue 2(n+1/2), electron",
     "Hperp eigenvalue 2(m+1/2), positron",
     "Has eigenvalue -sign_e l",
     "Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis",
-    "norm^2 = pi 2^(n+m-1) n! m!",
-    "orthonormality of the mode basis",
     "finite sum equals the eigenvector",
     "rotated-family eigenvalue 2 n_r + |l| + l + 1",
     "<Lz> = l sin(2 alpha)",
@@ -60,7 +65,27 @@ def test_nan_level_fails_every_row_that_samples_it(nan_level_3):
     assert {r.identity for r in rows if r.passed} == {
         "ellipticity form on dilated modes",
         "energy degeneracy in m (electron) / n (positron)",
+        "norm^2 = pi 2^(n+m-1) n! m!",
+        "orthonormality of the mode basis",
     }
+
+
+@pytest.mark.parametrize("scale", [math.nan, 1.0 + 1e-9])
+def test_a_perturbed_finite_sum_fails_its_rows(monkeypatch, scale):
+    # every coefficient of level 3 times scale: NaN, or a norm off by 2e-9,
+    # which the eigenvectors alone (unit by construction) could never show
+    coefficients = verify.hlg_coefficients
+
+    def perturbed(n, m, alpha):
+        return [c * scale if n + m == 3 else c for c in coefficients(n, m, alpha)]
+
+    monkeypatch.setattr(verify, "hlg_coefficients", perturbed)
+    rows = {r.identity: r for r in verify.suite_spectra(4)}
+    assert {name for name, r in rows.items() if not r.passed} == FINITE_SUM_ROWS
+    if math.isnan(scale):
+        assert all(math.isnan(rows[name].residual) for name in FINITE_SUM_ROWS)
+    else:
+        assert rows["norm^2 = pi 2^(n+m-1) n! m!"].residual == pytest.approx(2e-9, rel=1e-3)
 
 
 def test_nan_level_makes_the_command_fail(nan_level_3, tmp_path):
