@@ -377,15 +377,13 @@ def table(n, m, nr, l, alpha_min, alpha_max, steps, sign_e, omega, rho_h, out):
     e_c = _in_units(energy(mode.n_r, mode.l, sign_e), omega, "energy x omega")
     r_c = _in_units(mean_r2(mode.n_r, mode.l), rho_h * rho_h, "r^2 x rho_h^2")
     alphas = np.linspace(alpha_min, alpha_max, steps)
-    e_x, r_x, lz_x = np.array(sweep(mode.n, mode.m, alphas, sign_e)).T
+    e_x, r_x, lz_x = sweep(mode.n, mode.m, alphas, sign_e)
     e_x = _in_units(e_x, omega, "energy x omega")
     r_x = _in_units(r_x, rho_h * rho_h, "r^2 x rho_h^2")
-    rows = []
-    for a, e, r, lz in zip(alphas.tolist(), e_x.tolist(), r_x.tolist(), lz_x.tolist()):
-        lz_c = mean_lz(mode.l, a)
-        rows.append([a, e_c, e, e - e_c, r_c, r, r - r_c, lz_c, lz, lz - lz_c])
+    lz_c = np.array([mean_lz(mode.l, a) for a in alphas.tolist()])
+    columns = (alphas, e_c, e_x, e_x - e_c, r_c, r_x, r_x - r_c, lz_c, lz_x, lz_x - lz_c)
     with _io_errors():
-        write_table_csv(out, header, rows)
+        write_table_csv(out, header, np.column_stack(np.broadcast_arrays(*columns)))
     click.echo(f"wrote {out} ({steps} rows)")
 
 

@@ -52,8 +52,8 @@ def mean_lz(l: int, alpha: float) -> float:
 R2_OP = PolyDiffOperator({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
 
 
-def sweep(n: int, m: int, alphas: Iterable[float], sign_e: int) -> list[tuple[float, float, float]]:
-    """Exact (energy, <r^2>, <Lz>) of psi_{n,m}(alpha) per alpha, in omega, rho_h^2, hbar.
+def sweep(n: int, m: int, alphas: Iterable[float], sign_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact energy, <r^2> and <Lz> of psi_{n,m}(alpha), each an array over the alphas, in omega, rho_h^2, hbar.
 
     Energy and <Lz> are normalised expectations; <r^2> is <v|r^2|v> without
     dividing by <v|v>.  hlg_state(N-k, k, 0) is (-i)^k |N-k, k>, so the
@@ -71,4 +71,4 @@ def sweep(n: int, m: int, alphas: Iterable[float], sign_e: int) -> list[tuple[fl
     grams = np.split(gram(products, products + images), 4, axis=1)
     nrm, q1, q3, r2 = (np.einsum("ak,kl,al->a", vecs.conj(), g, vecs).real for g in grams)
     e = (order + 1) * nrm - sign_e * (np.cos(2 * alphas) * q1 + np.sin(2 * alphas) * q3)
-    return list(zip((e / nrm).tolist(), r2.tolist(), (q3 / nrm).tolist()))
+    return e / nrm, r2, q3 / nrm

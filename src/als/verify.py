@@ -1,7 +1,8 @@
 """Executable identity suites behind the ``verify`` command.
 
-Each suite re-derives one block of the library's guarantees and reports
-``(suite, identity, residual, tolerance, pass)`` rows:
+Each suite re-derives one block of the library's guarantees and returns
+one report row per identity, ``{suite, identity, residual, tolerance}``;
+``run`` adds each row's ``pass``:
 
 * ``algebra``     operator-coefficient identities (commutators, Casimir)
 * ``spectra``     eigenvalue residuals, orthonormality, and the dilation
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -54,23 +54,6 @@ from .operators import (
 )
 from .specfun import wigner_D
 
-@dataclass(frozen=True)
-class IdentityResult:
-    suite: str
-    identity: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.tolerance)
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["pass"] = self.passed
-        return d
-
-
 class _Rows:
     """One suite's rows: each identity's worst residual over its samples.
 
@@ -89,9 +72,12 @@ class _Rows:
         worst = np.asarray(residual).max(initial=previous)
         self._rows[identity] = (worst, self.tolerance if tolerance is None else tolerance)
 
-    def results(self) -> list[IdentityResult]:
-        # JSON needs floats, not the numpy scalars of the reduction
-        return [IdentityResult(self.suite, name, float(r), float(t)) for name, (r, t) in self._rows.items()]
+    def results(self) -> list[dict]:
+        """The report's rows; JSON needs floats, not the numpy scalars of the reduction."""
+        return [
+            {"suite": self.suite, "identity": name, "residual": float(r), "tolerance": float(t)}
+            for name, (r, t) in self._rows.items()
+        ]
 
 
 #: The angles at which the spectra and observables suites sample every level.
@@ -119,7 +105,7 @@ def _eigen_residuals(matrices: np.ndarray, vecs: np.ndarray, lams) -> np.ndarray
     return np.linalg.norm(r, axis=(-3, -2))
 
 
-def suite_algebra(max_order: int) -> list[IdentityResult]:
+def suite_algebra(max_order: int) -> list[dict]:
     rows = _Rows("algebra", 1e-12)
     h = {1: h1(), 2: h2(), 3: h3()}
     iso = hs()
@@ -158,7 +144,7 @@ def suite_algebra(max_order: int) -> list[IdentityResult]:
     return rows.results()
 
 
-def suite_spectra(max_order: int) -> list[IdentityResult]:
+def suite_spectra(max_order: int) -> list[dict]:
     rows = _Rows("spectra", 1e-10)
     # three Hamiltonians at every angle, one stack of (3, angles) per level
     hamiltonians = [f(a, sign) for f, sign in ((h_perp, -1), (h_perp, +1), (h_as, -1)) for a in _ALPHAS]
@@ -205,7 +191,7 @@ def suite_spectra(max_order: int) -> list[IdentityResult]:
     return rows.results()
 
 
-def suite_observables(max_order: int) -> list[IdentityResult]:
+def suite_observables(max_order: int) -> list[dict]:
     rows = _Rows("observables", 1e-10)
     # Lz and r^2 serve every angle, the electron Hperp one angle each
     ops = [h3(), R2_OP, casimir()] + [h_perp(a, -1) for a in _ALPHAS]
@@ -235,7 +221,7 @@ def suite_observables(max_order: int) -> list[IdentityResult]:
     return rows.results()
 
 
-def suite_fields(max_order: int) -> list[IdentityResult]:
+def suite_fields(max_order: int) -> list[dict]:
     rng = np.random.default_rng(19)
     eps = 0.1
     t_exact = 1e-9
@@ -274,7 +260,7 @@ def suite_fields(max_order: int) -> list[IdentityResult]:
     return rows.results()
 
 
-def suite_wigner(max_order: int) -> list[IdentityResult]:
+def suite_wigner(max_order: int) -> list[dict]:
     t_unit = 1e-12
     rows = _Rows("wigner", 1e-10)
     rng = np.random.default_rng(23)
@@ -314,7 +300,7 @@ def suite_wigner(max_order: int) -> list[IdentityResult]:
     return rows.results()
 
 
-def suite_berry(max_order: int) -> list[IdentityResult]:
+def suite_berry(max_order: int) -> list[dict]:
     rows = _Rows("berry", 1e-3)
 
     cap = 2 * math.pi * (1 - math.cos(math.pi / 4))
@@ -354,11 +340,14 @@ SUITES = tuple(_SUITE_FUNCS)
 
 
 def run(suites=None, max_order: int = 10, tol: float | None = None) -> dict:
-    """Run the requested suites and return the JSON-ready report.
+    """Run the requested suites and return the report.
 
     ``suites=None`` runs every suite; an empty selection or a repeated
     name is an error.  A given ``tol`` replaces the tolerance of every
-    identity.
+    identity, and each row passes if its residual is within its
+    tolerance, so a NaN residual fails.  A NaN or infinite residual stays
+    a float in the returned report; ``als verify --out`` writes it as
+    ``null``.
     """
     names = list(SUITES) if suites is None else list(suites)
     if not names:
@@ -370,21 +359,21 @@ def run(suites=None, max_order: int = 10, tol: float | None = None) -> dict:
             raise ValueError(f"suite {name!r} is named more than once")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    results: list[IdentityResult] = []
-    for name in names:
-        results.extend(_SUITE_FUNCS[name](max_order))
-    if tol is not None:
-        results = [replace(r, tolerance=float(tol)) for r in results]
-    passed = sum(1 for r in results if r.passed)
+    rows = [row for name in names for row in _SUITE_FUNCS[name](max_order)]
+    for row in rows:
+        if tol is not None:
+            row["tolerance"] = float(tol)
+        row["pass"] = row["residual"] <= row["tolerance"]
+    passed = sum(row["pass"] for row in rows)
     return {
         "suites": names,
         "max_order": max_order,
         "tolerance_override": tol,
-        "results": [r.as_dict() for r in results],
+        "results": rows,
         "summary": {
-            "total": len(results),
+            "total": len(rows),
             "passed": passed,
-            "failed": len(results) - passed,
-            "all_pass": passed == len(results),
+            "failed": len(rows) - passed,
+            "all_pass": passed == len(rows),
         },
     }

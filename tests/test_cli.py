@@ -562,6 +562,12 @@ class TestVerifyCommand:
         assert report["tolerance_override"] == 1e-3
         assert report["results"]
         assert all(r["tolerance"] == 1e-3 for r in report["results"])
+        # the override also decides pass: the decay ratio (about 1/4) now
+        # fails, and the summary counts the rows that pass
+        passes = [r["pass"] for r in report["results"]]
+        assert passes == [r["residual"] <= 1e-3 for r in report["results"]]
+        assert report["summary"]["passed"] == sum(passes) and not all(passes) and any(passes)
+        assert result.exit_code == 1
 
     def test_all_suites_report_serializes(self, tmp_path):
         # exercises every suite's residual types through the JSON writer
@@ -867,6 +873,34 @@ class TestDecomposeCommand:
         assert abs(sidecar["norm_check"] - 1.0) > 1e-6
         assert sidecar["truncation_warning"] is True
         assert result.output.endswith(f" ({note}))\n")
+
+
+class TestPrecisionAtTheCap:
+    """Bounds on the outputs at ORDER_CAP that the term-map layer keeps from being exact.
+
+    Deleting that layer (ROADMAP item 3) tightens them to 1e-10 for the
+    table's deltas and to exactly 0 for the off-level coefficients; until
+    then, any change that makes either output worse fails here.
+    """
+
+    def test_table_deltas(self, tmp_path):
+        # order 20; measured 1.41e-8, 7.2e-9 and 1.13e-8
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["table", "--nr", "6", "--l", "8", "--steps", "64", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        table = np.genfromtxt(out, delimiter=",", names=True)
+        worst = {name: np.abs(table[name]).max() for name in ("energy_delta", "r2_delta", "lz_delta")}
+        assert all(w < 3e-8 for w in worst.values()), worst
+
+    def test_off_level_coefficients(self, tmp_path):
+        # measured 3.36e-10; 98 of them are above the 1e-14 cut, so they enter the density
+        prefix = str(tmp_path / "dec")
+        args = ["decompose", "--nr", "5", "--l", "10", "--alpha", "pi/8", "--max-order", "20", "--points", "32"]
+        result = runner.invoke(main, [*args, "--out-prefix", prefix])
+        assert result.exit_code == 0, result.output
+        c = np.genfromtxt(f"{prefix}_coefficients.csv", delimiter=",", names=True)
+        off_level = np.hypot(c["re_c"], c["im_c"])[c["n"] + c["m"] != 20]
+        assert len(off_level) == 210 and off_level.max() < 1e-9, off_level.max()
 
 
 _BAD_INPUTS = [

@@ -101,9 +101,9 @@ class TestSweep:
         # test_matches_closed_forms bounds sweep itself at 5e-13.
         tols = (5e-12, 1e-12, 1e-12)
         for n in range(order + 1):
-            rows = sweep(n, order - n, self.ALPHAS, sign_e)
-            assert len(rows) == len(self.ALPHAS)
-            for a, row in zip(self.ALPHAS, rows):
+            columns = sweep(n, order - n, self.ALPHAS, sign_e)
+            assert [c.shape for c in columns] == [(len(self.ALPHAS),)] * 3
+            for a, row in zip(self.ALPHAS, zip(*columns)):
                 ref = measured_observables(n, order - n, a, sign_e)
                 for got, want, tol in zip(row, ref, tols):
                     assert abs(got - want) <= tol, (n, a, got, want)
@@ -114,7 +114,7 @@ class TestSweep:
         for order in range(9):
             for n in range(order + 1):
                 mode = ModeIndex(n, order - n)
-                for a, row in zip(self.ALPHAS, sweep(n, order - n, self.ALPHAS, sign_e)):
+                for a, row in zip(self.ALPHAS, zip(*sweep(n, order - n, self.ALPHAS, sign_e))):
                     closed = (
                         energy(mode.n_r, mode.l, sign_e), mean_r2(mode.n_r, mode.l), mean_lz(mode.l, a)
                     )

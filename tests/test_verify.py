@@ -41,7 +41,7 @@ def test_repeated_suite_is_rejected():
 
 def test_spectra_and_observables_hold_at_the_order_cap():
     rows = verify.suite_spectra(ORDER_CAP) + verify.suite_observables(ORDER_CAP)
-    failed = [(r.identity, r.residual) for r in rows if not r.passed]
+    failed = [(r["identity"], r["residual"]) for r in rows if not r["residual"] <= r["tolerance"]]
     assert len(rows) == 14 and not failed, failed
 
 
@@ -59,10 +59,10 @@ def nan_level_3(monkeypatch):
 
 def test_nan_level_fails_every_row_that_samples_it(nan_level_3):
     rows = verify.suite_spectra(4) + verify.suite_observables(4)
-    failed = {r.identity for r in rows if not r.passed}
+    failed = {r["identity"] for r in rows if not r["residual"] <= r["tolerance"]}
     assert failed == LEVEL_ROWS
-    assert all(math.isnan(r.residual) for r in rows if r.identity in failed)
-    assert {r.identity for r in rows if r.passed} == {
+    assert all(math.isnan(r["residual"]) for r in rows if r["identity"] in failed)
+    assert {r["identity"] for r in rows if r["residual"] <= r["tolerance"]} == {
         "ellipticity form on dilated modes",
         "energy degeneracy in m (electron) / n (positron)",
         "norm^2 = pi 2^(n+m-1) n! m!",
@@ -80,12 +80,12 @@ def test_a_perturbed_finite_sum_fails_its_rows(monkeypatch, scale):
         return [c * scale if n + m == 3 else c for c in coefficients(n, m, alpha)]
 
     monkeypatch.setattr(verify, "hlg_coefficients", perturbed)
-    rows = {r.identity: r for r in verify.suite_spectra(4)}
-    assert {name for name, r in rows.items() if not r.passed} == FINITE_SUM_ROWS
+    rows = {r["identity"]: r for r in verify.suite_spectra(4)}
+    assert {name for name, r in rows.items() if not r["residual"] <= r["tolerance"]} == FINITE_SUM_ROWS
     if math.isnan(scale):
-        assert all(math.isnan(rows[name].residual) for name in FINITE_SUM_ROWS)
+        assert all(math.isnan(rows[name]["residual"]) for name in FINITE_SUM_ROWS)
     else:
-        assert rows["norm^2 = pi 2^(n+m-1) n! m!"].residual == pytest.approx(2e-9, rel=1e-3)
+        assert rows["norm^2 = pi 2^(n+m-1) n! m!"]["residual"] == pytest.approx(2e-9, rel=1e-3)
 
 
 def test_nan_level_makes_the_command_fail(nan_level_3, tmp_path):
@@ -115,10 +115,10 @@ def test_nan_field_sample_fails_its_row(monkeypatch):
         return out
 
     monkeypatch.setattr(fields, "b_field", poisoned)
-    rows = {r.identity: r for r in verify.suite_fields(0)}
+    rows = {r["identity"]: r for r in verify.suite_fields(0)}
     row = rows.pop("div B = 0 at beta=0.0")
-    assert not row.passed and math.isnan(row.residual)
-    assert all(r.passed for r in rows.values())
+    assert not row["residual"] <= row["tolerance"] and math.isnan(row["residual"])
+    assert all(r["residual"] <= r["tolerance"] for r in rows.values())
 
 
 #: Every row of ``verify.run(max_order=10)``, in order: (suite, identity, tolerance).
@@ -189,6 +189,17 @@ def test_report_rows_are_pinned():
     assert report["summary"]["all_pass"]
 
 
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_suite_rows_are_report_rows_and_run_adds_only_pass(suite):
+    rows = verify._SUITE_FUNCS[suite](2)
+    assert rows and all(list(r) == ["suite", "identity", "residual", "tolerance"] for r in rows)
+    assert all(r["suite"] == suite and type(r["residual"]) is float and type(r["tolerance"]) is float for r in rows)
+    report = verify.run([suite], max_order=2)
+    assert [{k: v for k, v in r.items() if k != "pass"} for r in report["results"]] == rows
+    assert all(list(r) == ["suite", "identity", "residual", "tolerance", "pass"] for r in report["results"])
+    assert all(r["pass"] is (r["residual"] <= r["tolerance"]) for r in report["results"])
+
+
 @pytest.mark.parametrize("max_order", [0, 1, 8])
 def test_wigner_suite_stops_at_the_max_order(monkeypatch, max_order):
     # every row stays in the report, each one sampled only up to j = max_order / 2;
@@ -211,8 +222,8 @@ def test_wigner_suite_stops_at_the_max_order(monkeypatch, max_order):
     assert all(order <= max_order for order in orders), sorted(set(orders))
     levels = min(max_order, 8)
     assert (len(orders), len(grams)) == (4 * levels, 2 * levels)
-    assert [("wigner", r.identity, r.tolerance) for r in rows] == [row for row in REPORT_ROWS if row[0] == "wigner"]
-    assert all(r.passed for r in rows)
+    assert [(r["suite"], r["identity"], r["tolerance"]) for r in rows] == [row for row in REPORT_ROWS if row[0] == "wigner"]
+    assert all(r["residual"] <= r["tolerance"] for r in rows)
 
 
 @pytest.mark.parametrize("alphas", [verify._ALPHAS, verify._ALPHAS[:2]], ids=["nine", "two"])
@@ -234,4 +245,4 @@ def test_level_suites_build_a_fixed_number_of_stacks_per_order(monkeypatch, alph
     calls.clear()
     observables = verify.suite_observables(order)
     assert calls == list(range(order + 1))
-    assert all(r.passed for r in spectra + observables)
+    assert all(r["residual"] <= r["tolerance"] for r in spectra + observables)
