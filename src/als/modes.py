@@ -14,12 +14,13 @@ The paper defines the mode by a finite sum over Hermite products,
 
     ||G_{n,m}||^2 = pi 2^(n+m-1) n! m!,
 
-with the Jacobi factor folded into c_k = i^k F_k(n, m; a) (``folded_sum``),
+with the Jacobi factor folded into c_k = i^k F_k(n, m; a),
 
     F_k(n, m; a) = sum_s (-1)^s C(n, k-s) C(m, s) cos^(n-k+2s)(a) sin^(m+k-2s)(a),
 
 exact at a = 0 and pi/2; at a = 0 only c_m = (-i)^m survives.
-``hlg_state`` expands this sum into a term map.
+``level_sums`` evaluates F for a whole level at an array of angles, and
+``hlg_state`` expands one mode's row into a term map.
 
 The same states arise from an SU(2) rotation of the Hermite-Gauss basis.
 With the basis states |m'> = psi_{j+m', j-m'}(alpha=0) of rank
@@ -131,20 +132,32 @@ def check_alpha(alpha: float) -> None:
         )
 
 
-def folded_sum(n: int, m: int, k: int, ca: float, sa: float) -> float:
-    """F_k(n, m; a) of the module docstring from ca = cos(a) and sa = sin(a), for 0 <= k <= n + m."""
-    acc = 0.0
-    for s in range(max(0, k - n), min(k, m) + 1):
-        term = comb(n, k - s) * comb(m, s)
-        term *= ca ** (n - k + 2 * s) * sa ** (m + k - 2 * s)
-        acc += -term if s % 2 else term
-    return acc
+def level_sums(order: int, alphas) -> np.ndarray:
+    """F_k(N - m, m; a) at [i, m, k] for a = alphas[i], N = order: every mode of the level at each angle.
+
+    Bit for bit the loop over s from 0.0: Python's ``float ** int`` powers
+    (``np.power`` can be an ulp off), binomial products rounded once, and a
+    ``cumsum`` over s whose cells outside the sum add +0.0.
+    """
+    m, k, s = np.ogrid[: order + 1, : order + 1, : order + 1]
+    inside = (s <= m) & (s <= k) & (k - s <= order - m)
+    binom = np.array([[comb(row, j) for j in range(order + 1)] for row in range(order + 1)], dtype=float)
+    signed = (1 - 2 * (s % 2)) * binom[order - m, np.clip(k - s, 0, order)] * binom[m, s]
+    p = np.clip(order - m - k + 2 * s, 0, order)
+    cos_pow = np.array([[math.cos(a) ** e for e in range(order + 1)] for a in alphas])[:, p]
+    sin_pow = np.array([[math.sin(a) ** e for e in range(order + 1)] for a in alphas])[:, order - p]
+    return 0.0 + np.cumsum(np.where(inside, signed * (cos_pow * sin_pow), 0.0), axis=-1)[..., -1]
+
+
+@lru_cache(maxsize=64)
+def _level_sums_at(order: int, alpha_hex: str) -> np.ndarray:
+    """``level_sums(order, [alpha])[0]``, keyed on the bits of alpha so that 0.0 and -0.0 stay apart."""
+    return level_sums(order, [float.fromhex(alpha_hex)])[0]
 
 
 def hlg_coefficients(n: int, m: int, alpha: float) -> list[complex]:
     """Coefficients c_k = i^k F_k(n, m; alpha) of H_{n+m-k}(sqrt2 x) H_k(sqrt2 y) in the mode sum."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return [1j**k * folded_sum(n, m, k, ca, sa) for k in range(n + m + 1)]
+    return [1j**k * f for k, f in enumerate(_level_sums_at(n + m, float(alpha).hex())[m].tolist())]
 
 
 def hlg_norm_squared(n: int, m: int) -> float:

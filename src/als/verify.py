@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from functools import partial
 
 import numpy as np
@@ -31,11 +32,9 @@ from .modes import (
     ModeIndex,
     beta_to_alpha,
     euler_angles,
-    hlg_block,
-    hlg_coefficients,
     hlg_state,
     level_modes,
-    rotate_block,
+    level_sums,
     schwinger_state,
 )
 from .observables import R2_OP, energy, mean_lz, mean_r2
@@ -52,7 +51,7 @@ from .operators import (
     level_matrix,
     schwinger_operator,
 )
-from .specfun import wigner_D
+from .specfun import wigner_D, wigner_d_columns
 
 class _Rows:
     """One suite's rows: each identity's worst residual over its samples.
@@ -135,7 +134,7 @@ def suite_algebra(max_order: int) -> list[dict]:
     for alpha in (0.0, math.pi / 8, math.pi / 4):
         commutator = op_commutator(h_perp(alpha, -1), h_as(alpha, -1))
         rows.add(f"[Hperp,Has] = 0 at alpha={alpha:.4f}", commutator.max_coeff())
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     for _ in range(2):
         phi = rng.uniform(0, 2 * math.pi)
         alpha = rng.uniform(0, math.pi / 2)
@@ -149,7 +148,7 @@ def suite_spectra(max_order: int) -> list[dict]:
     # three Hamiltonians at every angle, one stack of (3, angles) per level
     hamiltonians = [f(a, sign) for f, sign in ((h_perp, -1), (h_perp, +1), (h_as, -1)) for a in _ALPHAS]
     cas = [casimir()]
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
 
     for order in range(max_order + 1):
         modes, vecs = _levels(order)
@@ -163,10 +162,12 @@ def suite_spectra(max_order: int) -> list[dict]:
         rows.add("Has eigenvalue -sign_e l", asym)
         residuals = _eigen_residuals(level_matrix(cas, order)[0], vecs[0], 0.25 * ((order + 1) ** 2 - 1))
         rows.add("Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis", residuals)
-        # [a, n]: the paper's finite sum of mode n at angle a, normalised, so each c_k
-        # times sqrt((N-k)! k! / (n! m!)) = sqrt(f[k] / f[n])
+        # [a, n]: the paper's finite sum c_k = i^k F_k of mode n at angle a, normalised,
+        # so each c_k times sqrt((N-k)! k! / (n! m!)) = sqrt(f[k] / f[n])
+        ks = np.arange(order + 1)
         f = np.array([math.factorial(k) * math.factorial(order - k) for k in range(order + 1)], dtype=float)
-        sums = np.array([[hlg_coefficients(md.n, md.m, alpha) for md in modes] for alpha in _ALPHAS]) * np.sqrt(f / f[:, None])
+        phases = np.array([1, 1j, -1, -1j])[ks % 4]
+        sums = phases * (np.ascontiguousarray(level_sums(order, _ALPHAS)[:, ::-1]) * np.sqrt(f / f[:, None]))
         # |row|^2 = sum_k |c_k|^2 (N-k)! k! / (n! m!): 1 is the paper's norm formula
         rows.add("norm^2 = pi 2^(n+m-1) n! m!", np.abs(np.linalg.norm(sums, axis=2) ** 2 - 1.0))
         # modes on different levels are orthogonal because their Hermite products are
@@ -174,12 +175,12 @@ def suite_spectra(max_order: int) -> list[dict]:
         rows.add("orthonormality of the mode basis", np.abs(gram - np.eye(order + 1)))
         rows.add("finite sum equals the eigenvector", np.abs(sums - vecs.transpose(0, 2, 1)))
 
-        # each mode at its own random (phi, alpha), in the order the draws come
-        draws = rng.uniform((0.0, 0.0), (2 * math.pi, math.pi / 2), size=(order + 1, 2)).tolist()
-        turned = np.array(
-            [rotate_block(hlg_block(md.n, md.m, alpha), phi) for md, (phi, alpha) in zip(modes, draws)]
-        )
-        sch = level_matrix([schwinger_operator(phi, alpha, -1) for phi, alpha in draws], order)
+        # mode n (row N - n of the level) at its own random (phi, alpha), turned as ``rotate_block`` does
+        draws = np.array([[rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi / 2)] for _ in range(order + 1)])
+        drawn = level_modes(order, draws[:, 1])[ks, order - ks]
+        d = wigner_d_columns(order, ks, 2.0 * np.fmod(draws[:, 0], 2.0 * math.pi))
+        turned = np.einsum("nck,nc->nk", d, drawn.real) + 1j * np.einsum("nck,nc->nk", d, drawn.imag)
+        sch = level_matrix([schwinger_operator(phi, alpha, -1) for phi, alpha in draws.tolist()], order)
         lams = np.array([energy(md.n_r, md.l, -1) for md in modes])[:, None, None]
         rows.add("rotated-family eigenvalue 2 n_r + |l| + l + 1", _eigen_residuals(sch, turned[:, :, None], lams))
 
@@ -222,14 +223,14 @@ def suite_observables(max_order: int) -> list[dict]:
 
 
 def suite_fields(max_order: int) -> list[dict]:
-    rng = np.random.default_rng(19)
+    rng = random.Random(19)
     eps = 0.1
     t_exact = 1e-9
     rows = _Rows("fields", 1e-6 / eps)
 
     # each row evaluates all its sample points in one call; the draws keep
     # the order of one (x, y, z) point at a time
-    pts = rng.uniform((-1.0, -1.0, -0.3), (1.0, 1.0, 0.3), size=(200, 3)).T
+    pts = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)] for _ in range(200)]).T
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
         model = fields_mod.FieldModel(beta=beta, b0=1.0, eps=eps)
         divergences = fields_mod.divergence(partial(fields_mod.b_field, model), *pts)
@@ -237,7 +238,7 @@ def suite_fields(max_order: int) -> list[dict]:
 
     model = fields_mod.FieldModel(beta=0.35, b0=1.0, eps=eps)
     params_sets = [
-        fields_mod.GaugeParams(a=float(rng.uniform(-1, 1)), b=float(rng.uniform(-1, 1)), c=float(rng.uniform(-1, 1)))
+        fields_mod.GaugeParams(a=rng.uniform(-1, 1), b=rng.uniform(-1, 1), c=rng.uniform(-1, 1))
         for _ in range(3)
     ]
     potentials = [partial(fields_mod.vector_potential, params, model) for params in params_sets]
@@ -251,11 +252,11 @@ def suite_fields(max_order: int) -> list[dict]:
     ref = fields_mod.vector_potential(fields_mod.gauge_fix(model), model, *pts[:, :100])
     rows.add("A + grad(chi) matches the fixed potential", np.abs(fixed(*pts[:, :100]) - ref), t_exact)
 
-    x, y, z = rng.uniform((-1.0, -1.0, 12 * eps), (1.0, 1.0, 20 * eps), size=(50, 3)).T
+    x, y, z = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(12 * eps, 20 * eps)] for _ in range(50)]).T
     ref = np.stack([-model.beta * y, (1 - model.beta) * x, np.zeros_like(x)])
     rows.add("fixed potential inside the solenoid", np.abs(fixed(x, y, z) - ref), t_exact)
 
-    x, y, z = rng.uniform((-1.0, -1.0, 3 * eps), (1.0, 1.0, 10 * eps), size=(50, 3)).T
+    x, y, z = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3 * eps, 10 * eps)] for _ in range(50)]).T
     rows.add("div A' = 0 inside (Coulomb gauge)", np.abs(fields_mod.divergence(fixed, x, y, z)), t_exact)
     return rows.results()
 
@@ -263,7 +264,7 @@ def suite_fields(max_order: int) -> list[dict]:
 def suite_wigner(max_order: int) -> list[dict]:
     t_unit = 1e-12
     rows = _Rows("wigner", 1e-10)
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
 
     # the j = 0 level is the rotation-invariant ground mode: its expansion is exact
     rows.add("rotation expansion reproduces the rotated modes", 0.0)
@@ -272,8 +273,8 @@ def suite_wigner(max_order: int) -> list[dict]:
     for twice_j in range(1, round(2 * j_max) + 1):
         basis = [hlg_state(twice_j - a, a, 0.0) for a in range(twice_j + 1)]
         for _ in range(2):
-            phi = float(rng.uniform(0, 2 * math.pi))
-            alpha = float(rng.uniform(0, math.pi / 2))
+            phi = rng.uniform(0, 2 * math.pi)
+            alpha = rng.uniform(0, math.pi / 2)
             coeffs = wigner_D(twice_j, *euler_angles(phi, alpha))
             rotated = [schwinger_state(twice_j - b, b, alpha, phi) for b in range(twice_j + 1)]
             rows.add("rotation expansion reproduces the rotated modes", np.abs(gram(basis, rotated) - coeffs))
@@ -281,8 +282,8 @@ def suite_wigner(max_order: int) -> list[dict]:
             rows.add("unitarity of expansion rows", unit, t_unit)
 
     for _ in range(20):
-        phi = float(rng.uniform(0, 2 * math.pi))
-        alpha = float(rng.uniform(0, math.pi / 2))
+        phi = rng.uniform(0, 2 * math.pi)
+        alpha = rng.uniform(0, math.pi / 2)
         A, B, C = euler_angles(phi, alpha)
         w1 = complex(math.cos(phi) * math.cos(alpha), -math.sin(phi) * math.sin(alpha))
         w2 = complex(-math.cos(phi) * math.sin(alpha), math.sin(phi) * math.cos(alpha))
@@ -294,7 +295,7 @@ def suite_wigner(max_order: int) -> list[dict]:
 
     rows.add("d(-B) equals transposed d(B)", 0.0, t_unit)  # j = 0 is exact
     for twice_j in range(1, round(2 * j_max) + 1):
-        beta = float(rng.uniform(0, math.pi))
+        beta = rng.uniform(0, math.pi)
         errors = np.abs(wigner_D(twice_j, 0.0, -beta, 0.0) - wigner_D(twice_j, 0.0, beta, 0.0).T)
         rows.add("d(-B) equals transposed d(B)", errors, t_unit)
     return rows.results()

@@ -19,6 +19,9 @@
   which stays valid for integer parameters down to ``a, b = -k`` because
   binomials with an oversized lower index vanish; the unfolded defining
   sum of the mode family carries a Jacobi factor.
+* ``folded_sum(n, m, k, ca, sa)`` is F_k(n, m; a) of the mode family from
+  ca = cos(a) and sa = sin(a), the paper's finite sum as a Python loop over
+  s; ``modes.level_sums`` must equal it bit for bit.
 * ``wigner_d(j, mp, m, beta)`` is the Wigner small-d element
   d^j_{mp,m}(beta) by the factorial sum (Wigner's formula)
 
@@ -106,6 +109,16 @@ def jacobi_eval(k: int, a: int, b: int, x: float) -> float:
         if c:
             total += c * um**s * up ** (k - s)
     return total
+
+
+def folded_sum(n: int, m: int, k: int, ca: float, sa: float) -> float:
+    """F_k(n, m; a) = sum_s (-1)^s C(n, k-s) C(m, s) ca^(n-k+2s) sa^(m+k-2s), for 0 <= k <= n + m."""
+    acc = 0.0
+    for s in range(max(0, k - n), min(k, m) + 1):
+        term = comb(n, k - s) * comb(m, s)
+        term *= ca ** (n - k + 2 * s) * sa ** (m + k - 2 * s)
+        acc += -term if s % 2 else term
+    return acc
 
 
 def wigner_d(j: float, mp: float, m: float, beta: float) -> float:

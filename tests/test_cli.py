@@ -1062,6 +1062,36 @@ assert "jsonschema" not in sys.modules, "a command imported jsonschema"
     ]
 
 
+def test_commands_do_not_import_numpy_random(tmp_path):
+    """The suites draw from stdlib ``random``; no command pays for loading ``numpy.random``."""
+    script = f"""
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    sys.exit("numpy itself imports numpy.random")
+from als.cli import main
+out = {str(tmp_path)!r}
+for args in (
+    ["--version"],
+    ["density", "--nr", "0", "--l", "1", "--alpha", "0.3", "--points", "8", "--out", out + "/d.csv"],
+    ["table", "--nr", "0", "--l", "1", "--steps", "2", "--out", out + "/t.csv"],
+    ["verify", "--max-order", "2", "--out", out + "/v.json"],
+    ["berry", "--nr", "0", "--l", "1", "--segments", "20", "--out", out + "/b.json"],
+    ["decompose", "--nr", "0", "--l", "1", "--alpha", "0", "--max-order", "1", "--points", "8",
+     "--out-prefix", out + "/x"],
+):
+    main(args, standalone_mode=False)
+assert "numpy.random" not in sys.modules, "a command imported numpy.random"
+"""
+    src = str(Path(als.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    if "numpy itself imports numpy.random" in result.stderr:
+        pytest.skip(f"numpy {np.__version__} imports numpy.random on import")
+    assert result.returncode == 0, result.stderr
+    assert len(list(tmp_path.iterdir())) == 8
+
+
 def test_package_root_holds_only_the_version():
     """``import als`` loads no numpy and re-exports nothing: each name is imported from its module."""
     script = """

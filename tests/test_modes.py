@@ -25,13 +25,14 @@ from als.modes import (
     hlg_state,
     level_density,
     level_modes,
+    level_sums,
     lg_expansion,
     rotate_block,
     schwinger_state,
 )
 from als.observables import mean_r2
 from als.specfun import cell_centres, hermite, hermite_functions, wigner_D
-from oracles import jacobi_eval, laguerre, lg_density, quadrature_moments, term_map_value, wigner_d
+from oracles import folded_sum, jacobi_eval, laguerre, lg_density, quadrature_moments, term_map_value, wigner_d
 from oracles import hermite_functions as oracle_hermite_functions
 
 
@@ -243,6 +244,34 @@ class TestModeConstruction:
                 keys = set(a.terms) | set(b.terms)
                 diff = max(abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) for k in keys)
                 assert diff <= 1e-13
+
+
+class TestLevelSums:
+    """``level_sums`` and ``hlg_coefficients`` against the paper's finite sum as a loop, bit for bit."""
+
+    ALPHAS = [0.0, -0.0, math.pi / 8, math.pi / 4, math.pi / 2, *np.random.default_rng(31).uniform(0.0, math.pi / 2, 20)]
+
+    def test_equals_the_loop_bit_for_bit(self):
+        # whole levels at every angle at once, and one mode at a time through the cache
+        for order in range(41):
+            got = level_sums(order, self.ALPHAS)
+            for i, alpha in enumerate(self.ALPHAS):
+                ca, sa = math.cos(alpha), math.sin(alpha)
+                ref = np.array([[folded_sum(order - m, m, k, ca, sa) for k in range(order + 1)] for m in range(order + 1)])
+                assert np.array_equal(got[i].view(np.uint64), ref.view(np.uint64)), (order, alpha)
+                coeffs = np.array([[1j**k * f for k, f in enumerate(row)] for row in ref.tolist()])
+                one = np.array([hlg_coefficients(order - m, m, alpha) for m in range(order + 1)])
+                assert np.array_equal(one.view(np.uint64), coeffs.view(np.uint64)), (order, alpha)
+
+    def test_cache_keeps_signed_zeros_apart_and_is_bounded(self):
+        cache = modes._level_sums_at
+        cache.cache_clear()
+        hlg_coefficients(2, 1, 0.0)
+        hlg_coefficients(1, 2, -0.0)
+        assert cache.cache_info().currsize == 2
+        for alpha in np.linspace(0.0, 1.0, 2 * cache.cache_info().maxsize):
+            hlg_coefficients(2, 1, alpha)
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
 
 
 class TestHlgBlock:

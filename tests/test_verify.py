@@ -12,7 +12,7 @@ from als.cli import main
 from als.modes import ORDER_CAP
 from oracles import validate
 
-#: The spectra rows that sample the paper's finite sum (``hlg_coefficients``).
+#: The spectra rows that sample the paper's finite sum (``level_sums``).
 FINITE_SUM_ROWS = {
     "norm^2 = pi 2^(n+m-1) n! m!",
     "orthonormality of the mode basis",
@@ -74,12 +74,12 @@ def test_nan_level_fails_every_row_that_samples_it(nan_level_3):
 def test_a_perturbed_finite_sum_fails_its_rows(monkeypatch, scale):
     # every coefficient of level 3 times scale: NaN, or a norm off by 2e-9,
     # which the eigenvectors alone (unit by construction) could never show
-    coefficients = verify.hlg_coefficients
+    level_sums = verify.level_sums
 
-    def perturbed(n, m, alpha):
-        return [c * scale if n + m == 3 else c for c in coefficients(n, m, alpha)]
+    def perturbed(order, alphas):
+        return level_sums(order, alphas) * (scale if order == 3 else 1.0)
 
-    monkeypatch.setattr(verify, "hlg_coefficients", perturbed)
+    monkeypatch.setattr(verify, "level_sums", perturbed)
     rows = {r["identity"]: r for r in verify.suite_spectra(4)}
     assert {name for name, r in rows.items() if not r["residual"] <= r["tolerance"]} == FINITE_SUM_ROWS
     if math.isnan(scale):
@@ -142,8 +142,8 @@ REPORT_ROWS = [
     ("algebra", "[Hperp,Has] = 0 at alpha=0.0000", 1e-12),
     ("algebra", "[Hperp,Has] = 0 at alpha=0.3927", 1e-12),
     ("algebra", "[Hperp,Has] = 0 at alpha=0.7854", 1e-12),
-    ("algebra", "[Casimir, H(phi=4.863, alpha=0.689)] = 0", 1e-12),
-    ("algebra", "[Casimir, H(phi=5.395, alpha=1.095)] = 0", 1e-12),
+    ("algebra", "[Casimir, H(phi=4.018, alpha=0.039)] = 0", 1e-12),
+    ("algebra", "[Casimir, H(phi=1.728, alpha=0.351)] = 0", 1e-12),
     ("spectra", "Hperp eigenvalue 2(n+1/2), electron", 1e-10),
     ("spectra", "Hperp eigenvalue 2(m+1/2), positron", 1e-10),
     ("spectra", "Has eigenvalue -sign_e l", 1e-10),
