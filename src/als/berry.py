@@ -118,6 +118,12 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
+def _distinct_rows(a: np.ndarray) -> int:
+    """The number of distinct rows of a 2-D array: sorted, equal rows are neighbours."""
+    a = a[np.lexsort(a.T[::-1])]
+    return len(a) - int(np.count_nonzero((a[1:] == a[:-1]).all(axis=1)))
+
+
 def solid_angle(path: SpherePath) -> float:
     """Signed solid angle enclosed by a closed path, in (-4 pi, 4 pi).
 
@@ -128,7 +134,7 @@ def solid_angle(path: SpherePath) -> float:
     rounding), such as one pinned at the pole, encloses nothing: 0.0.
     """
     pts = path.points()[:-1]
-    if len(set(map(tuple, np.round(pts, 9).tolist()))) < 3:
+    if _distinct_rows(np.round(pts, 9)) < 3:
         return 0.0
     nxt = np.roll(pts, -1, axis=0)
     # the dot products with the pole (0, 0, 1) are z components

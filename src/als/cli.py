@@ -21,9 +21,19 @@ reject them as usage errors.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
+
+# One BLAS thread, unless the caller chose otherwise.  No matrix `als`
+# builds has more than 25 rows, yet OpenBLAS starts one worker per extra
+# core when numpy loads, and each busy-waits for work: on 2 CPUs that
+# doubled the CPU time of a call at the same wall time.  This must run
+# before numpy is first imported, so it sits here, in the module every
+# entry point imports first; the library modules leave the setting to
+# the program that embeds them.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np

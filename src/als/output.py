@@ -39,7 +39,6 @@ def write_json(path, obj: dict) -> None:
 
 # The %.17g kernel of write_grid_csv: decimal digits with proven rounding.
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting factor
-_Q_MIN, _Q_MAX = -270, 300  # the scales 10**q in the table: q = 16 - k for the range below
 _KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280  # the magnitudes the kernel formats
 _TIE_MARGIN = 1e-6  # the rounding is proven when frac(t) is this far from 1/2
 _WIDTH = 25  # the longest %.17g text, "-1.2345678901234567e-308", and a separator
@@ -47,33 +46,36 @@ _BLOCK_CELLS = 1 << 15  # the values formatted, or the cells gathered, in one bl
 
 
 @lru_cache(maxsize=None)
-def _pow10_table() -> tuple[np.ndarray, ...]:
-    """10**q for q = _Q_MIN.._Q_MAX as double-doubles hi + lo, with hi split
-    into halves of 26 bits for Dekker's product.  hi and lo are each rounded
-    correctly from exact integers: int / int is a correctly rounded division."""
-    hi, lo = [], []
-    for q in range(_Q_MIN, _Q_MAX + 1):
-        num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
-        h = num / den
-        m, d = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * d - m * den) / (den * d))
-    hi = np.array(hi)
+def _pow10(q: int) -> tuple[float, float, float, float]:
+    """10**q as a double-double hi + lo, and hi split into halves of 26 bits
+    for Dekker's product.  hi and lo are each rounded correctly from exact
+    integers: int / int is a correctly rounded division."""
+    num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
+    hi = num / den
+    m, d = hi.as_integer_ratio()
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
-    table = (hi, np.array(lo), hi_hi, hi - hi_hi)
-    for col in table:
-        col.flags.writeable = False
-    return table
+    return hi, (num * d - m * den) / (den * d), hi_hi, hi - hi_hi
+
+
+def _pow10_rows(q: np.ndarray) -> np.ndarray:
+    """The columns hi, lo, hi_hi, hi_lo of ``_pow10(q)`` for each q.  Only
+    the q between q.min() and q.max() are built, which for most grids is a
+    narrow range, not all 571 scales of the kernel's magnitudes."""
+    if not len(q):
+        return np.empty((4, 0))
+    q_min = int(q.min())
+    table = np.array([_pow10(k) for k in range(q_min, int(q.max()) + 1)]).T.copy()
+    return table[:, q - q_min]
 
 
 @lru_cache(maxsize=None)
 def _digit_table() -> tuple[np.ndarray, np.ndarray]:
     """For each integer c below 10**4: its four ASCII digits as one uint32
     word, and the place (1-4) of its last nonzero digit (0 for c = 0)."""
-    n = np.arange(10**4)[:, None]
-    ascii_digits = (48 + n // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
-    last = np.where(n[:, 0] > 0, 4 - np.argmax(ascii_digits[:, ::-1] != 48, axis=1), 0)
+    ascii_digits = (48 + np.indices((10,) * 4, np.uint8).reshape(4, -1).T).copy()
+    nonzero = ascii_digits != 48
+    last = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
     ascii_words = ascii_digits.view(np.uint32).ravel()
     ascii_words.flags.writeable = last.flags.writeable = False
     return ascii_words, last
@@ -149,7 +151,7 @@ def _format_block(values: np.ndarray, text: np.ndarray, size: np.ndarray) -> np.
     kernel = np.flatnonzero((mag >= _KERNEL_MIN) & (mag <= _KERNEL_MAX))
     mag = mag[kernel]
     exponent = np.floor(np.log10(mag)).astype(np.intp)
-    hi, lo, hi_hi, hi_lo = (col[16 - _Q_MIN - exponent] for col in _pow10_table())
+    hi, lo, hi_hi, hi_lo = _pow10_rows(16 - exponent)
     p = mag * hi
     c = _SPLIT * mag
     mag_hi = c - (c - mag)

@@ -9,6 +9,7 @@ import pytest
 from als.berry import (
     ResolutionError,
     SpherePath,
+    _distinct_rows,
     berry_phase,
     latitude_loop,
     polar_loop,
@@ -111,6 +112,29 @@ class TestSolidAngle:
         # fewer than 3 distinct points at 9-digit rounding: no area
         assert solid_angle(SpherePath(((0.0, 0.1), (0.0, 0.1), (0.0, 0.1)))) == 0.0
         assert solid_angle(latitude_loop(math.pi / 4 - 1e-10, 50)) == 0.0
+
+    @pytest.mark.parametrize(
+        "vertices, encloses",
+        [
+            # two distinct points, back and forth
+            (((0.0, 0.1), (0.3, 0.1), (0.0, 0.1), (0.3, 0.1), (0.0, 0.1)), False),
+            # a third point 1e-12 from the second is the same at 9 digits
+            (((0.0, 0.1), (0.3, 0.1), (0.3, 0.1 + 1e-12), (0.0, 0.1)), False),
+            # a third point 1e-6 away is not
+            (((0.0, 0.1), (0.3, 0.1), (0.3, 0.1 + 1e-6), (0.0, 0.1)), True),
+            # three distinct points, each visited twice
+            (((0.0, 0.1), (0.3, 0.1), (0.3, 0.4), (0.0, 0.1), (0.3, 0.1), (0.3, 0.4), (0.0, 0.1)), True),
+        ],
+    )
+    def test_three_distinct_points_enclose_area(self, vertices, encloses):
+        assert (solid_angle(SpherePath(vertices)) != 0.0) == encloses
+
+    def test_distinct_rows_match_a_set_of_tuples(self):
+        # few values, so rows repeat; -0.0 and 0.0 compare equal, as in a set
+        draw = np.random.default_rng(11)
+        for size in (0, 1, 2, 3, 50):
+            rows = draw.choice([-1.0, -0.0, 0.0, 0.5], size=(size, 3))
+            assert _distinct_rows(rows) == len(set(map(tuple, rows.tolist())))
 
 
 class TestBerryPhase:

@@ -1063,7 +1063,8 @@ assert "jsonschema" not in sys.modules, "a command imported jsonschema"
 
 
 def test_commands_do_not_import_numpy_random(tmp_path):
-    """The suites draw from stdlib ``random``; no command pays for loading ``numpy.random``."""
+    """The suites draw from stdlib ``random``; no command pays for loading
+    ``numpy.random``, nor ``numpy.ma``, which a bare ``np.unique`` loads."""
     script = f"""
 import sys
 import numpy
@@ -1082,6 +1083,7 @@ for args in (
 ):
     main(args, standalone_mode=False)
 assert "numpy.random" not in sys.modules, "a command imported numpy.random"
+assert "numpy.ma" not in sys.modules, "a command imported numpy.ma"
 """
     src = str(Path(als.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1090,6 +1092,40 @@ assert "numpy.random" not in sys.modules, "a command imported numpy.random"
         pytest.skip(f"numpy {np.__version__} imports numpy.random on import")
     assert result.returncode == 0, result.stderr
     assert len(list(tmp_path.iterdir())) == 8
+
+
+def _import_cli_first(env_value):
+    """Import ``als.cli`` in a fresh process, before numpy, with
+    OPENBLAS_NUM_THREADS set to env_value (or unset for None); return the
+    variable as the process then reads it and its number of threads."""
+    script = """
+import json, os, sys
+import als.cli
+tasks = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else None
+print(json.dumps({"value": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": tasks}))
+"""
+    src = str(Path(als.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if env_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_value
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_cli_runs_blas_on_one_thread():
+    """No matrix ``als`` builds is large enough to share out, so the CLI
+    keeps OpenBLAS from starting idle worker threads when numpy loads."""
+    out = _import_cli_first(None)
+    assert out["value"] == "1"
+    if out["threads"] is None:
+        pytest.skip("counts threads through /proc/self/task, which only Linux has")
+    assert out["threads"] == 1
+
+
+def test_cli_keeps_a_user_set_blas_thread_count():
+    assert _import_cli_first("2")["value"] == "2"
 
 
 def test_package_root_holds_only_the_version():

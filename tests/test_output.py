@@ -1,5 +1,7 @@
 """Grid and table CSV writers: byte equality with the per-value formatter; the shipped schemas."""
 
+from fractions import Fraction
+
 import jsonschema
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from als.modes import hlg_block, level_density, rotate_block
-from als.output import _BLOCK_CELLS, _format17, fmt, write_grid_csv, write_table_csv
+from als.output import _BLOCK_CELLS, _digit_table, _format17, _pow10, _pow10_rows, fmt, write_grid_csv, write_table_csv
 from als.specfun import cell_centres
 from oracles import schema
 
@@ -147,6 +149,45 @@ def test_kernel_sweep(sign):
     ties = _ties()
     assert 2.0**-25 in ties and "%.17g" % 2.0**-25 == "2.9802322387695312e-08"  # half to even
     _assert_matches_formatter(sign * np.array(values + ties))
+
+
+def _is_nearest(x: float, exact: Fraction) -> bool:
+    """x is the double nearest exact: nearer than both of its neighbours, or
+    as near and even (10**23 is a tie)."""
+    err = abs(Fraction(x) - exact)
+    even = int(np.float64(x).view(np.uint64)) % 2 == 0
+    neighbours = [abs(Fraction(float(np.nextafter(x, to))) - exact) for to in (-np.inf, np.inf)]
+    return all(err < d or (err == d and even) for d in neighbours)
+
+
+def _significant_bits(x: float) -> int:
+    m = abs(x.as_integer_ratio()[0])
+    return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+
+
+def test_pow10_is_a_correctly_rounded_double_double():
+    """Every scale the kernel can use (q = 16 - k for |x| in [1e-280, 1e280]):
+    hi is 10**q rounded, lo is the rest rounded, and hi splits exactly into
+    two halves of at most 26 bits, against exact rationals."""
+    for q in range(-270, 301):
+        hi, lo, hi_hi, hi_lo = _pow10(q)
+        exact = Fraction(10) ** q
+        assert _is_nearest(hi, exact), q
+        assert _is_nearest(lo, exact - Fraction(hi)), q
+        assert Fraction(hi_hi) + Fraction(hi_lo) == Fraction(hi), q
+        assert _significant_bits(hi_hi) <= 26 and _significant_bits(hi_lo) <= 26, q
+
+
+def test_pow10_rows_gather_each_scale():
+    q = np.array([5, -3, 5, 297, -264])
+    assert np.array_equal(_pow10_rows(q), np.array([_pow10(k) for k in q.tolist()]).T)
+    assert _pow10_rows(q[:0]).shape == (4, 0)
+
+
+def test_digit_table_spells_every_word():
+    ascii_words, last = _digit_table()
+    assert ascii_words.view(np.uint8).tobytes() == "".join(f"{c:04d}" for c in range(10**4)).encode()
+    assert last.tolist() == [len(f"{c:04d}".rstrip("0")) for c in range(10**4)]
 
 
 def test_grids_have_the_structure_they_name():
