@@ -11,7 +11,8 @@ characteristic transverse radius).  Coordinate dilations act on operators
 
 Operators are finite sums ``c * x^p y^q (d/dx)^dx (d/dy)^dy``, normal
 ordered (all derivatives to the right), tagged in units of the rotation
-frequency omega.  Differentiating a state reproduces a state of the same
+frequency omega; the fixed ones, r^2 among them, are ``operators``
+constants.  Differentiating a state reproduces a state of the same
 form, so operator action, composition, commutators and inner products are
 all exact up to float rounding; no grids are involved.
 
@@ -41,9 +42,17 @@ OpTerm = tuple[int, int, int, int]
 
 
 class _TermMap:
-    """Immutable ``terms`` dict; +, - and scalar * return a new instance of the subclass."""
+    """Immutable ``terms`` dict; +, - and scalar * return a new instance of the subclass.
+
+    The one constructor keeps the given keys in their order, each with its
+    coefficient as a complex, and drops those below ``_PRUNE``: sums cancel
+    and scalar products underflow.
+    """
 
     __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {key: c for key, v in (terms or {}).items() if abs(c := complex(v)) >= _PRUNE}
 
     def __add__(self, other: _TermMap) -> _TermMap:
         out = dict(self.terms)
@@ -67,14 +76,6 @@ class GaussianPolyState(_TermMap):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean: dict[Monomial, complex] = {}
-        for (p, q), c in (terms or {}).items():
-            c = complex(c)
-            if abs(c) >= _PRUNE:
-                clean[(int(p), int(q))] = c
-        self.terms = clean
-
 
 class PolyDiffOperator(_TermMap):
     """Linear differential operator with polynomial coefficients.
@@ -86,18 +87,6 @@ class PolyDiffOperator(_TermMap):
     """
 
     __slots__ = ()
-
-    def __init__(self, terms=None):
-        clean: dict[OpTerm, complex] = {}
-        for (p, q, dx, dy), c in (terms or {}).items():
-            c = complex(c)
-            if abs(c) >= _PRUNE:
-                clean[(int(p), int(q), int(dx), int(dy))] = c
-        self.terms = clean
-
-    @classmethod
-    def identity(cls) -> "PolyDiffOperator":
-        return cls({(0, 0, 0, 0): 1.0})
 
     def max_coeff(self) -> float:
         """Largest coefficient magnitude; 0 for the zero operator."""

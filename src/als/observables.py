@@ -2,7 +2,8 @@
 
 ``sweep`` evaluates energy, <r^2> and <Lz> over an alpha sweep for
 ``als table``: it forms four Gram matrices over the level's Hermite-Gauss
-products once, in one exact term-map ``gstate.gram`` call, and reads every
+products once (the overlap and the shared ``operators`` constants H1, H3
+and R2), in one exact term-map ``gstate.gram`` call, and reads every
 alpha as a quadratic form of the mode's level vector; Hs is read as N + 1.  The
 ``observables`` suite of ``als verify`` certifies the closed forms on level
 vectors (``operators.level_matrix``).
@@ -23,9 +24,9 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .gstate import PolyDiffOperator, apply, gram
+from .gstate import apply, gram
 from .modes import hlg_blocks, hlg_state
-from .operators import check_sign, h1, h3
+from .operators import H1, H3, R2, check_sign
 
 
 def energy(n_r: int, l: int, sign_e: int) -> float:
@@ -48,10 +49,6 @@ def mean_lz(l: int, alpha: float) -> float:
     return l * math.sin(2 * alpha)
 
 
-#: Multiplication by r^2 = x^2 + y^2.
-R2_OP = PolyDiffOperator({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
-
-
 def sweep(n: int, m: int, alphas: Iterable[float], sign_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact energy, <r^2> and <Lz> of psi_{n,m}(alpha), each an array over the alphas, in omega, rho_h^2, hbar.
 
@@ -67,7 +64,7 @@ def sweep(n: int, m: int, alphas: Iterable[float], sign_e: int) -> tuple[np.ndar
     alphas = np.array(list(alphas), dtype=float)
     vecs = hlg_blocks(n, m, alphas)
     products = [(1j**k) * hlg_state(order - k, k, 0.0) for k in range(order + 1)]
-    images = [apply(op, q) for op in (h1(), h3(), R2_OP) for q in products]
+    images = [apply(op, q) for op in (H1, H3, R2) for q in products]
     grams = np.split(gram(products, products + images), 4, axis=1)
     nrm, q1, q3, r2 = (np.einsum("ak,kl,al->a", vecs.conj(), g, vecs).real for g in grams)
     e = (order + 1) * nrm - sign_e * (np.cos(2 * alphas) * q1 + np.sin(2 * alphas) * q3)

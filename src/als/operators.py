@@ -13,15 +13,18 @@ eps_123 = +1, and Hs commutes with all three, so every Hs level of energy
 n + m + 1 carries a pseudo-spin multiplet of rank j = (n + m)/2.  The
 Casimir (H1^2 + H2^2 + H3^2)/4 collapses to Hs^2/4 - 1/4 identically.
 
-The asymmetric part of the transverse Hamiltonian is
+The fixed operators are module constants, built once and shared by every
+caller, which must not change them: ``HS``, ``H1``, ``H2``, ``H3``,
+``CASIMIR``, ``R2`` (x^2 + y^2, the library's one copy) and ``IDENTITY``.
 
-    Has(alpha) = -sign_e [cos(2 alpha) H1 + sin(2 alpha) H3],
-    Hperp(alpha) = Hs + Has(alpha),
+The Hamiltonian family has one formula, the pseudo-spin coupled to the
+unit axis n(phi, alpha) = (cos 2phi cos 2alpha, sin 2phi cos 2alpha,
+sin 2alpha) of ``spin_axis``:
 
-and the general rotated form couples the pseudo-spin to the unit axis
-n(phi, alpha) = (cos 2phi cos 2alpha, sin 2phi cos 2alpha, sin 2alpha):
+    H = Hs - sign_e * 2 * n . L = Hs - sign_e (n1 H1 + n2 H2 + n3 H3).
 
-    H = Hs - sign_e * 2 * n . L.
+At phi = 0 it is Hperp(alpha) = Hs + Has(alpha), with the asymmetric part
+Has(alpha) = -sign_e [cos(2 alpha) H1 + sin(2 alpha) H3].
 
 ``Hphys`` is the same Hamiltonian before the symmetrizing coordinate
 dilation, written with the field ellipticity beta:
@@ -60,46 +63,48 @@ def check_sign(sign_e: int) -> None:
         raise ValueError(f"sign_e must be -1 or +1, got {sign_e}")
 
 
-def hs() -> PolyDiffOperator:
-    """Isotropic oscillator Hs."""
-    return PolyDiffOperator(
-        {(0, 0, 2, 0): -0.25, (0, 0, 0, 2): -0.25, (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0}
-    )
+#: Isotropic oscillator Hs.
+HS = PolyDiffOperator({(0, 0, 2, 0): -0.25, (0, 0, 0, 2): -0.25, (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
+#: Astigmatic difference H1.
+H1 = PolyDiffOperator({(0, 0, 2, 0): -0.25, (0, 0, 0, 2): 0.25, (2, 0, 0, 0): 1.0, (0, 2, 0, 0): -1.0})
+#: Diagonal astigmatism H2.
+H2 = PolyDiffOperator({(0, 0, 1, 1): -0.5, (1, 1, 0, 0): 2.0})
+#: H3, which is also the angular momentum Lz in these units.
+H3 = PolyDiffOperator({(1, 0, 0, 1): -1j, (0, 1, 1, 0): 1j})
+#: Casimir (H1^2 + H2^2 + H3^2)/4, normal ordered.
+CASIMIR = 0.25 * (compose(H1, H1) + compose(H2, H2) + compose(H3, H3))
+#: Multiplication by r^2 = x^2 + y^2.
+R2 = PolyDiffOperator({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
+#: The identity operator.
+IDENTITY = PolyDiffOperator({(0, 0, 0, 0): 1.0})
 
 
-def h1() -> PolyDiffOperator:
-    """Astigmatic difference H1."""
-    return PolyDiffOperator(
-        {(0, 0, 2, 0): -0.25, (0, 0, 0, 2): 0.25, (2, 0, 0, 0): 1.0, (0, 2, 0, 0): -1.0}
-    )
+def spin_axis(phi, alpha) -> np.ndarray:
+    """Unit axis on the mode sphere singled out by (phi, alpha), shape (..., 3) for arrays."""
+    c2a = np.cos(2 * alpha)
+    return np.stack((np.cos(2 * phi) * c2a, np.sin(2 * phi) * c2a, np.sin(2 * alpha)), axis=-1)
 
 
-def h2() -> PolyDiffOperator:
-    """Diagonal astigmatism H2."""
-    return PolyDiffOperator({(0, 0, 1, 1): -0.5, (1, 1, 0, 0): 2.0})
-
-
-def h3() -> PolyDiffOperator:
-    """H3, which is also the angular momentum Lz in these units."""
-    return PolyDiffOperator({(1, 0, 0, 1): -1j, (0, 1, 1, 0): 1j})
-
-
-def casimir() -> PolyDiffOperator:
-    """Casimir (H1^2 + H2^2 + H3^2)/4, normal ordered."""
-    a, b, c = h1(), h2(), h3()
-    return 0.25 * (compose(a, a) + compose(b, b) + compose(c, c))
+def _coupling(phi: float, alpha: float, sign_e: int) -> PolyDiffOperator:
+    """-sign_e * 2 n(phi, alpha) . L = -sign_e (n1 H1 + n2 H2 + n3 H3): the family's one formula."""
+    check_sign(sign_e)
+    n1, n2, n3 = spin_axis(phi, alpha).tolist()
+    return (-sign_e) * (n1 * H1 + n2 * H2 + n3 * H3)
 
 
 def h_as(alpha: float, sign_e: int = -1) -> PolyDiffOperator:
-    """Asymmetric part -sign_e [cos(2 alpha) H1 + sin(2 alpha) H3]."""
-    check_sign(sign_e)
-    c, s = math.cos(2 * alpha), math.sin(2 * alpha)
-    return (-sign_e) * (c * h1() + s * h3())
+    """Asymmetric part -sign_e [cos(2 alpha) H1 + sin(2 alpha) H3]: the coupling at phi = 0."""
+    return _coupling(0.0, alpha, sign_e)
 
 
 def h_perp(alpha: float, sign_e: int = -1) -> PolyDiffOperator:
     """Transverse Hamiltonian Hs + Has(alpha)."""
-    return hs() + h_as(alpha, sign_e)
+    return HS + h_as(alpha, sign_e)
+
+
+def schwinger_operator(phi: float, alpha: float, sign_e: int) -> PolyDiffOperator:
+    """General rotated Hamiltonian Hs - sign_e * 2 * n(phi, alpha) . L."""
+    return HS + _coupling(phi, alpha, sign_e)
 
 
 def h_phys(beta: float, sign_e: int = -1) -> PolyDiffOperator:
@@ -240,17 +245,3 @@ def eigen_residual(s: GaussianPolyState, D: PolyDiffOperator, lam: complex) -> f
         raise ValueError("eigen residual of a zero-norm state is undefined")
     r = apply(D, s) - complex(lam) * s
     return math.sqrt(max(inner_product(r, r).real, 0.0) / nrm2)
-
-
-def spin_axis(phi, alpha) -> np.ndarray:
-    """Unit axis on the mode sphere singled out by (phi, alpha), shape (..., 3) for arrays."""
-    c2a = np.cos(2 * alpha)
-    return np.stack((np.cos(2 * phi) * c2a, np.sin(2 * phi) * c2a, np.sin(2 * alpha)), axis=-1)
-
-
-def schwinger_operator(phi: float, alpha: float, sign_e: int) -> PolyDiffOperator:
-    """General rotated Hamiltonian Hs - sign_e * 2 * n(phi, alpha) . L."""
-    check_sign(sign_e)
-    n1, n2, n3 = spin_axis(phi, alpha)
-    coupling = n1 * h1() + n2 * h2() + n3 * h3()
-    return hs() + (-sign_e) * coupling

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import berry as berry_mod
 from . import fields as fields_mod
-from .gstate import PolyDiffOperator, compose, gram, op_commutator
+from .gstate import compose, gram, op_commutator
 from .modes import (
     ModeIndex,
     beta_to_alpha,
@@ -37,17 +37,19 @@ from .modes import (
     level_sums,
     schwinger_state,
 )
-from .observables import R2_OP, energy, mean_lz, mean_r2
+from .observables import energy, mean_lz, mean_r2
 from .operators import (
-    casimir,
+    CASIMIR,
+    H1,
+    H2,
+    H3,
+    HS,
+    IDENTITY,
+    R2,
     dilate,
-    h1,
-    h2,
-    h3,
     h_as,
     h_perp,
     h_phys,
-    hs,
     level_matrix,
     schwinger_operator,
 )
@@ -106,8 +108,7 @@ def _eigen_residuals(matrices: np.ndarray, vecs: np.ndarray, lams) -> np.ndarray
 
 def suite_algebra(max_order: int) -> list[dict]:
     rows = _Rows("algebra", 1e-12)
-    h = {1: h1(), 2: h2(), 3: h3()}
-    iso = hs()
+    h = {1: H1, 2: H2, 3: H3}
     spin = {i: 0.5 * op for i, op in h.items()}
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
     for i in (1, 2, 3):
@@ -120,7 +121,7 @@ def suite_algebra(max_order: int) -> list[dict]:
                 diff = lhs - (1j * math.copysign(1, k)) * spin[abs(k)]
             rows.add(f"[L{i},L{j}] = i eps L_k", diff.max_coeff())
     for i in (1, 2, 3):
-        rows.add(f"[Hs,H{i}] = 0", op_commutator(iso, h[i]).max_coeff())
+        rows.add(f"[Hs,H{i}] = 0", op_commutator(HS, h[i]).max_coeff())
     # sign-explicit commutator triple in the order the derivation fixes them
     for name, lhs, rhs in (
         ("[H1,H3] = -2i H2", op_commutator(h[1], h[3]), -2j * h[2]),
@@ -128,9 +129,7 @@ def suite_algebra(max_order: int) -> list[dict]:
         ("[H2,H1] = -2i H3", op_commutator(h[2], h[1]), -2j * h[3]),
     ):
         rows.add(name, (lhs - rhs).max_coeff())
-    cas = casimir()
-    ident = PolyDiffOperator.identity()
-    rows.add("Casimir = Hs^2/4 - 1/4", (cas - (0.25 * compose(iso, iso) - 0.25 * ident)).max_coeff())
+    rows.add("Casimir = Hs^2/4 - 1/4", (CASIMIR - (0.25 * compose(HS, HS) - 0.25 * IDENTITY)).max_coeff())
     for alpha in (0.0, math.pi / 8, math.pi / 4):
         commutator = op_commutator(h_perp(alpha, -1), h_as(alpha, -1))
         rows.add(f"[Hperp,Has] = 0 at alpha={alpha:.4f}", commutator.max_coeff())
@@ -139,7 +138,7 @@ def suite_algebra(max_order: int) -> list[dict]:
         phi = rng.uniform(0, 2 * math.pi)
         alpha = rng.uniform(0, math.pi / 2)
         sch = schwinger_operator(phi, alpha, -1)
-        rows.add(f"[Casimir, H(phi={phi:.3f}, alpha={alpha:.3f})] = 0", op_commutator(cas, sch).max_coeff())
+        rows.add(f"[Casimir, H(phi={phi:.3f}, alpha={alpha:.3f})] = 0", op_commutator(CASIMIR, sch).max_coeff())
     return rows.results()
 
 
@@ -147,7 +146,6 @@ def suite_spectra(max_order: int) -> list[dict]:
     rows = _Rows("spectra", 1e-10)
     # three Hamiltonians at every angle, one stack of (3, angles) per level
     hamiltonians = [f(a, sign) for f, sign in ((h_perp, -1), (h_perp, +1), (h_as, -1)) for a in _ALPHAS]
-    cas = [casimir()]
     rng = random.Random(7)
 
     for order in range(max_order + 1):
@@ -160,7 +158,7 @@ def suite_spectra(max_order: int) -> list[dict]:
         rows.add("Hperp eigenvalue 2(n+1/2), electron", electron)
         rows.add("Hperp eigenvalue 2(m+1/2), positron", positron)
         rows.add("Has eigenvalue -sign_e l", asym)
-        residuals = _eigen_residuals(level_matrix(cas, order)[0], vecs[0], 0.25 * ((order + 1) ** 2 - 1))
+        residuals = _eigen_residuals(level_matrix([CASIMIR], order)[0], vecs[0], 0.25 * ((order + 1) ** 2 - 1))
         rows.add("Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis", residuals)
         # [a, n]: the paper's finite sum c_k = i^k F_k of mode n at angle a, normalised,
         # so each c_k times sqrt((N-k)! k! / (n! m!)) = sqrt(f[k] / f[n])
@@ -195,7 +193,7 @@ def suite_spectra(max_order: int) -> list[dict]:
 def suite_observables(max_order: int) -> list[dict]:
     rows = _Rows("observables", 1e-10)
     # Lz and r^2 serve every angle, the electron Hperp one angle each
-    ops = [h3(), R2_OP, casimir()] + [h_perp(a, -1) for a in _ALPHAS]
+    ops = [H3, R2, CASIMIR] + [h_perp(a, -1) for a in _ALPHAS]
 
     for order in range(max_order + 1):
         modes, vecs = _levels(order)

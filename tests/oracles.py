@@ -60,8 +60,7 @@ from numpy.polynomial import Polynomial
 
 from als.gstate import apply, inner_product
 from als.modes import hlg_state
-from als.observables import R2_OP
-from als.operators import expectation, h3, h_perp
+from als.operators import H3, R2, expectation, h_perp
 
 
 def laguerre(n: int, k: int) -> Polynomial:
@@ -176,8 +175,8 @@ def measured_observables(n: int, m: int, alpha: float, sign_e: int) -> tuple[flo
     st = hlg_state(n, m, alpha)
     return (
         expectation(st, h_perp(alpha, sign_e)).real,
-        inner_product(st, apply(R2_OP, st)).real,
-        expectation(st, h3()).real,
+        inner_product(st, apply(R2, st)).real,
+        expectation(st, H3).real,
     )
 
 

@@ -17,8 +17,7 @@ from als.gstate import (
     op_commutator,
 )
 from als.modes import ORDER_CAP, hlg_state, schwinger_state
-from als.observables import R2_OP
-from als.operators import h1, h2, h3, h_perp, hs
+from als.operators import H1, H2, H3, HS, R2, h_perp
 from oracles import term_map_value
 
 rng = np.random.default_rng(202)
@@ -169,7 +168,7 @@ class TestGram:
         # the bras and kets of observables.sweep; at order 0 two images are
         # empty, and an empty bra and ket are added at every order
         products = [(1j**k) * hlg_state(order - k, k, 0.0) for k in range(order + 1)]
-        images = [apply(op, q) for op in (h1(), h3(), R2_OP) for q in products]
+        images = [apply(op, q) for op in (H1, H3, R2) for q in products]
         bras = [*products, GaussianPolyState()]
         kets = [*products, *images, GaussianPolyState()]
         expected = np.array([[inner_product(a, b) for b in kets] for a in bras])
@@ -188,13 +187,13 @@ class TestApply:
         assert out.terms == {(1, 0): pytest.approx(-2.0)}
 
     def test_isotropic_oscillator_ground_level(self):
-        out = apply(hs(), GROUND)
+        out = apply(HS, GROUND)
         assert term_map_diff(out, 1.0 * GROUND) <= 1e-15
 
     def test_angular_momentum_on_twisted_state(self):
         # l = 2 twisted state is an eigenstate of H3 with eigenvalue 2
         lg = hlg_state(2, 0, math.pi / 4)
-        out = apply(h3(), lg)
+        out = apply(H3, lg)
         assert term_map_diff(out, 2.0 * lg) <= 1e-14
 
     def test_linearity(self):
@@ -206,7 +205,7 @@ class TestApply:
         assert term_map_diff(lhs, rhs) <= 1e-12
 
     def test_hermiticity_of_hamiltonians(self):
-        ops = [hs(), h1(), h2(), h3()]
+        ops = [HS, H1, H2, H3]
         for _ in range(5):
             a, b = random_state(), random_state()
             for D in ops:
@@ -221,7 +220,7 @@ class TestCompose:
         assert result.terms == {(0, 0, 0, 0): pytest.approx(1.0)}
 
     def test_fixed_sign_commutator_triple(self):
-        a, b, c = h1(), h2(), h3()
+        a, b, c = H1, H2, H3
         assert (op_commutator(a, c) - (-2j) * b).max_coeff() == 0.0
         assert (op_commutator(c, b) - (-2j) * a).max_coeff() == 0.0
         assert (op_commutator(b, a) - (-2j) * c).max_coeff() == 0.0

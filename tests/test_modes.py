@@ -669,10 +669,10 @@ class TestWignerDecomposition:
 class TestGeneratorIdentity:
     def test_h2_generates_alpha_shifts(self):
         # H2 psi(alpha) = -i d/dalpha psi(alpha), checked by central difference
-        from als.operators import h2
+        from als.operators import H2
         from als.gstate import apply
 
-        gen = h2()
+        gen = H2
         d = 1e-5
         for n, m, alpha in [(2, 1, 0.3), (3, 0, 0.9), (1, 2, 1.2)]:
             lhs = apply(gen, hlg_state(n, m, alpha))

@@ -1,9 +1,10 @@
 """Nothing in `src/als` without a caller, and no import without a reader.
 
-A top-level function or class counts as called if its name appears as a
-name, an attribute or an imported name somewhere in `src/als` outside its
-own body.  A method counts as called if its name appears as an attribute outside its
-own body.
+A top-level function, class or assigned name (a constant such as
+`operators.HS`) counts as called if its name appears as a name, an
+attribute or an imported name somewhere in `src/als` outside its own body
+or assignment.  A method counts as called if its name appears as an
+attribute outside its own body.
 
 Exempt: functions that click decorates (the commands and their group),
 methods of classes with a `click.` base (click calls them), dunders, and
@@ -46,9 +47,15 @@ def _root(node) -> str | None:
 
 
 def _definitions(tree):
-    """(qualified name, node, exempt) of every top-level def and method."""
+    """(qualified name, node, exempt) of every top-level def, module-level assigned name and method."""
     click_roots = {"click"}
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node, False
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             clicked = any(_root(d) in click_roots for d in node.decorator_list)
             if clicked:

@@ -7,8 +7,8 @@ import pytest
 
 from als.gstate import apply, inner_product
 from als.modes import ModeIndex, hlg_state
-from als.observables import R2_OP, energy, mean_lz, mean_r2, sweep
-from als.operators import expectation, h3, h_perp
+from als.observables import energy, mean_lz, mean_r2, sweep
+from als.operators import H3, R2, expectation, h_perp
 from oracles import measured_observables
 
 rng = np.random.default_rng(505)
@@ -52,14 +52,14 @@ class TestMeanR2:
     def test_formula_vs_exact_moment(self):
         assert mean_r2(2, 2) == pytest.approx(3.5)
         s = hlg_state(4, 2, 0.61)  # n_r=2, l=2
-        exact = inner_product(s, apply(R2_OP, s)).real
+        exact = inner_product(s, apply(R2, s)).real
         assert exact == pytest.approx(3.5, abs=1e-11)
 
     def test_alpha_independence(self):
         vals = []
         for alpha in (0.0, math.pi / 8, math.pi / 4):
             s = hlg_state(3, 1, alpha)
-            vals.append(inner_product(s, apply(R2_OP, s)).real)
+            vals.append(inner_product(s, apply(R2, s)).real)
         assert max(vals) - min(vals) <= 1e-11
         assert vals[0] == pytest.approx(mean_r2(1, 2), abs=1e-11)
 
@@ -77,13 +77,13 @@ class TestMeanLz:
         ref = 3 * math.sqrt(2) / 2
         assert mean_lz(3, math.pi / 8) == pytest.approx(ref, abs=1e-12)
         s = hlg_state(3, 0, math.pi / 8)
-        assert expectation(s, h3()).real == pytest.approx(ref, abs=1e-11)
+        assert expectation(s, H3).real == pytest.approx(ref, abs=1e-11)
 
     def test_both_index_orderings(self):
         for n, m in [(3, 1), (1, 3)]:
             for alpha in rng.uniform(0, math.pi / 2, size=5):
                 s = hlg_state(n, m, float(alpha))
-                assert expectation(s, h3()).real == pytest.approx(
+                assert expectation(s, H3).real == pytest.approx(
                     (n - m) * math.sin(2 * float(alpha)), abs=1e-11
                 )
 

@@ -9,19 +9,20 @@ import pytest
 
 from als.gstate import PolyDiffOperator, apply, inner_product, op_commutator
 from als.modes import ORDER_CAP, beta_to_alpha, hlg_block, hlg_state, schwinger_state
-from als.observables import R2_OP
 from als.operators import (
-    casimir,
+    CASIMIR,
+    H1,
+    H2,
+    H3,
+    HS,
+    IDENTITY,
+    R2,
     dilate,
     eigen_residual,
     expectation,
-    h1,
-    h2,
-    h3,
     h_as,
     h_perp,
     h_phys,
-    hs,
     level_matrix,
     rotate,
     schwinger_operator,
@@ -45,22 +46,20 @@ class TestBuild:
     def test_symmetric_gauge_limit(self):
         # beta = 1/2 collapses to isotropic oscillator + angular momentum
         lhs = h_phys(0.5, -1)
-        rhs = hs() + h3()
+        rhs = HS + H3
         assert (lhs - rhs).max_coeff() == 0.0
 
     def test_asymmetric_part_at_symmetric_point(self):
         for sign in (-1, 1):
             lhs = h_as(math.pi / 4, sign)
-            rhs = float(-sign) * h3()
+            rhs = float(-sign) * H3
             assert (lhs - rhs).max_coeff() <= 1e-16
 
     def test_casimir_identity(self):
         from als.gstate import compose
 
-        cas = casimir()
-        iso = hs()
-        ref = 0.25 * compose(iso, iso) - 0.25 * PolyDiffOperator.identity()
-        assert (cas - ref).max_coeff() == 0.0
+        ref = 0.25 * compose(HS, HS) - 0.25 * IDENTITY
+        assert (CASIMIR - ref).max_coeff() == 0.0
 
     def test_hphys_beta_domain(self):
         for beta in (0.0, 1.0, -0.1, 1.3):
@@ -77,12 +76,12 @@ class TestBuild:
         second = [(0, 0, 2, 0), (0, 0, 0, 2), (2, 0, 0, 0), (0, 2, 0, 0)]
         ladder = [(1, 0, 0, 1), (0, 1, 1, 0)]
         expected = {
-            "hs": (hs(), second),
-            "h1": (h1(), second),
-            "h2": (h2(), [(0, 0, 1, 1), (1, 1, 0, 0)]),
-            "h3": (h3(), ladder),
+            "hs": (HS, second),
+            "h1": (H1, second),
+            "h2": (H2, [(0, 0, 1, 1), (1, 1, 0, 0)]),
+            "h3": (H3, ladder),
             "casimir": (
-                casimir(),
+                CASIMIR,
                 [
                     (0, 0, 4, 0), (0, 0, 2, 2), (2, 0, 2, 0), (1, 0, 1, 0),
                     (0, 0, 0, 0), (0, 2, 2, 0), (0, 0, 0, 4), (2, 0, 0, 2),
@@ -104,7 +103,7 @@ class TestBuild:
 class TestCommutators:
     def test_pseudo_spin_algebra_all_pairs(self):
         eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-        spin = {1: 0.5 * h1(), 2: 0.5 * h2(), 3: 0.5 * h3()}
+        spin = {1: 0.5 * H1, 2: 0.5 * H2, 3: 0.5 * H3}
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 lhs = op_commutator(spin[i], spin[j])
@@ -118,8 +117,8 @@ class TestCommutators:
                 assert (lhs - rhs).max_coeff() <= 1e-16
 
     def test_isotropic_part_commutes(self):
-        for op in (h1, h2, h3):
-            assert op_commutator(hs(), op()).max_coeff() == 0.0
+        for op in (H1, H2, H3):
+            assert op_commutator(HS, op).max_coeff() == 0.0
 
     def test_integral_of_motion(self):
         for alpha in (0.0, math.pi / 8, math.pi / 4):
@@ -129,12 +128,11 @@ class TestCommutators:
             assert c.max_coeff() <= 1e-15
 
     def test_casimir_commutes_with_rotated_family(self):
-        cas = casimir()
         for _ in range(3):
             phi = float(rng.uniform(0, 2 * math.pi))
             alpha = float(rng.uniform(0, math.pi / 2))
             sch = schwinger_operator(phi, alpha, -1)
-            assert op_commutator(cas, sch).max_coeff() <= 1e-12
+            assert op_commutator(CASIMIR, sch).max_coeff() <= 1e-12
 
 
 class TestRotate:
@@ -152,13 +150,12 @@ class TestRotate:
         assert max(abs(s.terms.get(k, 0j) - out.terms.get(k, 0j)) for k in keys) <= 1e-13
 
     def test_isotropic_energy_conserved(self):
-        iso = hs()
         for _ in range(5):
             s = random_state()
             phi = float(rng.uniform(0, 2 * math.pi))
             r = rotate(s, phi)
-            lhs = inner_product(r, apply(iso, r))
-            rhs = inner_product(s, apply(iso, s))
+            lhs = inner_product(r, apply(HS, r))
+            rhs = inner_product(s, apply(HS, s))
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
 
@@ -269,7 +266,7 @@ class TestDilate:
             assert (lhs - rhs).max_coeff() <= 1e-14 * max(1.0, rhs.max_coeff())
 
     def test_preserves_commutators(self):
-        for A, B in [(h_phys(0.3, -1), h2()), (random_operator(), random_operator())]:
+        for A, B in [(h_phys(0.3, -1), H2), (random_operator(), random_operator())]:
             lx, ly = (float(v) for v in rng.uniform(0.4, 2.5, size=2))
             lhs = dilate(op_commutator(A, B), lx, ly)
             rhs = op_commutator(dilate(A, lx, ly), dilate(B, lx, ly))
@@ -277,7 +274,7 @@ class TestDilate:
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            dilate(hs(), 0.0, 1.0)
+            dilate(HS, 0.0, 1.0)
 
     @pytest.mark.parametrize("beta", [0.2, 0.35, 0.5])
     @pytest.mark.parametrize("sign", [-1, 1])
@@ -293,7 +290,7 @@ class TestExpectation:
     def test_oscillator_ladder(self):
         for n, m in [(0, 0), (2, 1), (3, 3)]:
             s = hlg_state(n, m, 0.31)
-            assert expectation(s, hs()).real == pytest.approx(
+            assert expectation(s, HS).real == pytest.approx(
                 n + m + 1, abs=1e-12
             )
 
@@ -301,13 +298,13 @@ class TestExpectation:
         for n, m in [(3, 0), (1, 2), (2, 2)]:
             for alpha in (0.0, math.pi / 8, math.pi / 4):
                 s = hlg_state(n, m, alpha)
-                assert expectation(s, h3()).real == pytest.approx(
+                assert expectation(s, H3).real == pytest.approx(
                     (n - m) * math.sin(2 * alpha), abs=1e-12
                 )
 
     def test_h2_matches_overlap_phase_derivative(self):
         # <H2> = d/d(delta) Arg <psi(a)|psi(a + delta)>, central difference
-        gen = h2()
+        gen = H2
         d = 1e-4
         for n, m, alpha in [(2, 1, 0.4), (3, 0, 0.9)]:
             s = hlg_state(n, m, alpha)
@@ -320,7 +317,7 @@ class TestExpectation:
         from als.gstate import GaussianPolyState
 
         with pytest.raises(ValueError):
-            expectation(GaussianPolyState({}), hs())
+            expectation(GaussianPolyState({}), HS)
 
 
 class TestEigenResidual:
@@ -345,7 +342,7 @@ class TestEigenResidual:
         for n, m in [(0, 0), (2, 1), (4, 3), (5, 5)]:
             s = hlg_state(n, m, 0.0)
             lam = 0.25 * ((n + m + 1) ** 2 - 1)
-            assert eigen_residual(s, casimir(), lam) <= 1e-10
+            assert eigen_residual(s, CASIMIR, lam) <= 1e-10
 
 
 class TestLevelMatrix:
@@ -359,7 +356,7 @@ class TestLevelMatrix:
         for nx in range(total + 1)
     }
 
-    OPS = [hs(), h1(), h2(), h3(), casimir(), R2_OP, h_perp(0.7, -1), h_perp(0.7, +1),
+    OPS = [HS, H1, H2, H3, CASIMIR, R2, h_perp(0.7, -1), h_perp(0.7, +1),
            h_as(0.7, -1), schwinger_operator(1.1, 0.4, -1)]
 
     @pytest.mark.parametrize(
@@ -394,10 +391,10 @@ class TestLevelMatrix:
         assert not level_matrix([PolyDiffOperator()], 2).any()
 
     def test_result_is_a_fresh_array(self):
-        first = level_matrix([h1()], 4)
+        first = level_matrix([H1], 4)
         ref = first.copy()
         first[...] = 7.0
-        again = level_matrix([h1()], 4)
+        again = level_matrix([H1], 4)
         assert again is not first
         assert np.array_equal(again, ref)
 
@@ -417,14 +414,35 @@ class TestSpinAxis:
             )
 
 
+def term_bits(op):
+    """Keys in order, each with the bits of its coefficient's parts: equal lists are equal term maps, bit for bit."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in op.terms.items()]
+
+
+class TestSharedConstants:
+    NAMES = ("HS", "H1", "H2", "H3", "CASIMIR", "R2", "IDENTITY")
+
+    def test_callers_leave_the_constants_unchanged(self):
+        # every caller shares one object per constant, so none may change it
+        from als import observables, operators, verify
+
+        before = {name: term_bits(getattr(operators, name)) for name in self.NAMES}
+        verify.run(max_order=4)
+        observables.sweep(5, 3, [0.1, 0.7], -1)
+        level_matrix([getattr(operators, name) for name in self.NAMES], 3)
+        for name in self.NAMES:
+            assert term_bits(getattr(operators, name)) == before[name], name
+
+
 class TestSchwingerApply:
     def test_reduces_to_unrotated_family(self):
-        for alpha in (0.2, math.pi / 8):
-            s = random_state()
-            lhs = apply(schwinger_operator(0.0, alpha, -1), s)
-            rhs = apply(h_perp(alpha, -1), s)
-            keys = set(lhs.terms) | set(rhs.terms)
-            assert max(abs(lhs.terms.get(k, 0j) - rhs.terms.get(k, 0j)) for k in keys) <= 1e-13
+        # the family has one formula: at phi = 0 both forms of Hperp are the
+        # rotated Hamiltonian's term map, key order and bits included
+        for alpha in np.random.default_rng(2718).uniform(0.0, math.pi / 2, size=200).tolist():
+            for sign in (-1, 1):
+                ref = term_bits(schwinger_operator(0.0, alpha, sign))
+                assert term_bits(h_perp(alpha, sign)) == ref
+                assert term_bits(HS + h_as(alpha, sign)) == ref
 
     def test_rotated_modes_are_eigenstates(self):
         for _ in range(4):
@@ -448,9 +466,9 @@ class TestSchwingerApply:
                 s = schwinger_state(n, m, alpha, phi)
                 axis = spin_axis(phi, alpha)
                 proj = (
-                    float(axis[0]) * (0.5 * h1())
-                    + float(axis[1]) * (0.5 * h2())
-                    + float(axis[2]) * (0.5 * h3())
+                    float(axis[0]) * (0.5 * H1)
+                    + float(axis[1]) * (0.5 * H2)
+                    + float(axis[2]) * (0.5 * H3)
                 )
                 m_l = 0.5 * (n - m)
                 assert eigen_residual(s, proj, m_l) <= 1e-10
