@@ -52,11 +52,11 @@ The finite sum loses digits as N grows, so d comes from the one SU(2) kernel
 column m, ``level_modes(N, alphas)`` every column, row k being
 psi_{N-k,k}(alpha); at pi/4 the rows are the Laguerre-Gauss basis, Lz = N - 2k.
 On the products Lz = 2 Jy, so a rotation of the plane by phi is the rotation
-d^{N/2}(2 phi) of the same multiplet (``rotate_block``).  ``level_density``
-samples |psi|^2 of any set of level vectors on a grid; every grid the CLI
-writes goes through it.  ``lg_expansion`` is the one home of the pi/4
-frame: the weights of level vectors over it, their Lz, and its modes on a
-ray, from which psi on any circle and its angular mean follow.
+d^{N/2}(2 phi) of the same multiplet (``rotate_block``, one angle per vector of
+a stack).  ``level_density`` samples |psi|^2 of any set of level vectors on a
+grid; every grid the CLI writes goes through it.  ``lg_expansion`` is the one
+home of the pi/4 frame: the weights of level vectors over it, their Lz, and
+its modes on a ray, from which psi on any circle and its angular mean follow.
 """
 
 from __future__ import annotations
@@ -202,18 +202,21 @@ def level_modes(order: int, alphas: np.ndarray | list[float]) -> np.ndarray:
     return _mode_columns(order, np.arange(order + 1), alphas)
 
 
-def rotate_block(vec: np.ndarray, phi: float) -> np.ndarray:
-    """Level vector of the state rotated by phi, as ``operators.rotate`` turns a term map.
+def rotate_block(vec: np.ndarray, phi) -> np.ndarray:
+    """Level vectors (..., N + 1) of the states rotated by phi, as ``operators.rotate`` turns a term map.
 
-    The rotation is d^{N/2}(2 phi) on the products, contracted with ``einsum``
-    part by part.  At phi = 0 the vector is returned as it is.
+    phi broadcasts against vec's leading axes.  d^{N/2}(2 phi) on the products comes from one ``wigner_d_columns``
+    call and is contracted with ``einsum`` part by part, so each row has the bits of its one-vector call.
+    Rows at phi = 0 come back as they are, and vec itself where phi is 0 everywhere.
     """
-    if phi == 0:
+    phi = np.broadcast_to(phi, vec.shape[:-1]).ravel()
+    if not phi.any():
         return vec
-    # d(2 phi) has period 2 pi in phi; fmod keeps 2 phi lam finite and
-    # every |phi| < 2 pi as it is
-    d = specfun.wigner_d_columns(len(vec) - 1, np.arange(len(vec)), [2.0 * math.fmod(phi, 2.0 * math.pi)])[0]
-    return np.einsum("ck,c->k", d, vec.real) + 1j * np.einsum("ck,c->k", d, vec.imag)
+    flat = vec.reshape(len(phi), -1)
+    # d(2 phi) has period 2 pi in phi; fmod is exact, keeps 2 phi lam finite and every |phi| < 2 pi as it is
+    d = specfun.wigner_d_columns(flat.shape[1] - 1, np.arange(flat.shape[1]), 2.0 * np.fmod(phi, 2.0 * math.pi))
+    turned = np.einsum("nck,nc->nk", d, flat.real) + 1j * np.einsum("nck,nc->nk", d, flat.imag)
+    return np.where((phi == 0)[:, None], flat, turned).reshape(vec.shape)
 
 
 def level_density(levels, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ caller, which must not change them: ``HS``, ``H1``, ``H2``, ``H3``,
 
 The Hamiltonian family has one formula, the pseudo-spin coupled to the
 unit axis n(phi, alpha) = (cos 2phi cos 2alpha, sin 2phi cos 2alpha,
-sin 2alpha) of ``spin_axis``:
+sin 2alpha) of ``spin_axis``, with the weights -sign_e n of ``family_weights``:
 
     H = Hs - sign_e * 2 * n . L = Hs - sign_e (n1 H1 + n2 H2 + n3 H3).
 
@@ -85,11 +85,16 @@ def spin_axis(phi, alpha) -> np.ndarray:
     return np.stack((np.cos(2 * phi) * c2a, np.sin(2 * phi) * c2a, np.sin(2 * alpha)), axis=-1)
 
 
-def _coupling(phi: float, alpha: float, sign_e: int) -> PolyDiffOperator:
-    """-sign_e * 2 n(phi, alpha) . L = -sign_e (n1 H1 + n2 H2 + n3 H3): the family's one formula."""
+def family_weights(phi, alpha, sign_e: int) -> np.ndarray:
+    """Weights -sign_e n(phi, alpha) of (H1, H2, H3), shape (..., 3) for arrays; every form of the family reads them."""
     check_sign(sign_e)
-    n1, n2, n3 = spin_axis(phi, alpha).tolist()
-    return (-sign_e) * (n1 * H1 + n2 * H2 + n3 * H3)
+    return -sign_e * spin_axis(phi, alpha)
+
+
+def _coupling(phi: float, alpha: float, sign_e: int) -> PolyDiffOperator:
+    """-sign_e * 2 n(phi, alpha) . L = w1 H1 + w2 H2 + w3 H3: the family's one formula."""
+    w1, w2, w3 = family_weights(phi, alpha, sign_e).tolist()
+    return w1 * H1 + w2 * H2 + w3 * H3
 
 
 def h_as(alpha: float, sign_e: int = -1) -> PolyDiffOperator:

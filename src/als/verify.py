@@ -35,6 +35,7 @@ from .modes import (
     hlg_state,
     level_modes,
     level_sums,
+    rotate_block,
     schwinger_state,
 )
 from .observables import energy, mean_lz, mean_r2
@@ -53,7 +54,7 @@ from .operators import (
     level_matrix,
     schwinger_operator,
 )
-from .specfun import wigner_D, wigner_d_columns
+from .specfun import wigner_D
 
 class _Rows:
     """One suite's rows: each identity's worst residual over its samples.
@@ -173,11 +174,9 @@ def suite_spectra(max_order: int) -> list[dict]:
         rows.add("orthonormality of the mode basis", np.abs(gram - np.eye(order + 1)))
         rows.add("finite sum equals the eigenvector", np.abs(sums - vecs.transpose(0, 2, 1)))
 
-        # mode n (row N - n of the level) at its own random (phi, alpha), turned as ``rotate_block`` does
+        # mode n (row N - n of the level) at its own random (phi, alpha), all turned by one ``rotate_block`` call
         draws = np.array([[rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi / 2)] for _ in range(order + 1)])
-        drawn = level_modes(order, draws[:, 1])[ks, order - ks]
-        d = wigner_d_columns(order, ks, 2.0 * np.fmod(draws[:, 0], 2.0 * math.pi))
-        turned = np.einsum("nck,nc->nk", d, drawn.real) + 1j * np.einsum("nck,nc->nk", d, drawn.imag)
+        turned = rotate_block(level_modes(order, draws[:, 1])[ks, order - ks], draws[:, 0])
         sch = level_matrix([schwinger_operator(phi, alpha, -1) for phi, alpha in draws.tolist()], order)
         lams = np.array([energy(md.n_r, md.l, -1) for md in modes])[:, None, None]
         rows.add("rotated-family eigenvalue 2 n_r + |l| + l + 1", _eigen_residuals(sch, turned[:, :, None], lams))

@@ -456,6 +456,23 @@ class TestBlockDensity:
             err = np.abs(rotate_block(vec, phi) - d @ vec).max()
             assert err <= 1e-14, (phi, err)
 
+    @pytest.mark.parametrize("order", [0, 1, 7, 20])
+    def test_stack_rotates_row_by_row_bit_for_bit(self, order):
+        # a stack is turned by one kernel call; each row keeps the bits of its
+        # own call, and rows at phi = 0 (of either sign) are the input rows
+        rng = np.random.default_rng(order)
+        phis = np.array([0.0, -0.0, 0.7, -2.1, 7.0, 1e300])
+        vecs = rng.normal(size=(len(phis), order + 1)) + 1j * rng.normal(size=(len(phis), order + 1))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        turned = rotate_block(vecs, phis)
+        assert turned.shape == vecs.shape
+        for vec, phi, row in zip(vecs, phis, turned):
+            assert np.array_equal(row.view(np.uint64), rotate_block(vec, phi).view(np.uint64)), phi
+        assert np.array_equal(turned[:2].view(np.uint64), vecs[:2].view(np.uint64))
+        grid = rotate_block(vecs.reshape(2, 3, order + 1), phis.reshape(2, 3))
+        assert np.array_equal(grid.reshape(turned.shape).view(np.uint64), turned.view(np.uint64))
+        assert rotate_block(vecs, np.zeros(len(phis))) is vecs
+
     @pytest.mark.parametrize("alpha", [0.3, math.pi / 4])
     @pytest.mark.parametrize("n, m", [(4, 2), (1, 4)])
     def test_unrotated_density_mirrors_bit_for_bit(self, n, m, alpha):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from als import operators
 from als.gstate import apply, inner_product
 from als.modes import ModeIndex, hlg_state
 from als.observables import energy, mean_lz, mean_r2, sweep
@@ -120,6 +121,16 @@ class TestSweep:
                     )
                     worst = max(worst, *(abs(x - y) for x, y in zip(row, closed)))
         assert worst <= 5e-13, worst
+
+    def test_energy_follows_the_family_weights(self, monkeypatch):
+        # the energy reads the family's weights -sign_e n from ``operators``:
+        # flipping the axis there is flipping the charge, bit for bit
+        alphas = np.linspace(0.0, math.pi / 2, 7)
+        positron = sweep(5, 2, alphas, +1)
+        axis = operators.spin_axis
+        monkeypatch.setattr(operators, "spin_axis", lambda phi, alpha: -axis(phi, alpha))
+        for got, want in zip(sweep(5, 2, alphas, -1), positron):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_validation(self):
         with pytest.raises(ValueError):
