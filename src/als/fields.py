@@ -32,6 +32,8 @@ free (Coulomb gauge).
 Every function broadcasts over arrays of points: x, y and z may be
 numbers or arrays, and a vector comes back with its three components on
 the first axis, shape (3,) + the broadcast shape of the coordinates.
+Each is analytic in complex points, so ``divergence`` and ``curl`` take
+exact derivatives by the complex step.
 
 This module is diagnostic only: the quantum side consumes the fixed
 gauge directly and nothing here feeds state construction except beta.
@@ -42,10 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Central-difference step: truncation (~ h^2 / eps^3 across the ramp) and
-#: rounding (~ 1e-16 / h) both stay far below the 1e-6 / eps checks allow.
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,8 @@ def theta_eps(z, eps: float):
 
 def delta_eps(z, eps: float):
     """Derivative of the ramp (regularized surface delta)."""
-    t = np.abs(z) / eps
+    # |z| as z sign(Re z): analytic for the complex step, the same bits for real z
+    t = z * np.sign(np.real(z)) / eps
     # sech(t) written overflow-safe
     sech = 2.0 * np.exp(-t) / (1.0 + np.exp(-2.0 * t))
     return 0.5 * sech * sech / eps
@@ -97,27 +96,26 @@ def b_field(model: FieldModel, x, y, z) -> np.ndarray:
     return model.b0 * _vector(-(1.0 - model.beta) * x * de, -model.beta * y * de, th)
 
 
-def _partial(f, i: int, k: int, p: tuple):
-    """Central difference of component i of f along coordinate k at p."""
-    hi = p[:k] + (p[k] + FD_STEP,) + p[k + 1:]
-    lo = p[:k] + (p[k] - FD_STEP,) + p[k + 1:]
-    return (f(*hi)[i] - f(*lo)[i]) / (2 * FD_STEP)
+def _jacobian(f, x, y, z) -> np.ndarray:
+    """[k, i] = d f_i / d p_k at p = (x, y, z) by the complex step Im f(p + i h e_k) / h.
+
+    It differences nothing, so it is exact to rounding for f analytic in p;
+    0 Re f carries a NaN in either part into the derivative.
+    """
+    h, p = 1e-30, (x, y, z)
+    steps = [np.asarray(f(*p[:k], p[k] + 1j * h, *p[k + 1:])) for k in range(3)]
+    return np.stack([step.imag / h + 0.0 * step.real for step in steps])
 
 
 def divergence(f, x, y, z):
-    """Central-difference divergence of the vector function f(x, y, z)."""
-    p = (x, y, z)
-    return _partial(f, 0, 0, p) + _partial(f, 1, 1, p) + _partial(f, 2, 2, p)
+    """Divergence of the vector function f(x, y, z): the Jacobian's trace."""
+    return np.trace(_jacobian(f, x, y, z))
 
 
 def curl(f, x, y, z) -> np.ndarray:
-    """Central-difference curl of the vector function f(x, y, z)."""
-    p = (x, y, z)
-    return _vector(
-        _partial(f, 2, 1, p) - _partial(f, 1, 2, p),
-        _partial(f, 0, 2, p) - _partial(f, 2, 0, p),
-        _partial(f, 1, 0, p) - _partial(f, 0, 1, p),
-    )
+    """Curl of the vector function f(x, y, z): the Jacobian's antisymmetric part."""
+    j = _jacobian(f, x, y, z)
+    return np.stack([j[1, 2] - j[2, 1], j[2, 0] - j[0, 2], j[0, 1] - j[1, 0]])
 
 
 def vector_potential(params: GaugeParams, model: FieldModel, x, y, z) -> np.ndarray:

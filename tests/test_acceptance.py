@@ -131,7 +131,7 @@ def test_criterion_9_berry_phase(rows):
 def test_criterion_10_boundary_fields():
     rng = np.random.default_rng(909)
     eps = 0.1
-    tol_fd = 1e-6 / eps
+    tol = 1e-9
     pts = [(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), float(rng.uniform(-0.3, 0.3))) for _ in range(1000)]
     worst_div = 0.0
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -154,10 +154,10 @@ def test_criterion_10_boundary_fields():
 
     check(
         10, "boundary fields",
-        ("div B", worst_div, tol_fd),
-        ("curl-B", worst_curl, tol_fd),
+        ("div B", worst_div, tol),
+        ("curl-B", worst_curl, tol),
         ("gauge fix", worst_fix, 1e-12),
-        ("Coulomb", worst_div_inside, 1e-9),
+        ("Coulomb", worst_div_inside, tol),
     )
 
 

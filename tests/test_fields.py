@@ -5,10 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
+from als import fields, verify
 from als.fields import (
-    FD_STEP,
     FieldModel,
     GaugeParams,
+    _jacobian,
     b_field,
     curl,
     delta_eps,
@@ -38,15 +39,67 @@ class TestRamp:
         assert theta_eps(0.0, EPS) == pytest.approx(0.5, abs=1e-15)
 
     def test_delta_is_ramp_derivative(self):
-        # d(theta)/dz as the divergence of (0, 0, theta); central difference
-        # truncation ~ h^2 / (6 eps^3)
+        # d(theta)/dz as the divergence of (0, 0, theta), exact to rounding
         ramp = lambda x, y, z: (0.0, 0.0, theta_eps(z, EPS))
         for z in rng.uniform(-0.5, 0.5, size=20):
-            fd = divergence(ramp, 0.0, 0.0, float(z))
-            assert delta_eps(float(z), EPS) == pytest.approx(fd, abs=1e-6)
+            derivative = divergence(ramp, 0.0, 0.0, float(z))
+            assert delta_eps(float(z), EPS) == pytest.approx(derivative, rel=1e-14, abs=0)
 
     def test_no_overflow_far_from_boundary(self):
         assert delta_eps(1e6, 1e-3) == 0.0
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, 2.0])
+    def test_delta_keeps_the_bits_of_abs(self, monkeypatch, eps):
+        # delta_eps writes |z| as z sign(Re z) so that the complex step can
+        # differentiate it; on real z the old np.abs(z) form is the reference
+        def reference(z):
+            t = np.abs(z) / eps
+            sech = 2.0 * np.exp(-t) / (1.0 + np.exp(-2.0 * t))
+            return 0.5 * sech * sech / eps
+
+        drawn = []
+
+        def recorded(z, e):
+            drawn.append(np.ravel(np.real(z)))
+            return delta_eps(z, e)
+
+        monkeypatch.setattr(fields, "delta_eps", recorded)
+        verify.suite_fields(0)
+        monkeypatch.undo()
+        special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324]
+        magnitudes = np.geomspace(1e-320, 1e6, 100_000)
+        z = np.concatenate(drawn + [special, magnitudes, -magnitudes])
+        np.testing.assert_array_equal(delta_eps(z, eps).view(np.uint64), reference(z).view(np.uint64))
+        for value in special:
+            assert np.float64(delta_eps(value, eps)).view(np.uint64) == np.float64(reference(value)).view(np.uint64)
+
+
+class TestExactDerivatives:
+    """divergence and curl of a field with known derivatives, exact to rounding."""
+
+    @staticmethod
+    def field(x, y, z):
+        return np.stack(np.broadcast_arrays(x * x * z, x * np.sin(y), y * np.tanh(z / EPS)))
+
+    @pytest.mark.parametrize("shape", ["scalar", "line", "grid"])
+    def test_known_field(self, shape):
+        # its own generator, so the module's draws for the other tests stay as they were
+        rng = np.random.default_rng(707)
+        if shape == "scalar":
+            points = [tuple(map(float, p)) for p in rng.uniform((-2, -2, -0.5), (2, 2, 0.5), size=(20, 3))]
+        elif shape == "line":
+            points = [tuple(rng.uniform((-2, -2, -0.5), (2, 2, 0.5), size=(200, 3)).T)]
+        else:
+            x, y = np.meshgrid(np.linspace(-2, 2, 7), np.linspace(-2, 2, 9))
+            points = [(x, y, np.linspace(-0.5, 0.5, 7))]
+        for x, y, z in points:
+            terms = np.stack(np.broadcast_arrays(2 * x * z, x * np.cos(y), y / np.cosh(z / EPS) ** 2 / EPS))
+            got = divergence(self.field, x, y, z)
+            assert np.shape(got) == np.shape(terms[0])
+            # each term is exact to rounding, so the sum is to the sum of their sizes
+            assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-14 * np.abs(terms).sum(axis=0))
+            ref = np.stack(np.broadcast_arrays(np.tanh(z / EPS), x * x, np.sin(y)))
+            np.testing.assert_allclose(curl(self.field, x, y, z), ref, rtol=1e-14, atol=0)
 
 
 class TestBField:
@@ -61,7 +114,7 @@ class TestBField:
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_divergence_free(self, beta):
         model = FieldModel(beta=beta, b0=1.0, eps=EPS)
-        tol = 1e-6 * model.b0 / model.eps
+        tol = 1e-13
         for p in random_points(200):
             f = lambda x, y, z: b_field(model, x, y, z)
             assert abs(divergence(f, *p)) <= tol
@@ -84,7 +137,7 @@ class TestBField:
 class TestVectorPotential:
     def test_curl_reproduces_field(self):
         model = FieldModel(beta=0.35, b0=1.0, eps=EPS)
-        tol = 1e-6 * model.b0 / model.eps
+        tol = 1e-13
         for _ in range(3):
             params = GaugeParams(
                 a=float(rng.uniform(-1, 1)), b=float(rng.uniform(-1, 1)), c=float(rng.uniform(-1, 1))
@@ -108,7 +161,7 @@ class TestVectorPotential:
         p2 = GaugeParams(a=-1.1, b=0.4, c=0.0)
         f1 = lambda x, y, z: vector_potential(p1, model, x, y, z)
         f2 = lambda x, y, z: vector_potential(p2, model, x, y, z)
-        tol = 1e-6 * model.b0 / model.eps
+        tol = 1e-13
         for p in random_points(40):
             assert np.max(np.abs(curl(f1, *p) - curl(f2, *p))) <= tol
 
@@ -151,7 +204,7 @@ class TestGaugeFix:
         for _ in range(30):
             x, y = rng.uniform(-1, 1, size=2)
             z = float(rng.uniform(3 * EPS, 10 * EPS))
-            assert abs(divergence(fixed, float(x), float(y), z)) <= 1e-9
+            assert abs(divergence(fixed, float(x), float(y), z)) <= 1e-13
 
     def test_field_invariant_under_quadratic_gauge_motion(self):
         # curl(A + grad chi) = curl A for arbitrary quadratic chi
@@ -163,7 +216,7 @@ class TestGaugeFix:
             return vector_potential(base, model, x, y, z) + grad_chi(other, model, x, y, z)
 
         f0 = lambda x, y, z: vector_potential(base, model, x, y, z)
-        tol = 1e-6 * model.b0 / model.eps
+        tol = 1e-13
         for p in random_points(40):
             assert np.max(np.abs(curl(shifted, *p) - curl(f0, *p))) <= tol
 
@@ -200,11 +253,11 @@ class TestArrayPoints:
 
     @pytest.mark.parametrize("name", ["b_field", "vector_potential", "transformed_potential"])
     def test_stencils(self, name):
-        # each difference quotient amplifies a relative change of 1e-15 in
-        # the values it differences by |f| / FD_STEP
+        # relative to f's largest derivative: a divergence or curl component
+        # that cancels to near 0 keeps the rounding of the terms it sums
         f = self.FUNCS[name]
         x, y, z = self.points()
-        scale = 1e-15 * np.max(np.abs(f(x, y, z))) / FD_STEP
+        scale = 1e-14 * np.max(np.abs(_jacobian(f, x, y, z)))
         for stencil in (divergence, curl):
             got = stencil(f, x, y, z)
             ref = self.per_point(lambda *p: stencil(f, *p), x, y, z)
