@@ -48,6 +48,7 @@ from .operators import (
     IDENTITY,
     R2,
     dilate,
+    family_weights,
     h_as,
     h_perp,
     h_phys,
@@ -87,17 +88,17 @@ _ALPHAS = tuple(float(a) for a in np.linspace(0.0, math.pi / 2, 9))
 
 
 def _levels(order: int) -> tuple[tuple[ModeIndex, ...], np.ndarray]:
-    """The modes of a level and their vectors at every angle of ``_ALPHAS``, shape (angles, N + 1, N + 1)."""
-    modes = tuple(ModeIndex(n, order - n) for n in range(order + 1))
-    return modes, np.ascontiguousarray(level_modes(order, _ALPHAS)[:, ::-1].transpose(0, 2, 1))
+    """The modes of a level and their vectors at every angle of ``_ALPHAS``, column m mode (N - m, m), shape (angles, N + 1, N + 1)."""
+    modes = tuple(ModeIndex(order - m, m) for m in range(order + 1))
+    return modes, level_modes(order, _ALPHAS).transpose(0, 2, 1)
 
 
 def _eigen_residuals(matrices: np.ndarray, vecs: np.ndarray, lams) -> np.ndarray:
     """||D v - lam v|| over D's whole image for each column v of vecs, shape (..., K).
 
-    matrices (..., size, size, N + 1) is a ``level_matrix`` stack; vecs
-    (..., N + 1, K) and lams, which broadcast against vecs, line up with
-    its leading axes.
+    matrices (..., size, size, N + 1) are images of the level laid out as by
+    ``level_matrix``; vecs (..., N + 1, K) and lams, which broadcast against
+    vecs, line up with their leading axes.
     """
     # one small product per image row nx: a (size, N + 1) block of the
     # matrix is small enough that BLAS keeps it on one thread
@@ -145,28 +146,30 @@ def suite_algebra(max_order: int) -> list[dict]:
 
 def suite_spectra(max_order: int) -> list[dict]:
     rows = _Rows("spectra", 1e-10)
-    # three Hamiltonians at every angle, one stack of (3, angles) per level
-    hamiltonians = [f(a, sign) for f, sign in ((h_perp, -1), (h_perp, +1), (h_as, -1)) for a in _ALPHAS]
+    # the weights of H1, H2, H3 in Hperp by (charge, angle), each broadcast over a level matrix
+    w1, w2, w3 = np.moveaxis([family_weights(0.0, np.array(_ALPHAS), sign) for sign in (-1, 1)], -1, 0)[..., None, None, None]
     rng = random.Random(7)
 
     for order in range(max_order + 1):
         modes, vecs = _levels(order)
+        matrices = level_matrix([HS, H1, H2, H3, CASIMIR], order)
+        # Hs and the generators map the level into its first N + 3 rows on each axis
+        hs, h1, h2, h3 = matrices[:4, : order + 3, : order + 3]
+        coupling = w1 * h1 + w2 * h2 + w3 * h3  # Has = Hperp - Hs by (charge, angle)
         # eigenvalues by (Hamiltonian, angle, level row, mode column)
         lams = np.array([[2 * md.n + 1, 2 * md.m + 1, md.l] for md in modes]).T[:, None, None, :]
-        matrices = level_matrix(hamiltonians, order)
-        matrices = matrices.reshape(3, len(_ALPHAS), *matrices.shape[1:])
-        electron, positron, asym = _eigen_residuals(matrices, vecs, lams)
+        electron, positron = _eigen_residuals(hs + coupling, vecs, lams[:2])
         rows.add("Hperp eigenvalue 2(n+1/2), electron", electron)
         rows.add("Hperp eigenvalue 2(m+1/2), positron", positron)
-        rows.add("Has eigenvalue -sign_e l", asym)
-        residuals = _eigen_residuals(level_matrix([CASIMIR], order)[0], vecs[0], 0.25 * ((order + 1) ** 2 - 1))
+        rows.add("Has eigenvalue -sign_e l", _eigen_residuals(coupling[0], vecs, lams[2]))
+        residuals = _eigen_residuals(matrices[4], vecs[0], 0.25 * ((order + 1) ** 2 - 1))
         rows.add("Casimir eigenvalue ((n+m+1)^2-1)/4 on alpha=0 basis", residuals)
-        # [a, n]: the paper's finite sum c_k = i^k F_k of mode n at angle a, normalised,
-        # so each c_k times sqrt((N-k)! k! / (n! m!)) = sqrt(f[k] / f[n])
+        # [a, m]: the paper's finite sum c_k = i^k F_k of mode (N - m, m) at angle a, normalised,
+        # so each c_k times sqrt((N-k)! k! / (n! m!)) = sqrt(f[k] / f[m])
         ks = np.arange(order + 1)
         f = np.array([math.factorial(k) * math.factorial(order - k) for k in range(order + 1)], dtype=float)
         phases = np.array([1, 1j, -1, -1j])[ks % 4]
-        sums = phases * (np.ascontiguousarray(level_sums(order, _ALPHAS)[:, ::-1]) * np.sqrt(f / f[:, None]))
+        sums = phases * (level_sums(order, _ALPHAS) * np.sqrt(f / f[:, None]))
         # |row|^2 = sum_k |c_k|^2 (N-k)! k! / (n! m!): 1 is the paper's norm formula
         rows.add("norm^2 = pi 2^(n+m-1) n! m!", np.abs(np.linalg.norm(sums, axis=2) ** 2 - 1.0))
         # modes on different levels are orthogonal because their Hermite products are
@@ -174,10 +177,11 @@ def suite_spectra(max_order: int) -> list[dict]:
         rows.add("orthonormality of the mode basis", np.abs(gram - np.eye(order + 1)))
         rows.add("finite sum equals the eigenvector", np.abs(sums - vecs.transpose(0, 2, 1)))
 
-        # mode n (row N - n of the level) at its own random (phi, alpha), all turned by one ``rotate_block`` call
+        # mode m at its own random (phi, alpha), all turned by one ``rotate_block`` call
         draws = np.array([[rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi / 2)] for _ in range(order + 1)])
-        turned = rotate_block(level_modes(order, draws[:, 1])[ks, order - ks], draws[:, 0])
-        sch = level_matrix([schwinger_operator(phi, alpha, -1) for phi, alpha in draws.tolist()], order)
+        turned = rotate_block(level_modes(order, draws[:, 1])[ks, ks], draws[:, 0])
+        d1, d2, d3 = family_weights(draws[:, 0], draws[:, 1], -1).T[..., None, None, None]
+        sch = hs + (d1 * h1 + d2 * h2 + d3 * h3)
         lams = np.array([energy(md.n_r, md.l, -1) for md in modes])[:, None, None]
         rows.add("rotated-family eigenvalue 2 n_r + |l| + l + 1", _eigen_residuals(sch, turned[:, :, None], lams))
 
@@ -191,18 +195,16 @@ def suite_spectra(max_order: int) -> list[dict]:
 
 def suite_observables(max_order: int) -> list[dict]:
     rows = _Rows("observables", 1e-10)
-    # Lz and r^2 serve every angle, the electron Hperp one angle each
-    ops = [H3, R2, CASIMIR] + [h_perp(a, -1) for a in _ALPHAS]
+    # the electron's Hperp is Hs + w1 H1 + w3 H3 (w2 = 0 at phi = 0), as ``observables.sweep`` forms it
+    w1, _, w3 = family_weights(0.0, np.array(_ALPHAS), -1).T[:, :, None]
 
     for order in range(max_order + 1):
         modes, vecs = _levels(order)
         ks = np.arange(order + 1)
-        # each operator from the level onto itself; v^H (D v) for every mode and angle
-        blocks = level_matrix(ops, order)[:, ks[::-1], ks]
-        conj = vecs.conj()
-        lz, r2 = (conj * (blocks[:2, None] @ vecs)).sum(axis=-2)
-        electron = (conj * (blocks[3:] @ vecs)).sum(axis=-2)
-        cas = (conj[0] * (blocks[2] @ vecs[0])).sum(axis=0)
+        # each operator from the level onto itself; v^H (D v) for every operator, angle and mode
+        blocks = level_matrix([HS, H1, H3, R2, CASIMIR], order)[:, ks[::-1], ks]
+        hs, h1, lz, r2, cas = (vecs.conj() * (blocks[:, None] @ vecs)).sum(axis=-2)
+        electron = hs + w1 * h1 + w3 * lz
         lz_closed = [[mean_lz(md.l, alpha) for md in modes] for alpha in _ALPHAS]
         r2_closed = [mean_r2(md.n_r, md.l) for md in modes]
         e_closed = [energy(md.n_r, md.l, -1) for md in modes]
@@ -210,11 +212,9 @@ def suite_observables(max_order: int) -> list[dict]:
         rows.add("<r^2> = (2 n_r + |l| + 1)/2, alpha independent", np.abs(r2 - r2_closed))
         rows.add("<Hperp> matches the closed-form energy", np.abs(electron - e_closed))
         j = 0.5 * order
-        rows.add("<Casimir> = j(j+1)", np.abs(cas - j * (j + 1)))
+        rows.add("<Casimir> = j(j+1)", np.abs(cas[0] - j * (j + 1)))
         for md in modes:
-            e_minus = energy(md.n_r, md.l, -1)
-            e_plus = energy(md.n_r, md.l, +1)
-            errors = [abs(e_minus - (2 * md.n + 1)), abs(e_plus - (2 * md.m + 1))]
+            errors = [abs(energy(md.n_r, md.l, -1) - (2 * md.n + 1)), abs(energy(md.n_r, md.l, +1) - (2 * md.m + 1))]
             rows.add("energy degeneracy in m (electron) / n (positron)", errors)
     return rows.results()
 

@@ -21,8 +21,16 @@ from als.fields import (
     vector_potential,
 )
 
+#: The sample points' generator; ``_fresh_rng`` reseeds it for every test.
 rng = np.random.default_rng(606)
 EPS = 0.1
+
+
+@pytest.fixture(autouse=True)
+def _fresh_rng():
+    """Reseed ``rng``, so that a test's points do not depend on which tests ran before it."""
+    global rng
+    rng = np.random.default_rng(606)
 
 
 def random_points(n, z_range=(-0.3, 0.3)):
@@ -83,7 +91,7 @@ class TestExactDerivatives:
 
     @pytest.mark.parametrize("shape", ["scalar", "line", "grid"])
     def test_known_field(self, shape):
-        # its own generator, so the module's draws for the other tests stay as they were
+        # its own seed, so its points stay those the test was written with
         rng = np.random.default_rng(707)
         if shape == "scalar":
             points = [tuple(map(float, p)) for p in rng.uniform((-2, -2, -0.5), (2, 2, 0.5), size=(20, 3))]

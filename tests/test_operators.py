@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from als import verify
 from als.gstate import PolyDiffOperator, apply, inner_product, op_commutator
 from als.modes import ORDER_CAP, beta_to_alpha, hlg_block, hlg_state, schwinger_state
 from als.operators import (
@@ -20,6 +21,7 @@ from als.operators import (
     dilate,
     eigen_residual,
     expectation,
+    family_weights,
     h_as,
     h_perp,
     h_phys,
@@ -385,6 +387,25 @@ class TestLevelMatrix:
             size = len(alone)
             assert np.array_equal(matrix[:size, :size], alone)
             assert not matrix[size:].any() and not matrix[:, size:].any()
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 10, 15, 20])
+    def test_family_constructors_equal_the_weighted_generators(self, order):
+        # verify's level suites weight the generators' level matrices with
+        # family_weights; the term-map constructors, which the algebra suite
+        # certifies, give the same matrices to rounding
+        hs, h1, h2, h3 = level_matrix([HS, H1, H2, H3], order)
+        draws = np.random.default_rng(37).uniform((0.0, 0.0), (2 * math.pi, math.pi / 2), size=(2, 20, 2))
+        cases = [(h_perp(a, s), True, 0.0, a, s) for s in (-1, 1) for a in verify._ALPHAS]
+        cases += [(h_as(a, s), False, 0.0, a, s) for s in (-1, 1) for a in verify._ALPHAS]
+        cases += [(schwinger_operator(p, a, s), True, p, a, s) for s, d in zip((-1, 1), draws) for p, a in d.tolist()]
+        for op, with_hs, phi, alpha, sign in cases:
+            w1, w2, w3 = family_weights(phi, alpha, sign)
+            ref = w1 * h1 + w2 * h2 + w3 * h3
+            if with_hs:
+                ref = hs + ref
+            (matrix,) = level_matrix([op], order)
+            bound = 1e-15 * max(1.0, np.abs(ref).max())
+            assert np.abs(matrix - ref).max() <= bound, (phi, alpha, sign)
 
     def test_empty_terms_and_empty_stack(self):
         assert level_matrix([], 3).shape == (0, 4, 4, 4)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from als import fields, specfun, verify
+from als import fields, operators, specfun, verify
 from als.cli import main
 from als.modes import ORDER_CAP
 from oracles import validate
@@ -237,21 +237,35 @@ def test_wigner_suite_stops_at_the_max_order(monkeypatch, max_order):
 
 @pytest.mark.parametrize("alphas", [verify._ALPHAS, verify._ALPHAS[:2]], ids=["nine", "two"])
 def test_level_suites_build_a_fixed_number_of_stacks_per_order(monkeypatch, alphas):
-    # spectra: the Hamiltonians at every angle, the Casimir and the rotated
-    # family; observables: one stack of its operators
-    calls = []
-    level_matrix = verify.level_matrix
+    # each suite weights one stack of the shared operator constants per order
+    # and builds no term-map Hamiltonian; h_perp serves the dilation row alone
+    constants = [operators.HS, operators.H1, operators.H2, operators.H3, operators.CASIMIR, operators.R2]
+    calls, dilation = [], []
+    level_matrix, h_perp = verify.level_matrix, verify.h_perp
 
     def counted(ops, order):
+        assert all(any(op is c for c in constants) for op in ops), ops
         calls.append(order)
         return level_matrix(ops, order)
 
+    def refused(*args):
+        raise AssertionError(f"a level suite built a term-map Hamiltonian at {args}")
+
+    def dilation_only(alpha, sign):
+        dilation.append((alpha, sign))
+        return h_perp(alpha, sign)
+
     monkeypatch.setattr(verify, "level_matrix", counted)
     monkeypatch.setattr(verify, "_ALPHAS", alphas)
+    monkeypatch.setattr(verify, "h_as", refused)
+    monkeypatch.setattr(verify, "schwinger_operator", refused)
+    monkeypatch.setattr(verify, "h_perp", dilation_only)
     order = 4
     spectra = verify.suite_spectra(order)
-    assert sorted(calls) == [n for n in range(order + 1) for _ in range(3)]
+    assert calls == list(range(order + 1))
+    assert len(dilation) == 6  # three betas for each charge, whatever the order
     calls.clear()
+    monkeypatch.setattr(verify, "h_perp", refused)
     observables = verify.suite_observables(order)
     assert calls == list(range(order + 1))
     assert all(r["residual"] <= r["tolerance"] for r in spectra + observables)
